@@ -102,9 +102,7 @@ class BiPoly:
                 out[ij] = s
             else:
                 out.pop(ij, None)
-        p = BiPoly.__new__(BiPoly)
-        p.terms = out
-        return p
+        return _wrap(out)
 
     __radd__ = __add__
 
@@ -115,9 +113,7 @@ class BiPoly:
         return _as_bipoly(other) + (-self)
 
     def __neg__(self):
-        p = BiPoly.__new__(BiPoly)
-        p.terms = {ij: -c for ij, c in self.terms.items()}
-        return p
+        return _wrap({ij: -c for ij, c in self.terms.items()})
 
     def __mul__(self, other):
         other = _as_bipoly(other)
@@ -130,9 +126,7 @@ class BiPoly:
                     out[ij] = s
                 else:
                     out.pop(ij, None)
-        p = BiPoly.__new__(BiPoly)
-        p.terms = out
-        return p
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -198,13 +192,10 @@ class BiPoly:
 
     def x_coefficients(self) -> list["BiPoly"]:
         """Coefficients of x**0 .. x**deg_x as polynomials in y."""
-        d = self.degree_x()
-        if d < 0:
-            return []
-        out = [BiPoly.zero() for _ in range(d + 1)]
+        rows: list[dict] = [{} for _ in range(self.degree_x() + 1)]
         for (i, j), c in self.terms.items():
-            out[i] = out[i] + BiPoly.monomial(c, 0, j)
-        return out
+            rows[i][(0, j)] = c
+        return [_wrap(r) for r in rows]
 
     def ord_y(self):
         """Order of vanishing in y of self viewed along x = anything: the
@@ -247,6 +238,13 @@ class BiPoly:
             {"i": i, "j": j, "coefficient": str(c)}
             for (i, j), c in sorted(self.terms.items())
         ]
+
+
+def _wrap(terms: dict) -> BiPoly:
+    """A BiPoly over ``terms``, which must hold only nonzero Fractions."""
+    p = BiPoly.__new__(BiPoly)
+    p.terms = terms
+    return p
 
 
 def _as_bipoly(x):
@@ -405,29 +403,16 @@ def resultant_x(P: BiPoly, Q: BiPoly) -> list[Fraction]:
 
 
 def _resultant_linear(P: BiPoly, Q: BiPoly) -> list[Fraction]:
-    """Res_x(P, q1*x + q0) = sum_i p_i * (-q0)**i * q1**(dP - i), up to sign."""
-    dP = P.degree_x()
-    qc = Q.x_coefficients()
-    q0 = qc[0] if len(qc) > 0 else BiPoly.zero()
-    q1 = qc[1]
-    pc = P.x_coefficients()
-    acc = BiPoly.zero()
-    neg_q0_pow = BiPoly.const(1)
-    q1_pows = [BiPoly.const(1)]
-    for _ in range(dP):
-        q1_pows.append(q1_pows[-1] * q1)
-    for i in range(dP + 1):
-        ci = pc[i] if i < len(pc) else BiPoly.zero()
-        if not ci.is_zero():
-            acc = acc + ci * neg_q0_pow * q1_pows[dP - i]
-        if i < dP:
-            neg_q0_pow = neg_q0_pow * (-q0)
-    out = [Fraction(0)] * (acc.degree_y() + 1 if not acc.is_zero() else 0)
-    for (i, j), c in acc.terms.items():
-        if i != 0:
-            raise AssertionError("x left over after elimination")
-        out[j] += c
-    return _trim_q(out)
+    """Res_x(P, q1*x + q0) = sum_i p_i * (-q0)**i * q1**(dP - i), up to sign
+    and scale, by Horner's rule over the integer-cleared coefficients."""
+    prows = _int_coeff_rows(P)
+    q1, q0 = _int_coeff_rows(Q)
+    neg_q0 = [-c for c in q0]
+    acc, q1_pow = prows[0], [1]
+    for p_i in prows[1:]:
+        q1_pow = _umul(q1_pow, q1)
+        acc = _uadd(_umul(acc, neg_q0), _umul(p_i, q1_pow))
+    return [Fraction(c) for c in acc]
 
 
 def _int_coeff_rows(P: BiPoly) -> list[list[int]]:
@@ -438,7 +423,7 @@ def _int_coeff_rows(P: BiPoly) -> list[list[int]]:
     d = P.degree_x()
     rows = [[0] * (P.degree_y() + 1) for _ in range(d + 1)]
     for (i, j), c in P.terms.items():
-        rows[i][j] = int(c * denom)
+        rows[i][j] = c.numerator * (denom // c.denominator)
     rows = [_trim_z(r) for r in rows]
     return list(reversed(rows))  # leading coefficient first, Sylvester layout
 
@@ -518,6 +503,35 @@ def _gcd_rec(P: BiPoly, Q: BiPoly) -> BiPoly:
     return cont * g
 
 
+def bipoly_exact_div(P: BiPoly, D: BiPoly) -> BiPoly:
+    """P / D over Q[x, y]; raises ArithmeticError unless D divides P.
+
+    Long division on the lexicographic leading monomial: lex order is
+    multiplicative, so when D divides P each leading monomial of the
+    remainder is a multiple of D's."""
+    if D.is_zero():
+        raise ZeroPolynomial("division by the zero polynomial")
+    (di, dj) = lead = max(D.terms)
+    lc = D.terms[lead]
+    rem = dict(P.terms)
+    quot = {}
+    while rem:
+        ri, rj = max(rem)
+        qi, qj = ri - di, rj - dj
+        if qi < 0 or qj < 0:
+            raise ArithmeticError("inexact polynomial division")
+        c = rem[(ri, rj)] / lc
+        quot[(qi, qj)] = c
+        for (i, j), d in D.terms.items():
+            ij = (i + qi, j + qj)
+            s = rem.get(ij, 0) - c * d
+            if s:
+                rem[ij] = s
+            else:
+                rem.pop(ij, None)
+    return _wrap(quot)
+
+
 def _pseudo_rem(A: BiPoly, B: BiPoly) -> BiPoly:
     dA, dB = A.degree_x(), B.degree_x()
     lb = B.x_coefficients()[dB]
@@ -538,34 +552,9 @@ def _content_x(P: BiPoly) -> BiPoly:
 
 
 def _divide_content(P: BiPoly, cont: BiPoly) -> BiPoly:
-    if cont.is_constant():
-        c = cont.constant_term()
-        if c == 1:
-            return P
-        return P * BiPoly.const(Fraction(1) / c)
-    cy = _y_coeffs(cont)
-    out = BiPoly.zero()
-    for i, coeff in enumerate(P.x_coefficients()):
-        if coeff.is_zero():
-            continue
-        q = _qexact_div(_y_coeffs(coeff), cy)
-        out = out + _from_y_coeffs(q) * BiPoly.monomial(1, i, 0)
-    return out
-
-
-def _qexact_div(a, b):
-    a = list(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    while a:
-        if len(a) < len(b):
-            raise ArithmeticError("inexact content division")
-        coef = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, cb in enumerate(b):
-            a[shift + i] -= coef * cb
-        a = _trim_q(a)
-    return q
+    if cont.terms == {(0, 0): 1}:
+        return P
+    return bipoly_exact_div(P, cont)
 
 
 def _y_coeffs(P: BiPoly) -> list[Fraction]:

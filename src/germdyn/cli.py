@@ -2,8 +2,9 @@
 
 Every command is deterministic given its arguments: the same invocation
 produces byte-identical output.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed (witness in the output), 2 usage or parse error,
-3 a computation budget was exceeded.
+mathematical check failed (witness in the output) or a stage could not be
+decided (a {"stage", "error"} payload), 2 usage or parse error, 3 a
+computation budget was exceeded.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from .curvefamily import (
     verify_bound,
     verify_functoriality,
 )
-from .intersect import GenericSampler, MapGerm, mu_sequence
+from .intersect import (
+    GenericityFailure,
+    GenericSampler,
+    InfiniteMultiplicity,
+    MapGerm,
+    mu_sequence,
+)
 from .polyparse import ParseError, parse_map, parse_poly, parse_poly_list
 from .proximity import ProximityChart, intersection_matrix, skewness
 from .recurrence import NoRecurrenceFound, detect_recursion
@@ -218,22 +225,29 @@ def cmd_arnold(args) -> int:
     return EXIT_OK if payload["result"] == "PASS" else EXIT_CHECK_FAILED
 
 
-def _sampler(args) -> GenericSampler:
-    return GenericSampler(args.seed)
+def _mu_stage(args):
+    """The stages mu-seq and pipeline share: validate the map, then compute
+    mu(0..nmax).  Returns (F, mu), or (None, payload) naming the stage that
+    failed."""
+    F = MapGerm(*parse_map(args.map))
+    if not F.finiteness_certificate():
+        return None, {"stage": "map validation",
+                      "error": "components share a factor or degenerate"}
+    gens = parse_poly_list(args.ideal)
+    sampler = GenericSampler(args.seed)
+    z = sampler.draw_vector(len(gens))
+    w = sampler.draw_vector(len(gens))
+    try:
+        return F, mu_sequence(F, gens, z, w, args.nmax, sampler, args.budget)
+    except (InfiniteMultiplicity, GenericityFailure) as exc:
+        return None, {"stage": "local multiplicity", "error": str(exc)}
 
 
 def cmd_mu_seq(args) -> int:
-    fx, fy = parse_map(args.map)
-    F = MapGerm(fx, fy)
-    if not F.finiteness_certificate():
-        _emit(args, {"stage": "map validation",
-                     "error": "components share a factor or degenerate"})
+    F, mu = _mu_stage(args)
+    if F is None:  # mu is the failure payload
+        _emit(args, mu)
         return EXIT_CHECK_FAILED
-    gens = parse_poly_list(args.ideal)
-    sampler = _sampler(args)
-    z = sampler.draw_vector(len(gens))
-    w = sampler.draw_vector(len(gens))
-    mu = mu_sequence(F, gens, z, w, args.nmax, sampler, args.budget)
     payload = {"map": args.map, "ideal": args.ideal, "seed": args.seed,
                "mu": [str(v) for v in mu]}
     csv_rows = [["n", "mu"]] + [[n, v] for n, v in enumerate(mu)]
@@ -311,17 +325,10 @@ def cmd_recursion(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    fx, fy = parse_map(args.map)
-    F = MapGerm(fx, fy)
-    if not F.finiteness_certificate():
-        _emit(args, {"stage": "map validation",
-                     "error": "components share a factor or degenerate"})
+    F, mu = _mu_stage(args)
+    if F is None:  # mu is the failure payload
+        _emit(args, mu)
         return EXIT_CHECK_FAILED
-    gens = parse_poly_list(args.ideal)
-    sampler = _sampler(args)
-    z = sampler.draw_vector(len(gens))
-    w = sampler.draw_vector(len(gens))
-    mu = mu_sequence(F, gens, z, w, args.nmax, sampler, args.budget)
     payload = {"map": args.map, "ideal": args.ideal, "seed": args.seed,
                "mu": [str(v) for v in mu]}
     max_order = max(1, min(args.max_order, (len(mu) - 1) // 2))

@@ -3,9 +3,9 @@
 The oracle is resultant-based: after ensuring both curves are regular in x
 and meet the x-axis fiber only at the origin, the order of vanishing in y of
 the resultant eliminating x is the local intersection number.  A cheap
-certificate decides when the curves can be used as-is; otherwise seeded
-random unimodular coordinate changes are drawn and two independent draws
-must agree.
+certificate decides when the curves can be used as-is; only when it cannot
+does a gcd look for a shared component, and then seeded random unimodular
+coordinate changes are drawn and two independent draws must agree.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .bipoly import (
     ZeroPolynomial,
     _qgcd,
     _trim_q,
+    bipoly_exact_div,
     bipoly_gcd,
     resultant_x,
 )
@@ -61,11 +62,6 @@ class PlaneCurve:
 
     def is_zero(self):
         return self.poly.is_zero()
-
-    def reduced(self) -> "PlaneCurve":
-        """Squarefree normalization via gcd with partial derivatives is not
-        needed at desk scale; gcd against the other curve is what matters."""
-        return self
 
     def __repr__(self):
         return "PlaneCurve(%s)" % self.poly
@@ -156,21 +152,14 @@ def apply_linear(P: BiPoly, A) -> BiPoly:
 
 def _fiber_certificate(P: BiPoly, Q: BiPoly) -> bool:
     """True when ord_y Res_x(P, Q) is provably the local multiplicity:
-    both restrict to nonzero polynomials on y = 0, their only common root
-    on y = 0 is x = 0, and neither leading x-coefficient vanishes at y = 0."""
-    p0 = P.eval_y0_in_x()
-    q0 = Q.eval_y0_in_x()
-    if not p0 or not q0:
+    neither leading x-coefficient vanishes at y = 0, and the restrictions to
+    y = 0 have no common root but x = 0."""
+    # a leading x-coefficient is a unit at y = 0 iff it has a y^0 term
+    if (P.degree_x(), 0) not in P.terms or (Q.degree_x(), 0) not in Q.terms:
         return False
-    g = _qgcd(p0, q0)
+    g = _qgcd(P.eval_y0_in_x(), Q.eval_y0_in_x())
     # common roots only at x = 0 means the gcd is a monomial c * x^k
-    if sum(1 for c in g if c != 0) != 1:
-        return False
-    lcP = P.x_coefficients()[P.degree_x()]
-    lcQ = Q.x_coefficients()[Q.degree_x()]
-    if lcP.ord_y() != 0 or lcQ.ord_y() != 0:
-        return False
-    return True
+    return sum(1 for c in g if c != 0) == 1
 
 
 def _ord_y_resultant(P: BiPoly, Q: BiPoly):
@@ -186,13 +175,10 @@ def _ord_y_resultant(P: BiPoly, Q: BiPoly):
 
 def _graph_form(P: BiPoly):
     """If P = c*x - h(y) with constant c, return h/c, else None."""
-    if P.degree_x() != 1:
+    c = P.terms.get((1, 0))
+    if c is None or any(i > 1 or (i == 1 and j) for i, j in P.terms):
         return None
-    coeffs = P.x_coefficients()
-    if not coeffs[1].is_constant():
-        return None
-    c = coeffs[1].constant_term()
-    return coeffs[0] * BiPoly.const(Fraction(-1) / c)
+    return BiPoly({(0, j): -v / c for (i, j), v in P.terms.items() if i == 0})
 
 
 def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler,
@@ -205,24 +191,37 @@ def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler,
 
 def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler,
                         max_draws: int = 8):
+    """(i_0(P, Q), fallback), where fallback is True when the shear draws
+    gave no two agreeing values and their minimum is returned.
+
+    Decides, in order: two graph curves; the fiber certificate with a
+    nonvanishing resultant; a gcd, which finds a shared component or
+    divides out a common factor that is a unit at the origin; shears.
+    """
     if P.is_zero() or Q.is_zero():
         raise DegenerateInput("zero polynomial is not a curve")
     p, q = P.poly, Q.poly
-    g = bipoly_gcd(p, q)
-    if not g.is_constant() and g.constant_term() == 0:
-        return INFINITE, False
-    # graph fast path: x = g(y) against x = h(y)
+    # graph fast path: x = g(y) against x = h(y); both are irreducible, so
+    # they share a component exactly when they are equal
     hp, hq = _graph_form(p), _graph_form(q)
     if hp is not None and hq is not None:
-        diff = hp - hq
-        k = diff.ord_y()
-        if k is None:
-            return INFINITE, False
-        return k, False
-    if _degx(p) >= 1 and _degx(q) >= 1 and _fiber_certificate(p, q):
+        k = (hp - hq).ord_y()
+        return (INFINITE if k is None else k), False
+    # certified leading coefficients rule out a shared factor in y alone
+    # through the origin, and a shared factor of positive x-degree makes
+    # Res_x vanish
+    if p.degree_x() >= 1 and q.degree_x() >= 1 and _fiber_certificate(p, q):
         k = _ord_y_resultant(p, q)
         if k is not None:
             return k, False
+    g = bipoly_gcd(p, q)
+    if not g.is_constant():
+        if g.constant_term() == 0:
+            return INFINITE, False
+        # g is a unit in the local ring, so it does not change i_0
+        return local_mult_detailed(PlaneCurve(bipoly_exact_div(p, g)),
+                                   PlaneCurve(bipoly_exact_div(q, g)),
+                                   sampler, max_draws)
     # randomized coordinate changes with cross-validation
     results = []
     draws = 0
@@ -230,7 +229,7 @@ def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler,
         A = sampler.unimodular()
         pa, qa = apply_linear(p, A), apply_linear(q, A)
         draws += 1
-        if _degx(pa) < 1 or _degx(qa) < 1:
+        if pa.degree_x() < 1 or qa.degree_x() < 1:
             continue
         if not _fiber_certificate(pa, qa):
             continue
@@ -246,10 +245,6 @@ def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler,
             "no regular coordinate change found in %d draws" % max_draws
         )
     return min(results), True
-
-
-def _degx(p: BiPoly) -> int:
-    return p.degree_x()
 
 
 def pullback(F: MapGerm, C: PlaneCurve, budget: int | None = None) -> PlaneCurve:

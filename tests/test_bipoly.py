@@ -7,6 +7,7 @@ from germdyn.bipoly import (
     BiPoly,
     BudgetExceeded,
     ZeroPolynomial,
+    bipoly_exact_div,
     bipoly_gcd,
     resultant_x,
 )
@@ -93,6 +94,53 @@ def test_resultant_rejects_degenerate():
         resultant_x(BiPoly.zero(), BiPoly.x())
     with pytest.raises(ValueError):
         resultant_x(BiPoly.y(), BiPoly.x())
+
+
+def test_gcd_and_resultant_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(P):
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+                           for (i, j), c in P.terms.items()])
+
+    rng = random.Random(2718)
+    nontrivial = resultants = 0
+    for _ in range(50):
+        a, b, c = rand_poly(rng), rand_poly(rng), rand_poly(rng, 1)
+        if a.is_zero() or b.is_zero() or c.is_zero():
+            continue
+        P, Q = a * c, b * c
+        g, h = to_sympy(bipoly_gcd(P, Q)), sympy.gcd(to_sympy(P), to_sympy(Q))
+        unit = sympy.cancel(g / h)
+        assert unit.is_number and unit != 0
+        nontrivial += not h.is_number
+        if P.degree_x() < 1 or b.degree_x() < 1:
+            continue
+        resultants += 1
+        ours = sympy.Add(*[sympy.Rational(r.numerator, r.denominator) * y**j
+                           for j, r in enumerate(resultant_x(P, b))])
+        theirs = sympy.expand(sympy.resultant(to_sympy(P), to_sympy(b), x))
+        if theirs == 0:
+            assert ours == 0
+            continue
+        assert sympy.cancel(ours / theirs).is_number
+        ord_y = min(m[0] for m in sympy.Poly(theirs, y).monoms())
+        assert ord_y == min(j for j, r in enumerate(resultant_x(P, b)) if r)
+    assert nontrivial >= 30 and resultants >= 20
+
+
+def test_exact_division():
+    rng = random.Random(1618)
+    for _ in range(40):
+        a, b = rand_poly(rng), rand_poly(rng)
+        if a.is_zero() or b.is_zero():
+            continue
+        assert bipoly_exact_div(a * b, b) == a
+    with pytest.raises(ArithmeticError):
+        bipoly_exact_div(parse_poly("x + 1"), parse_poly("x"))
+    with pytest.raises(ArithmeticError):
+        bipoly_exact_div(parse_poly("x^2 + y"), parse_poly("x + y"))
 
 
 def test_gcd():

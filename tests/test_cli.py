@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import germdyn
 from germdyn.cli import main
 
 
@@ -107,6 +111,22 @@ def test_usage_errors(capsys):
     code3, _ = run(capsys, "mu-seq", "--map", "bogus(", "--ideal", "x, y",
                    "--nmax", "2")
     assert code3 == 2
+
+
+@pytest.mark.parametrize("command", ["mu-seq", "pipeline"])
+def test_shared_component_is_a_json_failure(command):
+    # D_z and D_w both lie on x = 0, so mu(0) is infinite
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", command, "--map", "(x^2, y^2)",
+         "--ideal", "x, x", "--nmax", "3"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    data = json.loads(proc.stdout)
+    assert data["stage"] == "local multiplicity"
+    assert "shared component" in data["error"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_budget_exit_code(capsys):

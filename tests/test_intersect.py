@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from germdyn.bipoly import BiPoly
+from germdyn.bipoly import BiPoly, bipoly_gcd
 from germdyn.intersect import (
     INFINITE,
     DegenerateInput,
@@ -10,6 +10,8 @@ from germdyn.intersect import (
     InfiniteMultiplicity,
     MapGerm,
     PlaneCurve,
+    _fiber_certificate,
+    _graph_form,
     local_mult,
     local_mult_detailed,
     mu_sequence,
@@ -52,6 +54,86 @@ def test_shared_component_is_infinite():
     P = C("(x - y) (x + y^2)")
     Q = C("(x - y) (x - y^3)")
     assert local_mult(P, Q, sam) is INFINITE
+
+
+def test_common_factor_missing_the_origin_is_divided_out():
+    # (1 + x) and (1 + y) are units at the origin, so they do not change i_0
+    sam = GenericSampler(4)
+    assert local_mult(C("x (1 + x)"), C("y (1 + x)"), sam) == 1
+    assert local_mult(C("x (1 + y)"), C("y (1 + y)"), sam) == 1
+    assert local_mult(C("(1 + x + y) (x - y^2)"),
+                      C("(1 + x + y) (x - y^3)"), sam) == 2
+    # a unit factor beside a shared component through the origin
+    assert local_mult(C("(1 - x y) (x - y)"),
+                      C("(1 - x y) (x - y) (x + y)"), sam) is INFINITE
+
+
+def test_infinite_exactly_when_gcd_passes_through_origin():
+    """The decision order (graph, fiber certificate, gcd, shears) gives
+    INFINITE on exactly the pairs whose gcd is nonconstant and vanishes at
+    the origin, whichever path the shared component reaches."""
+    rng = random.Random(4242)
+    sam = GenericSampler(4242)
+
+    def small(j_max=2):
+        return BiPoly({(0, j): rng.randint(-3, 3) for j in range(1, j_max + 1)})
+
+    def graph():  # c x - h(y)
+        return BiPoly({(1, 0): rng.choice([1, 2, -3])}) + small(3)
+
+    def regular(a):  # leading x-coefficient a unit at y = 0
+        return BiPoly({(2, 0): rng.choice([1, -2]), (1, 0): a,
+                       (1, 1): rng.randint(-2, 2)}) + small()
+
+    def singular():  # needs shears: leading x-coefficient vanishes at y = 0
+        return BiPoly({(1, 1): rng.choice([1, -1]), (0, 1): 1,
+                       (2, 1): rng.randint(-2, 2)}) + small()
+
+    def unit():
+        return BiPoly({(0, 0): 1, (1, 0): rng.randint(-2, 2),
+                       (0, 1): rng.randint(-2, 2)})
+
+    # "shear": the fiber certificate rejects the pair, so without the
+    # shared component it would need shears
+    paths = {"graph": 0, "fiber": 0, "shear": 0}
+    infinite = divided = 0
+    for k in range(240):
+        kind = k % 4
+        if kind == 0:
+            S = graph()
+            P, Q = S * rng.choice([1, -2, 3]), S * rng.choice([1, 5])
+        elif kind == 1:
+            # S(x, 0) = c x^2, so the fibers can still meet only at x = 0
+            S = regular(0)
+            P, Q = S * regular(1), S * regular(2)
+        elif kind == 2:
+            S = singular()
+            P, Q = S * rand_curve(rng).poly, S * rand_curve(rng).poly
+        else:
+            P, Q = rand_curve(rng).poly, rand_curve(rng).poly
+        if rng.random() < 0.3:
+            U = unit()
+            P, Q = P * U, Q * U
+        if P.is_zero() or Q.is_zero():
+            continue
+        value = local_mult(PlaneCurve(P), PlaneCurve(Q), sam)
+        g = bipoly_gcd(P, Q)
+        shared = not g.is_constant() and g.constant_term() == 0
+        assert (value is INFINITE) == shared, (str(P), str(Q), value)
+        if shared:
+            infinite += 1
+            if _graph_form(P) is not None and _graph_form(Q) is not None:
+                paths["graph"] += 1
+            elif (P.degree_x() >= 1 and Q.degree_x() >= 1
+                  and _fiber_certificate(P, Q)):
+                paths["fiber"] += 1
+            else:
+                paths["shear"] += 1
+        else:
+            assert isinstance(value, int) and value >= 1
+            divided += not g.is_constant()
+    assert infinite >= 150 and divided >= 10
+    assert min(paths.values()) >= 30, paths
 
 
 def test_degenerate_input():
