@@ -53,7 +53,6 @@ from .valuation import (
     c_infinity,
     c_sequence,
     growth_envelope_check,
-    val_eval,
 )
 
 __version__ = "0.1.0"

@@ -1,14 +1,19 @@
 """Exact sparse bivariate polynomials over the rationals.
 
-Monomials x**i * y**j are stored as a dict (i, j) -> Fraction with no zero
-entries.  This is the workhorse behind curve defining equations, map germs
-and their iterates, resultants, and gcds.
+Monomials x**i * y**j are stored as a dict (i, j) -> coefficient with no
+zero entries.  Coefficients are integer-first: a stored coefficient is an
+``int`` whenever it is integral and a ``Fraction`` (denominator > 1) only
+when it is not.  A polynomial over Z is therefore computed on with ints
+throughout, and rational inputs run through the same code by way of the
+int/Fraction numeric tower.  This is the workhorse behind curve defining
+equations, map germs and their iterates, resultants, and gcds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
+from math import lcm as _ilcm
 
 
 class ZeroPolynomial(ValueError):
@@ -19,18 +24,37 @@ class BudgetExceeded(RuntimeError):
     """Raised when a sparse term-count budget is exceeded."""
 
 
+def _coef(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is not Fraction:
+        if type(c) is int:
+            return c
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """The exact quotient a / b of two coefficients, normalized by _coef."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coef(Fraction(a) / b)
+
+
 class BiPoly:
-    """A polynomial in x and y with exact Fraction coefficients."""
+    """A polynomial in x and y with exact coefficients: an int when
+    integral, else a Fraction."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for (i, j), c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[(i, j)] = c
+            for ij, c in terms.items():
+                if type(c) is not int:
+                    c = _coef(c)
+                if c:
+                    clean[ij] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
@@ -41,19 +65,19 @@ class BiPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, c, i: int, j: int):
-        return cls({(i, j): Fraction(c)})
+        return cls({(i, j): c})
 
     @classmethod
     def x(cls):
-        return cls({(1, 0): Fraction(1)})
+        return cls({(1, 0): 1})
 
     @classmethod
     def y(cls):
-        return cls({(0, 1): Fraction(1)})
+        return cls({(0, 1): 1})
 
     # -- basic queries ------------------------------------------------------
 
@@ -63,8 +87,8 @@ class BiPoly:
     def is_constant(self) -> bool:
         return all(ij == (0, 0) for ij in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
+    def constant_term(self):
+        return self.terms.get((0, 0), 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -97,11 +121,11 @@ class BiPoly:
         other = _as_bipoly(other)
         out = dict(self.terms)
         for ij, c in other.terms.items():
-            s = out.get(ij, Fraction(0)) + c
+            s = out.get(ij, 0) + c
             if s:
-                out[ij] = s
+                out[ij] = s if type(s) is int else _coef(s)
             else:
-                out.pop(ij, None)
+                del out[ij]
         return _wrap(out)
 
     __radd__ = __add__
@@ -118,15 +142,15 @@ class BiPoly:
     def __mul__(self, other):
         other = _as_bipoly(other)
         out = {}
+        get = out.get
+        right = list(other.terms.items())
         for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+            for (i2, j2), c2 in right:
                 ij = (i1 + i2, j1 + j2)
-                s = out.get(ij, Fraction(0)) + c1 * c2
-                if s:
-                    out[ij] = s
-                else:
-                    out.pop(ij, None)
-        return _wrap(out)
+                out[ij] = get(ij, 0) + c1 * c2
+        # cancelled terms are dropped once, after the accumulation
+        return _wrap({ij: c if type(c) is int else _coef(c)
+                      for ij, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -156,7 +180,7 @@ class BiPoly:
     def compose(self, fx: "BiPoly", fy: "BiPoly", budget: int | None = None) -> "BiPoly":
         """Substitute x -> fx, y -> fy.  Exact; optional term budget."""
         # Horner in x over coefficient polys in y keeps the power table small
-        by_i: dict[int, dict[int, Fraction]] = {}
+        by_i: dict[int, dict] = {}
         for (i, j), c in self.terms.items():
             by_i.setdefault(i, {})[j] = c
         result = BiPoly.zero()
@@ -181,14 +205,14 @@ class BiPoly:
                 _check_budget(result, budget)
         return result
 
-    def eval_y0_in_x(self) -> list[Fraction]:
+    def eval_y0_in_x(self) -> list:
         """Coefficient list of self(x, 0) as a univariate poly in x."""
         d = self.degree_x()
-        out = [Fraction(0)] * (d + 1 if d >= 0 else 0)
+        out = [0] * (d + 1 if d >= 0 else 0)
         for (i, j), c in self.terms.items():
             if j == 0:
                 out[i] = c
-        return _trim_q(out)
+        return _trim_z(out)
 
     def x_coefficients(self) -> list["BiPoly"]:
         """Coefficients of x**0 .. x**deg_x as polynomials in y."""
@@ -241,7 +265,8 @@ class BiPoly:
 
 
 def _wrap(terms: dict) -> BiPoly:
-    """A BiPoly over ``terms``, which must hold only nonzero Fractions."""
+    """A BiPoly over ``terms``, whose coefficients must be nonzero and
+    normalized by _coef."""
     p = BiPoly.__new__(BiPoly)
     p.terms = terms
     return p
@@ -266,13 +291,7 @@ def _check_budget(p: BiPoly, budget):
 # univariate helpers: dense lists, low degree first
 # ---------------------------------------------------------------------------
 
-def _trim_q(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _trim_z(p: list[int]) -> list[int]:
+def _trim_z(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -338,27 +357,46 @@ def _uord(a) -> int:
     raise ZeroPolynomial("zero polynomial has no finite order")
 
 
-# gcd in Q[t] (monic-normalized), dense Fraction lists
+def _uprimitive(p) -> list[int]:
+    """The primitive integer multiple of a coefficient list over Q, with a
+    positive last (leading) coefficient; [] for the zero list."""
+    p = _trim_z(list(p))
+    if not p:
+        return p
+    den = _ilcm(*(c.denominator for c in p))
+    if den != 1:
+        p = [c.numerator * (den // c.denominator) for c in p]
+    g = _igcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return p if g == 1 else [c // g for c in p]
 
 
-def _qgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim_q(list(a)), _trim_q(list(b))
-    while b:
-        a, b = b, _qmod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+def _uprem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b in Q[t] times a nonzero integer: each step
+    cancels the leading coefficient over Z, without division."""
+    a = list(a)
+    lb, db = b[-1], len(b)
+    while len(a) >= db:
+        la = a[-1]
+        g = _igcd(la, lb)
+        ma, mb = lb // g, la // g
+        if ma != 1:
+            a = [ma * c for c in a]
+        shift = len(a) - db
+        for i, cb in enumerate(b):
+            a[shift + i] -= mb * cb
+        _trim_z(a)
     return a
 
 
-def _qmod(a, b):
-    a = list(a)
-    while len(a) >= len(b) and a:
-        coef = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, cb in enumerate(b):
-            a[shift + i] -= coef * cb
-        a = _trim_q(a)
+def _ugcd(a, b) -> list[int]:
+    """gcd in Q[t] of two dense lists, as a primitive integer list with a
+    positive leading coefficient (primitive Euclid over Z); [] when both
+    are zero."""
+    a, b = _uprimitive(a), _uprimitive(b)
+    while b:
+        a, b = b, _uprimitive(_uprem(a, b))
     return a
 
 
@@ -366,8 +404,9 @@ def _qmod(a, b):
 # resultant
 # ---------------------------------------------------------------------------
 
-def resultant_x(P: BiPoly, Q: BiPoly) -> list[Fraction]:
-    """Sylvester resultant of P and Q eliminating x, as a dense poly in y.
+def resultant_x(P: BiPoly, Q: BiPoly) -> list[int]:
+    """Sylvester resultant of P and Q eliminating x, as a dense integer poly
+    in y.
 
     Computed fraction-free (Bareiss) over integer-cleared coefficients;
     a linear-in-x input takes a direct evaluation shortcut.  The result is
@@ -398,11 +437,10 @@ def resultant_x(P: BiPoly, Q: BiPoly) -> list[Fraction]:
         for i, c in enumerate(qrows):
             row[k + i] = c
         mat.append(row)
-    det = _bareiss_poly_det(mat)
-    return [Fraction(c) for c in det]
+    return _bareiss_poly_det(mat)
 
 
-def _resultant_linear(P: BiPoly, Q: BiPoly) -> list[Fraction]:
+def _resultant_linear(P: BiPoly, Q: BiPoly) -> list[int]:
     """Res_x(P, q1*x + q0) = sum_i p_i * (-q0)**i * q1**(dP - i), up to sign
     and scale, by Horner's rule over the integer-cleared coefficients."""
     prows = _int_coeff_rows(P)
@@ -412,19 +450,20 @@ def _resultant_linear(P: BiPoly, Q: BiPoly) -> list[Fraction]:
     for p_i in prows[1:]:
         q1_pow = _umul(q1_pow, q1)
         acc = _uadd(_umul(acc, neg_q0), _umul(p_i, q1_pow))
-    return [Fraction(c) for c in acc]
+    return acc
 
 
 def _int_coeff_rows(P: BiPoly) -> list[list[int]]:
     """x-coefficients of P as integer-cleared dense polys in y, leading first."""
-    denom = 1
-    for c in P.terms.values():
-        denom = denom * c.denominator // _igcd(denom, c.denominator)
-    d = P.degree_x()
-    rows = [[0] * (P.degree_y() + 1) for _ in range(d + 1)]
+    denom = _ilcm(*(c.denominator for c in P.terms.values()))
+    # each row is as long as its own y-degree needs, so none is trimmed
+    width = [0] * (P.degree_x() + 1)
+    for i, j in P.terms:
+        if j >= width[i]:
+            width[i] = j + 1
+    rows = [[0] * w for w in width]
     for (i, j), c in P.terms.items():
-        rows[i][j] = c.numerator * (denom // c.denominator)
-    rows = [_trim_z(r) for r in rows]
+        rows[i][j] = c if denom == 1 else c.numerator * (denom // c.denominator)
     return list(reversed(rows))  # leading coefficient first, Sylvester layout
 
 
@@ -475,13 +514,13 @@ def _gcd_rec(P: BiPoly, Q: BiPoly) -> BiPoly:
     dP, dQ = P.degree_x(), Q.degree_x()
     if dP == 0 and dQ == 0:
         # both univariate in y
-        g = _qgcd(_y_coeffs(P), _y_coeffs(Q))
+        g = _ugcd(_y_coeffs(P), _y_coeffs(Q))
         return _from_y_coeffs(g)
     if dP == 0 or dQ == 0:
         if dP == 0:
             P, Q = Q, P
         # gcd(P, c(y)) = gcd(content_x(P), c(y))
-        g = _qgcd(_y_coeffs(_content_x(P)), _y_coeffs(Q))
+        g = _ugcd(_y_coeffs(_content_x(P)), _y_coeffs(Q))
         return _from_y_coeffs(g)
     if dP < dQ:
         P, Q = Q, P
@@ -489,7 +528,7 @@ def _gcd_rec(P: BiPoly, Q: BiPoly) -> BiPoly:
     cQ, pQ = _content_x(Q), None
     pP = _divide_content(P, cP)
     pQ = _divide_content(Q, cQ)
-    cont = _from_y_coeffs(_qgcd(_y_coeffs(cP), _y_coeffs(cQ)))
+    cont = _from_y_coeffs(_ugcd(_y_coeffs(cP), _y_coeffs(cQ)))
     # primitive Euclid via pseudo-remainders
     A, B = pP, pQ
     while not B.is_zero() and B.degree_x() > 0:
@@ -520,7 +559,7 @@ def bipoly_exact_div(P: BiPoly, D: BiPoly) -> BiPoly:
         qi, qj = ri - di, rj - dj
         if qi < 0 or qj < 0:
             raise ArithmeticError("inexact polynomial division")
-        c = rem[(ri, rj)] / lc
+        c = _div(rem[(ri, rj)], lc)
         quot[(qi, qj)] = c
         for (i, j), d in D.terms.items():
             ij = (i + qi, j + qj)
@@ -544,10 +583,10 @@ def _pseudo_rem(A: BiPoly, B: BiPoly) -> BiPoly:
 
 
 def _content_x(P: BiPoly) -> BiPoly:
-    g: list[Fraction] = []
+    g: list[int] = []
     for c in P.x_coefficients():
         if not c.is_zero():
-            g = _qgcd(g, _y_coeffs(c))
+            g = _ugcd(g, _y_coeffs(c))
     return _from_y_coeffs(g)
 
 
@@ -557,13 +596,13 @@ def _divide_content(P: BiPoly, cont: BiPoly) -> BiPoly:
     return bipoly_exact_div(P, cont)
 
 
-def _y_coeffs(P: BiPoly) -> list[Fraction]:
+def _y_coeffs(P: BiPoly) -> list:
     if P.degree_x() > 0:
         raise ValueError("not a polynomial in y only")
-    out = [Fraction(0)] * (P.degree_y() + 1 if not P.is_zero() else 0)
+    out = [0] * (P.degree_y() + 1 if not P.is_zero() else 0)
     for (_, j), c in P.terms.items():
         out[j] = c
-    return _trim_q(out)
+    return _trim_z(out)
 
 
 def _from_y_coeffs(coeffs) -> BiPoly:
@@ -574,13 +613,5 @@ def _normalize_gcd(g: BiPoly) -> BiPoly:
     """Clear denominators, divide by integer content, fix the sign."""
     if g.is_zero():
         return g
-    denom = 1
-    for c in g.terms.values():
-        denom = denom * c.denominator // _igcd(denom, c.denominator)
-    nums = {ij: int(c * denom) for ij, c in g.terms.items()}
-    content = 0
-    for v in nums.values():
-        content = _igcd(content, abs(v))
-    lead_key = max(nums, key=lambda ij: (ij[0], ij[1]))
-    sign = 1 if nums[lead_key] > 0 else -1
-    return BiPoly({ij: Fraction(sign * v, content) for ij, v in nums.items()})
+    keys = sorted(g.terms)  # lexicographic, so the leading term comes last
+    return _wrap(dict(zip(keys, _uprimitive([g.terms[ij] for ij in keys]))))

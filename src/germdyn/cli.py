@@ -10,6 +10,7 @@ computation budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -66,7 +67,11 @@ def _emit(args, payload: dict, csv_rows=None):
     elif fmt == "csv":
         if csv_rows is None:
             raise ValueError("this command has no CSV rendering")
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
+        import csv  # imported here: every other format starts faster without it
+
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        text = buf.getvalue()
     else:
         text = _render_text(payload)
     if args.out:
@@ -243,11 +248,15 @@ def _mu_stage(args):
         return None, {"stage": "local multiplicity", "error": str(exc)}
 
 
+def _emit_stage_failure(args, payload: dict) -> int:
+    _emit(args, payload, [["stage", "error"], [payload["stage"], payload["error"]]])
+    return EXIT_CHECK_FAILED
+
+
 def cmd_mu_seq(args) -> int:
     F, mu = _mu_stage(args)
     if F is None:  # mu is the failure payload
-        _emit(args, mu)
-        return EXIT_CHECK_FAILED
+        return _emit_stage_failure(args, mu)
     payload = {"map": args.map, "ideal": args.ideal, "seed": args.seed,
                "mu": [str(v) for v in mu]}
     csv_rows = [["n", "mu"]] + [[n, v] for n, v in enumerate(mu)]
@@ -327,8 +336,7 @@ def cmd_recursion(args) -> int:
 def cmd_pipeline(args) -> int:
     F, mu = _mu_stage(args)
     if F is None:  # mu is the failure payload
-        _emit(args, mu)
-        return EXIT_CHECK_FAILED
+        return _emit_stage_failure(args, mu)
     payload = {"map": args.map, "ideal": args.ideal, "seed": args.seed,
                "mu": [str(v) for v in mu]}
     max_order = max(1, min(args.max_order, (len(mu) - 1) // 2))

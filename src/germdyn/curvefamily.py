@@ -149,18 +149,19 @@ def mult_formula_from_m(m: int) -> int:
 
 
 def mult_formula_exceeds(m: int, bound: int) -> bool:
-    """Exact test (4^(m+1) + 2)/3 > bound without materializing the value.
+    """Exact test (4^(m+1) + 2)/3 > bound, materializing the value only when
+    it is no bigger than bound.
 
     Needed when m itself is astronomically large: 4^(m+1)/3 > 2^(2m) holds
-    for m >= 1, so a bit-length comparison settles all big cases.
+    for m >= 1, so a bit-length comparison settles every m with
+    2m >= bound.bit_length().  Otherwise the value has at most about as
+    many bits as bound and is computed exactly.
     """
     if bound < 0:
         return True
     if m >= 1 and 2 * m >= bound.bit_length():
         return True
-    if m <= 4096:
-        return (4 ** (m + 1) + 2) // 3 > bound
-    return False
+    return (4 ** (m + 1) + 2) // 3 > bound
 
 
 def mult_coeffwise(s: BitSeq, t: BitSeq, N: int, table: CoeffTable | None = None):

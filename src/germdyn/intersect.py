@@ -11,13 +11,13 @@ coordinate changes are drawn and two independent draws must agree.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .bipoly import (
     BiPoly,
     ZeroPolynomial,
-    _qgcd,
-    _trim_q,
+    _div,
+    _trim_z,
+    _ugcd,
     bipoly_exact_div,
     bipoly_gcd,
     resultant_x,
@@ -94,7 +94,7 @@ class MapGerm:
             # one component is free of x; coprimality already certifies
             return True
         try:
-            return bool(_trim_q(resultant_x(self.fx, self.fy)))
+            return bool(_trim_z(resultant_x(self.fx, self.fy)))
         except ZeroPolynomial:
             return False
 
@@ -145,8 +145,8 @@ class GenericSampler:
 
 def apply_linear(P: BiPoly, A) -> BiPoly:
     a, b, c, d = A
-    fx = BiPoly({(1, 0): Fraction(a), (0, 1): Fraction(b)})
-    fy = BiPoly({(1, 0): Fraction(c), (0, 1): Fraction(d)})
+    fx = BiPoly({(1, 0): a, (0, 1): b})
+    fy = BiPoly({(1, 0): c, (0, 1): d})
     return P.compose(fx, fy)
 
 
@@ -157,14 +157,13 @@ def _fiber_certificate(P: BiPoly, Q: BiPoly) -> bool:
     # a leading x-coefficient is a unit at y = 0 iff it has a y^0 term
     if (P.degree_x(), 0) not in P.terms or (Q.degree_x(), 0) not in Q.terms:
         return False
-    g = _qgcd(P.eval_y0_in_x(), Q.eval_y0_in_x())
+    g = _ugcd(P.eval_y0_in_x(), Q.eval_y0_in_x())
     # common roots only at x = 0 means the gcd is a monomial c * x^k
     return sum(1 for c in g if c != 0) == 1
 
 
 def _ord_y_resultant(P: BiPoly, Q: BiPoly):
-    r = resultant_x(P, Q)
-    r = _trim_q(list(r))
+    r = _trim_z(resultant_x(P, Q))
     if not r:
         return None  # identically zero resultant
     for k, c in enumerate(r):
@@ -178,7 +177,7 @@ def _graph_form(P: BiPoly):
     c = P.terms.get((1, 0))
     if c is None or any(i > 1 or (i == 1 and j) for i, j in P.terms):
         return None
-    return BiPoly({(0, j): -v / c for (i, j), v in P.terms.items() if i == 0})
+    return BiPoly({(0, j): _div(-v, c) for (i, j), v in P.terms.items() if i == 0})
 
 
 def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler,

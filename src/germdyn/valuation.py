@@ -10,6 +10,7 @@ recursion has a rational dominant root) or by an algebraic certificate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .bipoly import BiPoly, ZeroPolynomial
 from .intersect import MapGerm
@@ -17,9 +18,13 @@ from .recurrence import NoRecurrenceFound, RecurrenceModel, detect_recursion
 
 
 class MonomialValuation:
-    """Weights (s, t) on (x, y) with min(s, t) = 1."""
+    """Weights (s, t) on (x, y) with min(s, t) = 1.
 
-    __slots__ = ("sx", "ty")
+    The weights are held once more as integers (a, b) over their common
+    denominator L, (s, t) = (a, b) / L, so a valuation is one integer
+    minimum over the support and a single Fraction."""
+
+    __slots__ = ("sx", "ty", "_a", "_b", "_den")
 
     def __init__(self, sx, ty):
         sx, ty = Fraction(sx), Fraction(ty)
@@ -27,6 +32,9 @@ class MonomialValuation:
             raise ValueError("weights must be normalized: min(s, t) = 1")
         self.sx = sx
         self.ty = ty
+        self._den = lcm(sx.denominator, ty.denominator)
+        self._a = sx.numerator * (self._den // sx.denominator)
+        self._b = ty.numerator * (self._den // ty.denominator)
 
     @classmethod
     def order(cls):
@@ -35,14 +43,11 @@ class MonomialValuation:
     def __call__(self, P: BiPoly) -> Fraction:
         if P.is_zero():
             raise ZeroPolynomial("valuation of the zero polynomial")
-        return min(self.sx * i + self.ty * j for i, j in P.terms)
+        a, b = self._a, self._b
+        return Fraction(min(a * i + b * j for i, j in P.terms), self._den)
 
     def __repr__(self):
         return "MonomialValuation(%s, %s)" % (self.sx, self.ty)
-
-
-def val_eval(nu: MonomialValuation, P: BiPoly) -> Fraction:
-    return nu(P)
 
 
 def attraction_rate(F: MapGerm, nu: MonomialValuation) -> Fraction:

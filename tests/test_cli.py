@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,9 @@ import sys
 import pytest
 
 import germdyn
+from germdyn import cli
 from germdyn.cli import main
+from germdyn.intersect import InfiniteMultiplicity
 
 
 def run(capsys, *argv):
@@ -127,6 +131,38 @@ def test_shared_component_is_a_json_failure(command):
     assert data["stage"] == "local multiplicity"
     assert "shared component" in data["error"]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["mu-seq", "pipeline"])
+def test_shared_component_is_a_csv_failure(command):
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", command, "--map", "(x^2, y^2)",
+         "--ideal", "x, x", "--nmax", "3", "--format", "csv"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert rows[0] == ["stage", "error"] and len(rows) == 2
+    assert rows[1][0] == "local multiplicity"
+    assert "shared component" in rows[1][1]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["mu-seq", "pipeline"])
+def test_csv_failure_quotes_commas(capsys, monkeypatch, command):
+    message = "shared component at iterate 2; sequence [1, 2] so far"
+
+    def failing(*args, **kwargs):
+        raise InfiniteMultiplicity(message)
+
+    monkeypatch.setattr(cli, "mu_sequence", failing)
+    code, out = run(capsys, command, "--map", "(x^2 - y^4, y^4)",
+                    "--ideal", "x, y", "--nmax", "3", "--format", "csv")
+    assert code == 1
+    assert out == 'stage,error\nlocal multiplicity,"%s"\n' % message
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["stage", "error"], ["local multiplicity", message]]
 
 
 def test_budget_exit_code(capsys):

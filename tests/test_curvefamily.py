@@ -160,6 +160,18 @@ def test_mult_formula_exceeds_regimes():
     assert mult_formula_exceeds(huge, 10**299)
 
 
+def test_mult_formula_exceeds_is_exact():
+    # past the old m <= 4096 cap the value is still computed when it fits
+    assert mult_formula_exceeds(5000, 4**5000)
+    assert not mult_formula_exceeds(5000, mult_formula_from_m(5000))
+    for m in range(65):
+        v = (4 ** (m + 1) + 2) // 3
+        bounds = {-1, 0, 1, v - 2, v - 1, v, v + 1, v + 2,
+                  4**m - 1, 4**m, 4**m + 1, 2 * 4**m, 4 ** (m + 1)}
+        for bound in bounds:
+            assert mult_formula_exceeds(m, bound) == (v > bound), (m, bound)
+
+
 def test_mu_digit_count():
     assert mu_digit_count(0) == 1      # value 2
     assert mu_digit_count(5) == 4      # value 1366

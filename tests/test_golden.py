@@ -1,0 +1,39 @@
+"""Golden replay: every c-seq, c-inf and pipeline job recorded in
+bench/golden.json, run in process through the CLI, must reproduce the
+recorded stdout byte for byte (by sha256) and the recorded exit code.
+
+The file is only read here; bench/record_golden.py writes it.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from germdyn.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+COMMANDS = ("c-seq", "c-inf", "pipeline")
+
+
+def _jobs():
+    recorded = json.loads(GOLDEN.read_text())["sha256"]
+    return [(json.loads(key), digest, code)
+            for key, (digest, code) in sorted(recorded.items())
+            if json.loads(key)[0] in COMMANDS]
+
+
+JOBS = _jobs()
+
+
+def test_golden_covers_the_iterate_commands():
+    assert {argv[0] for argv, _, _ in JOBS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv,digest,code", JOBS,
+                         ids=[" ".join(argv) for argv, _, _ in JOBS])
+def test_golden_output(capsys, argv, digest, code):
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
