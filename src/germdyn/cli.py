@@ -105,6 +105,8 @@ def _frac_str(q) -> str:
 def cmd_curve(args) -> int:
     table = CoeffTable()
     if args.action == "coeffs":
+        if args.n < 0:
+            raise ValueError("--n must be >= 0")
         s = parse_bitseq(args.seq)
         row = table.row(s, args.n + 1)
         payload = {

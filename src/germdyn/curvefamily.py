@@ -41,28 +41,33 @@ class InfiniteAbove:
 class CoeffTable:
     """Memoized coefficient rows, one per distinct shifted sequence.
 
-    Rows are extended bottom-up (no call recursion), so requesting
-    coefficients at index ~10^4 never risks stack depth.  Internally each
-    row is kept as the integers A_n = a_n * 4**n (the recursion only ever
-    halves even quantities in this scaling, so the A_n stay integral);
-    Dyadic views are materialized on demand.
+    A row is stored as the integers A_n = a_n * 4**n: the recursion only
+    ever halves even quantities in this scaling, so the A_n stay integral,
+    and every check in this module runs on them.  ``row`` builds Dyadic
+    views of a row on each call.  Rows are extended bottom-up along the
+    shift chain (no call recursion), so requesting coefficients at index
+    ~10^4 never risks stack depth.
     """
 
     def __init__(self):
         self._irows: dict[tuple, list[int]] = {}
-        self._rows: dict[tuple, list[Dyadic]] = {}
-        self._seqs: dict[tuple, BitSeq] = {}
 
     def coeff(self, s: BitSeq, n: int) -> Dyadic:
-        return self.row(s, n + 1)[n]
+        return Dyadic(self.irow(s, n + 1)[n], 2 * n)
 
     def row(self, s: BitSeq, upto: int) -> list[Dyadic]:
         """Coefficients a_0 .. a_(upto-1) for sequence s."""
+        return [Dyadic(a, 2 * n) for n, a in enumerate(self.irow(s, upto))]
+
+    def irow(self, s: BitSeq, upto: int) -> list[int]:
+        """Scaled coefficients A_n = a_n * 4**n for 0 <= n < upto."""
+        if upto <= 0:
+            return []
         # plan the shift chain iteratively: row for s needs the row of the
         # shifted sequence only up to ~upto/4
         chain = []
         seq, need = s, upto
-        while need > 0:
+        while True:
             chain.append((seq, need))
             if need <= 1:
                 break
@@ -71,13 +76,7 @@ class CoeffTable:
             seq = seq.shift()
         for seq, need in reversed(chain):
             self._extend(seq, need)
-        key = s.canonical_key()
-        irow = self._irows[key]
-        drow = self._rows[key]
-        while len(drow) < upto:
-            n = len(drow)
-            drow.append(Dyadic(irow[n], 2 * n))
-        return drow[:upto]
+        return self._irows[s.canonical_key()][:upto]
 
     def _extend(self, s: BitSeq, upto: int):
         key = s.canonical_key()
@@ -85,8 +84,6 @@ class CoeffTable:
         if row is None:
             row = [-1 if s.bit(0) else 1]
             self._irows[key] = row
-            self._rows[key] = []
-            self._seqs[key] = s
         if len(row) >= upto:
             return
         sign = -row[0]  # a_0 = +-1, so -X/(2 a_0) = sign * X / 2
@@ -166,53 +163,71 @@ def mult_formula_exceeds(m: int, bound: int) -> bool:
 
 def mult_coeffwise(s: BitSeq, t: BitSeq, N: int, table: CoeffTable | None = None):
     """Contact order 2 + 4n from the first differing coefficient index n < N,
-    else InfiniteAbove(2 + 4*N) as a certified lower bound."""
+    else InfiniteAbove(2 + 4*N) as a certified lower bound.
+
+    The compared prefix widens 8 -> 32 -> 128 -> ... -> N, so a pair that
+    disagrees early never pays for rows up to N."""
     if N < 1:
         raise ValueError("N must be >= 1")
     tb = table or _DEFAULT_TABLE
-    row_s = tb.row(s, N)
-    row_t = tb.row(t, N)
-    for n in range(N):
-        if row_s[n] != row_t[n]:
-            return 2 + 4 * n
-    return InfiniteAbove(2 + 4 * N)
+    lo, width = 0, min(8, N)
+    while True:
+        row_s = tb.row(s, width)
+        row_t = tb.row(t, width)
+        for n in range(lo, width):
+            if row_s[n] != row_t[n]:
+                return 2 + 4 * n
+        if width == N:
+            return InfiniteAbove(2 + 4 * N)
+        lo, width = width, min(4 * width, N)
 
 
 def verify_functoriality(s: BitSeq, N: int, table: CoeffTable | None = None):
     """Check g_s(y)^2 = y^4 - g_{sigma(s)}(y^4) for all exponents < N.
 
-    Returns (True, None) or (False, (exponent, lhs, rhs)).
+    Both sides are supported on exponents 4 + 4t, so in u = y^4/4 and the
+    scaled rows G_s(u) = sum A_n u^n the identity reads
+    G_s(u)^2 = 1 - 4u G_{sigma(s)}(64 u^4), checked over the integers for
+    4 + 4t < N.  Returns (True, None) or (False, (exponent, lhs, rhs)), the
+    witness sides being the coefficients of y^exponent.
     """
     if N < 8:
         raise ValueError("N must be >= 8")
     tb = table or _DEFAULT_TABLE
-    g = curve(s, N, tb)
-    lhs = g * g
-    rhs = USeries.monomial(Dyadic(1), 4, N) - curve(s.shift(), N, tb).compose_monomial(4)
-    bound = min(lhs.trunc, rhs.trunc, N)
-    for k in range(bound):
-        if lhs.coeffs[k] != rhs.coeffs[k]:
-            return False, (k, lhs.coeffs[k], rhs.coeffs[k])
+    T = (N - 5) // 4 + 1
+    g = USeries(tb.irow(s, T), T)
+    lhs = (g * g).coeffs
+    rhs = [0] * T
+    rhs[0] = 1
+    # 4u * (64 u^4)^n = 2^(6n+2) u^(1+4n)
+    for n, b in enumerate(tb.irow(s.shift(), (T + 2) // 4)):
+        rhs[1 + 4 * n] -= b << (6 * n + 2)
+    for t in range(T):
+        if lhs[t] != rhs[t]:
+            return False, (4 + 4 * t, Dyadic(lhs[t], 2 * t), Dyadic(rhs[t], 2 * t))
     return True, None
 
 
-_BOUND_C = Fraction(1, 20)
 _BOUND_R = 10
 
 
 def verify_bound(s: BitSeq, N: int, table: CoeffTable | None = None,
                  R: int = _BOUND_R):
-    """Exact check |a_n| <= (1/20) R^n / n^2 for 1 <= n < N.
+    """Exact check |a_n| <= (1/20) R^n / n^2 for 1 <= n < N, tested on the
+    scaled rows as 20 n^2 |A_n| <= (4R)^n.
 
     Returns (True, None) or (False, (n, a_n, bound)).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    row = (table or _DEFAULT_TABLE).row(s, N)
+    if R < 0:
+        raise ValueError("R must be >= 0")
+    row = (table or _DEFAULT_TABLE).irow(s, N)
+    base, power = 4 * R, 1
     for n in range(1, N):
-        q = _BOUND_C * Fraction(R**n, n * n)
-        if not row[n].abs_leq(q):
-            return False, (n, row[n], q)
+        power *= base
+        if 20 * n * n * abs(row[n]) > power:
+            return False, (n, Dyadic(row[n], 2 * n), Fraction(R**n, 20 * n * n))
     return True, None
 
 
@@ -230,22 +245,26 @@ def lemma_sum_check(n: int) -> bool:
     return 2 * h2 + 4 * h1 / (n + 1) <= 20
 
 
+_LEMMA_BITS = 64  # fractional bits of the fixed-point harmonic sums
+
+
 def lemma_sum_check_range(n_max: int):
-    """lemma_sum_check for every 1 <= n <= n_max with incremental harmonic
-    sums; returns (True, None) or (False, first failing n)."""
-    h1 = Fraction(0)
-    h2 = Fraction(0)
+    """lemma_sum_check for every 1 <= n <= n_max; returns (True, None) or
+    (False, first failing n).
+
+    H1 and H2 are carried as fixed-point upper bounds with _LEMMA_BITS
+    fractional bits, every division rounded up, so a bound within 20 proves
+    the inequality; only an inconclusive bound falls back to the exact
+    lemma_sum_check(n).
+    """
+    one = 1 << _LEMMA_BITS
+    h1 = h2 = 0
     for n in range(1, n_max + 1):
-        h1 += Fraction(1, n)
-        h2 += Fraction(1, n * n)
-        if not (2 * h2 + 4 * h1 / (n + 1) <= 20):
+        h1 += -(-one // n)
+        h2 += -(-one // (n * n))
+        if 2 * h2 - (-4 * h1 // (n + 1)) > 20 * one and not lemma_sum_check(n):
             return False, n
     return True, None
-
-
-def lemma_sum_direct(n: int) -> Fraction:
-    """Brute-force left-hand side; test oracle for lemma_sum_check."""
-    return sum(Fraction(1, k * k * (n - k + 1) ** 2) for k in range(1, n + 1))
 
 
 def section3_recursion_check(s: BitSeq, t: BitSeq, horizon: int) -> bool:

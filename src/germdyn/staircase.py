@@ -138,12 +138,12 @@ def colength_power(I: MonomialIdeal2, n: int) -> int:
     if n == 1:
         return colength(I)
     U = n * I.x_power  # beyond this the pure-x generator power absorbs u
-    INF = float("inf")
+    INF = n * I.y_power + 1  # above every y-sum of n generators
     best = [0] + [INF] * U
     for _ in range(n):
         nxt = [INF] * (U + 1)
         for u in range(U + 1):
-            if best[u] is INF:
+            if best[u] == INF:
                 continue
             base = best[u]
             for a, b in I.gens:
@@ -161,7 +161,7 @@ def colength_power(I: MonomialIdeal2, n: int) -> int:
     for u in range(U):
         if best[u] < running:
             running = best[u]
-        total += int(running)
+        total += running
     return total
 
 

@@ -117,6 +117,19 @@ def test_usage_errors(capsys):
     assert code3 == 2
 
 
+def test_curve_coeffs_negative_n_is_a_usage_error():
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", "curve", "coeffs", "--seq", "0",
+         "--n", "-1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--n must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["mu-seq", "pipeline"])
 def test_shared_component_is_a_json_failure(command):
     # D_z and D_w both lie on x = 0, so mu(0) is infinite

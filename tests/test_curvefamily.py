@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from germdyn import curvefamily
 from germdyn.bitseq import BitSeq, parse_bitseq
 from germdyn.curvefamily import (
     CoeffTable,
@@ -12,7 +14,6 @@ from germdyn.curvefamily import (
     curve,
     lemma_sum_check,
     lemma_sum_check_range,
-    lemma_sum_direct,
     mu_digit_count,
     mu_theoremA,
     mult_coeffwise,
@@ -24,6 +25,12 @@ from germdyn.curvefamily import (
     verify_functoriality,
 )
 from germdyn.dyadic import Dyadic
+from germdyn.series import USeries
+
+
+def lemma_sum_direct(n: int) -> Fraction:
+    """Brute-force left-hand side; test oracle for lemma_sum_check."""
+    return sum(Fraction(1, k * k * (n - k + 1) ** 2) for k in range(1, n + 1))
 
 
 def test_frozen_coefficients_zeros():
@@ -85,9 +92,10 @@ def test_functoriality_small_and_negative_control():
     # corrupt one cached coefficient: the identity must now fail with a witness
     t.row(s, 40)
     key = s.canonical_key()
-    t._rows[key][7] = Dyadic(12345, 3)
+    t._irows[key][7] = 12345 << 11  # a_7 = 12345/2^3, scaled by 4^7
     ok2, witness2 = verify_functoriality(s, 120, t)
     assert not ok2 and witness2 is not None
+    assert witness2[0] == 4 + 4 * 7
 
 
 def test_bound_and_negative_control():
@@ -180,3 +188,125 @@ def test_mu_digit_count():
     d = mu_digit_count(big)
     v = mult_formula_from_m(big)
     assert 10 ** (d - 1) <= v < 10**d
+
+
+# -- the integer-row checks against the Dyadic / Fraction formulations -------
+
+ORACLE_SPECS = ("0", "1", "01:(10)", "0110:(10)", ":(0011)", "11:(01)")
+
+
+def functoriality_oracle(s, N, table):
+    """g_s(y)^2 = y^4 - g_{sigma(s)}(y^4) as Dyadic series in y, every
+    exponent < N compared."""
+    g = curve(s, N, table)
+    lhs = g * g
+    rhs = USeries.monomial(Dyadic(1), 4, N) - curve(s.shift(), N, table).compose_monomial(4)
+    for k in range(N):
+        if lhs.coeffs[k] != rhs.coeffs[k]:
+            return False, (k, lhs.coeffs[k], rhs.coeffs[k])
+    return True, None
+
+
+def bound_oracle(s, N, table, R):
+    row = table.row(s, N)
+    for n in range(1, N):
+        q = Fraction(1, 20) * Fraction(R**n, n * n)
+        if abs(row[n].as_fraction()) > q:
+            return False, (n, row[n], q)
+    return True, None
+
+
+def coeffwise_oracle(s, t, N, table):
+    row_s, row_t = table.row(s, N), table.row(t, N)
+    for n in range(N):
+        if row_s[n] != row_t[n]:
+            return 2 + 4 * n
+    return InfiniteAbove(2 + 4 * N)
+
+
+def test_rows_are_scaled_dyadic_views():
+    t = CoeffTable()
+    s = parse_bitseq("0110:(10)")
+    irow = t.irow(s, 50)
+    row = t.row(s, 50)
+    assert [a.as_fraction() * 4**n for n, a in enumerate(row)] == irow
+    assert t.coeff(s, 49) == row[49]
+    for upto in (0, -1, -7):
+        assert t.row(s, upto) == [] and t.irow(s, upto) == []
+
+
+def test_functoriality_witness_matches_dyadic_oracle():
+    rng = random.Random(4041)
+    for spec in ORACLE_SPECS:
+        s = parse_bitseq(spec)
+        for N in (8, 9, 12, 13, 61, 160):
+            t = CoeffTable()
+            assert verify_functoriality(s, N, t) == functoriality_oracle(s, N, t) == (True, None)
+        for _ in range(6):
+            N = rng.randint(8, 200)
+            t = CoeffTable()
+            t.irow(s, N)  # every row either check reads, computed before tampering
+            # tamper at or just past the last index the identity reads
+            T = (N - 5) // 4 + 1
+            target, reach = rng.choice(((s, T + 1), (s.shift(), (T + 2) // 4 + 1)))
+            row = t._irows[target.canonical_key()]
+            row[rng.randrange(reach)] += rng.choice((-3, -1, 1, 2 << 40))
+            got = verify_functoriality(s, N, t)
+            want = functoriality_oracle(s, N, t)
+            assert got == want, (spec, N)
+            if not got[0]:
+                assert [str(v) for v in got[1]] == [str(v) for v in want[1]]
+
+
+def test_bound_witness_matches_fraction_oracle():
+    t = CoeffTable()
+    for spec in ORACLE_SPECS:
+        s = parse_bitseq(spec)
+        for R in range(1, 11):
+            got = verify_bound(s, 120, t, R=R)
+            assert got == bound_oracle(s, 120, t, R), (spec, R)
+            assert got[0] == (R == 10)
+    with pytest.raises(ValueError):
+        verify_bound(parse_bitseq("0"), 10, t, R=-1)
+
+
+def test_lemma_fixed_point_bound_and_exact_fallback(monkeypatch):
+    exact = curvefamily.lemma_sum_check
+    calls = {}
+
+    def recording(n):
+        calls[n] = exact(n)
+        return calls[n]
+
+    monkeypatch.setattr(curvefamily, "lemma_sum_check", recording)
+    # at full precision the fixed-point bound decides every n alone
+    assert lemma_sum_check_range(3000) == (True, None)
+    assert calls == {}
+    # a few fractional bits leave the bound inconclusive from n ~ 40 on
+    monkeypatch.setattr(curvefamily, "_LEMMA_BITS", 2)
+    assert lemma_sum_check_range(200) == (True, None)
+    assert len(calls) > 100
+    for n, verdict in calls.items():
+        assert verdict == (lemma_sum_direct(n) <= Fraction(20, (n + 1) ** 2)), n
+    # the exact verdict of the fallback is the one reported
+    monkeypatch.setattr(curvefamily, "lemma_sum_check", lambda n: n != 150)
+    assert lemma_sum_check_range(200) == (False, 150)
+
+
+def test_coeffwise_widening_matches_full_horizon():
+    rng = random.Random(77)
+    t = CoeffTable()
+    for m in range(6):
+        for tail in ("", ":1...", ":(01)"):
+            prefix = "".join(rng.choice("01") for _ in range(m))
+            a = parse_bitseq(prefix + "0" + tail)
+            b = parse_bitseq(prefix + "1" + tail)
+            for N in (1, 2, 5, 8, 9, 33, 129, 345):
+                got = mult_coeffwise(a, b, N, t)
+                assert got == coeffwise_oracle(a, b, N, t), (m, tail, N)
+            assert mult_coeffwise(a, b, 345, t) == mult_formula_from_m(m)
+    # equal prefixes up to the horizon: a certified lower bound
+    a, b = parse_bitseq("0"), parse_bitseq("0" * 6 + "1")
+    for N in (1, 8, 100, 341):
+        assert mult_coeffwise(a, b, N, t) == InfiniteAbove(2 + 4 * N)
+        assert mult_coeffwise(a, a, N, t) == InfiniteAbove(2 + 4 * N)
