@@ -6,11 +6,10 @@ rates, all over exact integer, dyadic, and rational arithmetic.
 """
 
 from .bipoly import BiPoly, BudgetExceeded, ZeroPolynomial, bipoly_gcd, resultant_x
-from .bitseq import BitSeq, NoneBelow, first_difference, parse_bitseq
+from .bitseq import BitSeq, first_difference, parse_bitseq
 from .curvefamily import (
     CoeffTable,
     GrowthSpec,
-    InfiniteAbove,
     build_theoremA_pair,
     coeff,
     curve,

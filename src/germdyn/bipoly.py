@@ -350,13 +350,6 @@ def _uexact_div(a, b):
     return q
 
 
-def _uord(a) -> int:
-    for i, c in enumerate(a):
-        if c:
-            return i
-    raise ZeroPolynomial("zero polynomial has no finite order")
-
-
 def _uprimitive(p) -> list[int]:
     """The primitive integer multiple of a coefficient list over Q, with a
     positive last (leading) coefficient; [] for the zero list."""

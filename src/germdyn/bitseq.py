@@ -9,27 +9,14 @@ first-difference queries are total operations.
 
 from __future__ import annotations
 
+from .series import AtLeast
+
 ZEROS = "zeros"
 ONES = "ones"
 PERIODIC = "periodic"
 BLOCKS = "blocks"
 
 _SCAN_CAP = 10**6
-
-
-class NoneBelow:
-    """Sentinel: no difference (or no one-bit) below ``horizon``."""
-
-    __slots__ = ("horizon",)
-
-    def __init__(self, horizon: int):
-        self.horizon = horizon
-
-    def __eq__(self, other):
-        return isinstance(other, NoneBelow) and self.horizon == other.horizon
-
-    def __repr__(self):
-        return "NoneBelow(%d)" % self.horizon
 
 
 class BitSeq:
@@ -162,26 +149,27 @@ class BitSeq:
     # -- structure queries --------------------------------------------------
 
     def first_one(self, horizon):
-        """Index of the first 1 bit below ``horizon`` (may be a huge int)."""
+        """Index of the first 1 bit below ``horizon`` (may be a huge int), else
+        AtLeast(horizon)."""
         for i, b in enumerate(self.prefix):
             if i >= horizon:
-                return NoneBelow(horizon)
+                return AtLeast(horizon)
             if b:
                 return i
         base = len(self.prefix)
         if base >= horizon:
-            return NoneBelow(horizon)
+            return AtLeast(horizon)
         if self.tail == ZEROS:
-            return NoneBelow(horizon)
+            return AtLeast(horizon)
         if self.tail == ONES:
             return base
         if self.tail == PERIODIC:
             for i, b in enumerate(self.param):
                 if b and base + i < horizon:
                     return base + i
-            return NoneBelow(horizon)
+            return AtLeast(horizon)
         pos = base + self.param[0]
-        return pos if pos < horizon else NoneBelow(horizon)
+        return pos if pos < horizon else AtLeast(horizon)
 
     def canonical_key(self):
         """Hashable form identifying the sequence; shifts of periodic
@@ -233,11 +221,11 @@ def _primitive_cycle(c):
 
 
 def first_difference(s: BitSeq, t: BitSeq, horizon):
-    """Least index m < horizon with s_m != t_m, else NoneBelow(horizon)."""
+    """Least index m < horizon with s_m != t_m, else AtLeast(horizon)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if s.same_sequence(t):
-        return NoneBelow(horizon)
+        return AtLeast(horizon)
     # an all-zeros side reduces to a structural first-one query, which
     # handles astronomically long zero runs
     if s.canonical_key() == ((), ZEROS, None):
@@ -252,7 +240,7 @@ def first_difference(s: BitSeq, t: BitSeq, horizon):
         raise OverflowError(
             "bitwise scan capped at %d; no difference found" % _SCAN_CAP
         )
-    return NoneBelow(horizon)
+    return AtLeast(horizon)
 
 
 def parse_bitseq(text: str) -> BitSeq:

@@ -1,10 +1,15 @@
 """Batch command-line front end.
 
-Every command is deterministic given its arguments: the same invocation
-produces byte-identical output.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed (witness in the output) or a stage could not be
-decided (a {"stage", "error"} payload), 2 usage or parse error, 3 a
-computation budget was exceeded.
+Every command is deterministic: the same invocation produces byte-identical
+output.  Each leaf command has one handler in COMMANDS; it takes the parsed
+arguments and returns ``(payload, ok, csv_rows)``: the result dict, False when
+a check failed or a stage could not be decided, and the CSV rows (None when
+the command has no CSV rendering).  Handlers write nothing and raise
+ValueError on bad input.  ``main`` alone renders json, csv or text, honours
+``--out`` and picks the exit code: 0 all checks pass, 1 a check failed
+(witness in the output) or a stage could not be decided (a {"stage",
+"error"} payload), 2 a usage, parse or input-file error, 3 a computation
+budget was exceeded.  No failure ends in a traceback.
 """
 
 from __future__ import annotations
@@ -16,17 +21,17 @@ import sys
 from fractions import Fraction
 
 from .bipoly import BudgetExceeded
-from .bitseq import NoneBelow, first_difference, parse_bitseq
+from .bitseq import parse_bitseq
 from .curvefamily import (
     CoeffTable,
     GrowthSpec,
-    InfiniteAbove,
     build_theoremA_pair,
     certify_finite_contacts,
     lemma_sum_check_range,
     mu_digit_count,
     mult_coeffwise,
     mult_formula,
+    mult_formula_exceeds,
     section3_recursion_check,
     verify_bound,
     verify_functoriality,
@@ -38,10 +43,11 @@ from .intersect import (
     MapGerm,
     mu_sequence,
 )
-from .polyparse import ParseError, parse_map, parse_poly, parse_poly_list
-from .proximity import ProximityChart, intersection_matrix, skewness
+from .polyparse import ParseError, parse_map, parse_poly_list
+from .proximity import ProximityChart, skewness
 from .recurrence import NoRecurrenceFound, detect_recursion
-from .staircase import MonomialIdeal2, minkowski_check, mixed, product, samuel
+from .series import AtLeast
+from .staircase import MonomialIdeal2, minkowski_check, mixed, samuel
 from .valuation import MonomialValuation, c_infinity, c_sequence, growth_envelope_check
 
 EXIT_OK = 0
@@ -60,27 +66,6 @@ def _parse_ideal(text: str) -> MonomialIdeal2:
     return MonomialIdeal2(gens)
 
 
-def _emit(args, payload: dict, csv_rows=None):
-    fmt = args.format
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("this command has no CSV rendering")
-        import csv  # imported here: every other format starts faster without it
-
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        text = _render_text(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _render_text(payload, indent=0):
     lines = []
     pad = "  " * indent
@@ -96,108 +81,91 @@ def _render_text(payload, indent=0):
     return "\n".join(lines) + "\n"
 
 
-def _frac_str(q) -> str:
-    return str(Fraction(q))
+def _result(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
-# -- subcommand handlers ----------------------------------------------------
+def _mult_str(v):
+    return "at least %s" % v.bound if isinstance(v, AtLeast) else str(v)
 
-def cmd_curve(args) -> int:
-    table = CoeffTable()
-    if args.action == "coeffs":
-        if args.n < 0:
-            raise ValueError("--n must be >= 0")
-        s = parse_bitseq(args.seq)
-        row = table.row(s, args.n + 1)
-        payload = {
-            "sequence": str(s),
-            "coefficients": [
-                {"n": n, "value": str(a), **a.to_json()} for n, a in enumerate(row)
-            ],
-        }
-        csv_rows = [["n", "num", "exp2"]] + [
-            [n, a.num, a.exp] for n, a in enumerate(row)
-        ]
-        _emit(args, payload, csv_rows)
-        return EXIT_OK
-    # action == "mult"
+
+# -- subcommand handlers: each returns (payload, ok, csv_rows) -------------
+
+def cmd_curve_coeffs(args):
+    if args.n < 0:
+        raise ValueError("--n must be >= 0")
+    s = parse_bitseq(args.seq)
+    row = CoeffTable().row(s, args.n + 1)
+    payload = {
+        "sequence": str(s),
+        "coefficients": [
+            {"n": n, "value": str(a), **a.to_json()} for n, a in enumerate(row)
+        ],
+    }
+    csv_rows = [["n", "num", "exp2"]] + [[n, a.num, a.exp] for n, a in enumerate(row)]
+    return payload, True, csv_rows
+
+
+def cmd_curve_mult(args):
     a = parse_bitseq(args.a)
     b = parse_bitseq(args.b)
     if a.same_sequence(b):
-        _emit(args, {"a": str(a), "b": str(b),
-                     "multiplicity": "infinite (equal sequences)"})
-        return EXIT_OK
+        return ({"a": str(a), "b": str(b),
+                 "multiplicity": "infinite (equal sequences)"}, True, None)
     formula = mult_formula(a, b, args.horizon)
-    coeffwise = mult_coeffwise(a, b, args.coeff_horizon, table)
+    coeffwise = mult_coeffwise(a, b, args.coeff_horizon, CoeffTable())
+    decided = isinstance(coeffwise, int)
+    agree = decided and formula == coeffwise
     payload = {
         "a": str(a),
         "b": str(b),
         "formula": _mult_str(formula),
         "coefficientwise": _mult_str(coeffwise),
+        "agree": agree if decided else "undetermined",
     }
-    agree = (
-        isinstance(formula, int)
-        and isinstance(coeffwise, int)
-        and formula == coeffwise
-    )
-    payload["agree"] = agree if isinstance(coeffwise, int) else "undetermined"
-    _emit(args, payload)
-    if isinstance(coeffwise, int) and not agree:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return payload, agree or not decided, None
 
 
-def _mult_str(v):
-    if isinstance(v, InfiniteAbove):
-        return "at least %s" % v.bound
-    from .series import AtLeast
-
-    if isinstance(v, AtLeast):
-        return "at least order %d" % v.bound
-    return str(v)
-
-
-def cmd_verify(args) -> int:
-    table = CoeffTable()
-    if args.check == "functoriality":
-        s = parse_bitseq(args.seq)
-        ok, witness = verify_functoriality(s, args.n, table)
-        payload = {"check": "functoriality", "sequence": str(s), "n": args.n,
-                   "result": "PASS" if ok else "FAIL"}
-        if witness:
-            payload["witness"] = {
-                "exponent": witness[0],
-                "lhs": str(witness[1]),
-                "rhs": str(witness[2]),
-            }
-    elif args.check == "bound":
-        s = parse_bitseq(args.seq)
-        ok, witness = verify_bound(s, args.n, table)
-        payload = {"check": "bound", "sequence": str(s), "n": args.n,
-                   "result": "PASS" if ok else "FAIL"}
-        if witness:
-            payload["witness"] = {
-                "n": witness[0],
-                "coefficient": str(witness[1]),
-                "bound": _frac_str(witness[2]),
-            }
-    elif args.check == "lemma":
-        ok, bad = lemma_sum_check_range(args.n)
-        payload = {"check": "lemma", "n_max": args.n,
-                   "result": "PASS" if ok else "FAIL"}
-        if bad is not None:
-            payload["witness"] = {"n": bad}
-    else:  # section3
-        a = parse_bitseq(args.a)
-        b = parse_bitseq(args.b)
-        ok = section3_recursion_check(a, b, args.horizon)
-        payload = {"check": "section3", "a": str(a), "b": str(b),
-                   "result": "PASS" if ok else "FAIL"}
-    _emit(args, payload)
-    return EXIT_OK if payload["result"] == "PASS" else EXIT_CHECK_FAILED
+def cmd_verify_functoriality(args):
+    s = parse_bitseq(args.seq)
+    ok, witness = verify_functoriality(s, args.n, CoeffTable())
+    payload = {"check": "functoriality", "sequence": str(s), "n": args.n,
+               "result": _result(ok)}
+    if witness:
+        exponent, lhs, rhs = witness
+        payload["witness"] = {"exponent": exponent, "lhs": str(lhs), "rhs": str(rhs)}
+    return payload, ok, None
 
 
-def cmd_arnold(args) -> int:
+def cmd_verify_bound(args):
+    s = parse_bitseq(args.seq)
+    ok, witness = verify_bound(s, args.n, CoeffTable())
+    payload = {"check": "bound", "sequence": str(s), "n": args.n,
+               "result": _result(ok)}
+    if witness:
+        n, coefficient, bound = witness
+        payload["witness"] = {"n": n, "coefficient": str(coefficient),
+                              "bound": str(bound)}
+    return payload, ok, None
+
+
+def cmd_verify_lemma(args):
+    ok, bad = lemma_sum_check_range(args.n)
+    payload = {"check": "lemma", "n_max": args.n, "result": _result(ok)}
+    if bad is not None:
+        payload["witness"] = {"n": bad}
+    return payload, ok, None
+
+
+def cmd_verify_section3(args):
+    a = parse_bitseq(args.a)
+    b = parse_bitseq(args.b)
+    ok = section3_recursion_check(a, b, args.horizon)
+    return ({"check": "section3", "a": str(a), "b": str(b),
+             "result": _result(ok)}, ok, None)
+
+
+def cmd_arnold(args):
     nu = GrowthSpec.parse(args.nu)
     try:
         s, t, witnesses = build_theoremA_pair(nu, args.witnesses)
@@ -205,41 +173,40 @@ def cmd_arnold(args) -> int:
         raise ParseError(str(exc), 0)
     horizon = witnesses[-1][0]
     finite_ok = certify_finite_contacts(s, t, horizon)
-    records = []
-    all_beat = True
-    for n_k, M, nu_val in witnesses:
-        from .curvefamily import mult_formula_exceeds
-
-        beats = mult_formula_exceeds(M, nu_val)
-        all_beat = all_beat and beats
-        records.append(
-            {
-                "n": str(n_k),
-                "M": str(M),
-                "nu": str(nu_val),
-                "mu_digits": str(mu_digit_count(M)),
-                "mu_exceeds_nu": beats,
-            }
-        )
+    records = [
+        {
+            "n": str(n_k),
+            "M": str(M),
+            "nu": str(nu_val),
+            "mu_digits": str(mu_digit_count(M)),
+            "mu_exceeds_nu": mult_formula_exceeds(M, nu_val),
+        }
+        for n_k, M, nu_val in witnesses
+    ]
+    ok = finite_ok and all(r["mu_exceeds_nu"] for r in records)
     payload = {
         "growth": str(nu),
         "witnesses": records,
         "finite_contacts_horizon": str(horizon),
         "finite_contacts_certified": finite_ok,
-        "result": "PASS" if (all_beat and finite_ok) else "FAIL",
+        "result": _result(ok),
     }
-    _emit(args, payload)
-    return EXIT_OK if payload["result"] == "PASS" else EXIT_CHECK_FAILED
+    return payload, ok, None
+
+
+def _stage_failure(stage: str, error: str):
+    return ({"stage": stage, "error": error}, False,
+            [["stage", "error"], [stage, error]])
 
 
 def _mu_stage(args):
     """The stages mu-seq and pipeline share: validate the map, then compute
-    mu(0..nmax).  Returns (F, mu), or (None, payload) naming the stage that
-    failed."""
+    mu(0..nmax).  Returns (F, mu), or (None, result) with the handler result
+    naming the stage that failed."""
     F = MapGerm(*parse_map(args.map))
     if not F.finiteness_certificate():
-        return None, {"stage": "map validation",
-                      "error": "components share a factor or degenerate"}
+        return None, _stage_failure("map validation",
+                                    "components share a factor or degenerate")
     gens = parse_poly_list(args.ideal)
     sampler = GenericSampler(args.seed)
     z = sampler.draw_vector(len(gens))
@@ -247,236 +214,187 @@ def _mu_stage(args):
     try:
         return F, mu_sequence(F, gens, z, w, args.nmax, sampler, args.budget)
     except (InfiniteMultiplicity, GenericityFailure) as exc:
-        return None, {"stage": "local multiplicity", "error": str(exc)}
+        return None, _stage_failure("local multiplicity", str(exc))
 
 
-def _emit_stage_failure(args, payload: dict) -> int:
-    _emit(args, payload, [["stage", "error"], [payload["stage"], payload["error"]]])
-    return EXIT_CHECK_FAILED
-
-
-def cmd_mu_seq(args) -> int:
+def cmd_mu_seq(args):
     F, mu = _mu_stage(args)
-    if F is None:  # mu is the failure payload
-        return _emit_stage_failure(args, mu)
+    if F is None:  # mu is the stage failure
+        return mu
     payload = {"map": args.map, "ideal": args.ideal, "seed": args.seed,
                "mu": [str(v) for v in mu]}
-    csv_rows = [["n", "mu"]] + [[n, v] for n, v in enumerate(mu)]
-    _emit(args, payload, csv_rows)
-    return EXIT_OK
+    return payload, True, [["n", "mu"]] + [[n, v] for n, v in enumerate(mu)]
 
 
-def cmd_samuel(args) -> int:
+def cmd_samuel(args):
     ideal = _parse_ideal(args.ideal)
-    payload = {"ideal": str(ideal), "samuel": str(samuel(ideal))}
-    _emit(args, payload)
-    return EXIT_OK
+    return {"ideal": str(ideal), "samuel": str(samuel(ideal))}, True, None
 
 
-def cmd_mixed(args) -> int:
+def cmd_mixed(args):
     A = _parse_ideal(args.ideal_a)
     B = _parse_ideal(args.ideal_b)
     e_a, e_b = samuel(A), samuel(B)
     e_mixed = mixed(A, B)
-    payload = {
-        "e_a": str(e_a),
-        "e_b": str(e_b),
-        "e_mixed": str(e_mixed),
-        "minkowski_ok": minkowski_check(A, B),
-    }
-    _emit(args, payload)
-    return EXIT_OK if payload["minkowski_ok"] else EXIT_CHECK_FAILED
+    ok = minkowski_check(A, B)
+    payload = {"e_a": str(e_a), "e_b": str(e_b), "e_mixed": str(e_mixed),
+               "minkowski_ok": ok}
+    return payload, ok, None
 
 
-def cmd_c_seq(args) -> int:
-    fx, fy = parse_map(args.map)
-    F = MapGerm(fx, fy)
+def cmd_c_seq(args):
+    F = MapGerm(*parse_map(args.map))
     nu = MonomialValuation(Fraction(args.wx), Fraction(args.wy))
     rates = c_sequence(F, nu, args.nmax, args.budget)
     payload = {"map": args.map, "weights": [str(nu.sx), str(nu.ty)],
                "rates": [str(r) for r in rates]}
-    csv_rows = [["n", "c"]] + [[n + 1, r] for n, r in enumerate(rates)]
-    _emit(args, payload, csv_rows)
-    return EXIT_OK
+    return payload, True, [["n", "c"]] + [[n + 1, r] for n, r in enumerate(rates)]
 
 
-def cmd_c_inf(args) -> int:
-    fx, fy = parse_map(args.map)
-    F = MapGerm(fx, fy)
+def cmd_c_inf(args):
+    F = MapGerm(*parse_map(args.map))
     try:
         rate = c_infinity(F, args.nmax, args.budget)
     except NoRecurrenceFound as exc:
-        _emit(args, {"map": args.map, "error": str(exc)})
-        return EXIT_CHECK_FAILED
-    payload = {"map": args.map, **rate.to_json()}
-    _emit(args, payload)
-    return EXIT_OK
+        return {"map": args.map, "error": str(exc)}, False, None
+    return {"map": args.map, **rate.to_json()}, True, None
 
 
-def cmd_skewness(args) -> int:
+def cmd_skewness(args):
     with open(args.chart) as fh:
         chart = ProximityChart.from_json(fh.read())
     value = skewness(chart, args.i, args.j)
     payload = {"chart": chart.to_json(), "i": args.i, "j": args.j,
-               "skewness": _frac_str(value)}
-    _emit(args, payload)
-    return EXIT_OK
+               "skewness": str(value)}
+    return payload, True, None
 
 
-def cmd_recursion(args) -> int:
+def cmd_recursion(args):
     seq = [int(v) for v in args.terms.split(",")]
     max_order = max(1, min(args.max_order, (len(seq) - args.holdout) // 2))
     try:
         model = detect_recursion(seq, max_order, args.holdout)
     except NoRecurrenceFound as exc:
-        _emit(args, {"terms": seq, "error": str(exc)})
-        return EXIT_CHECK_FAILED
-    _emit(args, {"terms": [str(v) for v in seq], **model.to_json()})
-    return EXIT_OK
+        return {"terms": seq, "error": str(exc)}, False, None
+    return {"terms": [str(v) for v in seq], **model.to_json()}, True, None
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args):
     F, mu = _mu_stage(args)
-    if F is None:  # mu is the failure payload
-        return _emit_stage_failure(args, mu)
+    if F is None:  # mu is the stage failure
+        return mu
     payload = {"map": args.map, "ideal": args.ideal, "seed": args.seed,
                "mu": [str(v) for v in mu]}
     max_order = max(1, min(args.max_order, (len(mu) - 1) // 2))
     try:
-        model = detect_recursion(mu, max_order, 1)
-        payload["recursion"] = model.to_json()
+        payload["recursion"] = detect_recursion(mu, max_order, 1).to_json()
     except (NoRecurrenceFound, ValueError) as exc:
         payload["recursion"] = {"error": str(exc)}
         payload["result"] = "FAIL"
-        _emit(args, payload)
-        return EXIT_CHECK_FAILED
+        return payload, False, None
     try:
         rate = c_infinity(F, max(3, args.nmax), args.budget)
         payload["asymptotic_rate"] = rate.to_json()
     except NoRecurrenceFound as exc:
         payload["asymptotic_rate"] = {"error": str(exc)}
         rate = None
+    ok = True
     if rate is not None and rate.is_exact and rate.value > 1:
         report = growth_envelope_check(mu, rate.value, max_order, 1)
+        ok = report["pass"]
         payload["envelope"] = {
-            "pass": report["pass"],
-            "ratio_min": _frac_str(report["ratio_min"]) if report["ratio_min"] is not None else None,
-            "ratio_max": _frac_str(report["ratio_max"]) if report["ratio_max"] is not None else None,
+            "pass": ok,
+            "ratio_min": None if report["ratio_min"] is None else str(report["ratio_min"]),
+            "ratio_max": None if report["ratio_max"] is None else str(report["ratio_max"]),
             "onset": report["onset"],
         }
-        ok = report["pass"]
     else:
         payload["envelope"] = {"skipped": "rate not exact or not > 1"}
-        ok = True
-    payload["result"] = "PASS" if ok else "FAIL"
-    _emit(args, payload)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    payload["result"] = _result(ok)
+    return payload, ok, None
 
 
 # -- argument wiring --------------------------------------------------------
 
+_INT = {"type": int}
+_REQ = {"required": True}
+_REQ_INT = {"type": int, "required": True}
+
+# (flag, argparse options, default).  The parser gives every global flag the
+# default SUPPRESS, so a value parsed before the subcommand is not clobbered
+# by the subparser's defaults; main fills in the defaults below.
+GLOBALS = (
+    ("--seed", {"type": int, "help": "sampler seed"}, 0),
+    ("--format", {"choices": ["json", "csv", "text"]}, "json"),
+    ("--out", {"help": "output path (default stdout)"}, None),
+    ("--budget", {"type": int, "help": "sparse term-count budget for compositions"},
+     10**6),
+)
+
+# (path, help, handler, arguments).  A row without a handler is a command
+# group; its leaves follow it.  Each argument is (flag, argparse options).
+COMMANDS = (
+    (("curve",), "coefficients and pair multiplicities", None, ()),
+    (("curve", "coeffs"), None, cmd_curve_coeffs,
+     (("--seq", _REQ), ("--n", _REQ_INT))),
+    (("curve", "mult"), None, cmd_curve_mult,
+     (("--a", _REQ), ("--b", _REQ), ("--horizon", {**_INT, "default": 64}),
+      ("--coeff-horizon", {**_INT, "default": 400}))),
+    (("verify",), "exact verification suites", None, ()),
+    (("verify", "functoriality"), None, cmd_verify_functoriality,
+     (("--seq", _REQ), ("--n", {**_INT, "default": 2000}))),
+    (("verify", "bound"), None, cmd_verify_bound,
+     (("--seq", _REQ), ("--n", {**_INT, "default": 2000}))),
+    (("verify", "lemma"), None, cmd_verify_lemma,
+     (("--n", {**_INT, "default": 10000}),)),
+    (("verify", "section3"), None, cmd_verify_section3,
+     (("--a", _REQ), ("--b", _REQ), ("--horizon", {**_INT, "default": 64}))),
+    (("arnold",), "fast-growth witness construction", cmd_arnold,
+     (("--nu", _REQ), ("--witnesses", {**_INT, "default": 3}))),
+    (("mu-seq",), "multiplicity sequence of iterates", cmd_mu_seq,
+     (("--map", _REQ), ("--ideal", _REQ), ("--nmax", _REQ_INT))),
+    (("samuel",), "staircase multiplicity", cmd_samuel, (("--ideal", _REQ),)),
+    (("mixed",), "mixed multiplicity by polarization", cmd_mixed,
+     (("--ideal-a", _REQ), ("--ideal-b", _REQ))),
+    (("c-seq",), "attraction rates along iterates", cmd_c_seq,
+     (("--map", _REQ), ("--wx", {"default": "1"}), ("--wy", {"default": "1"}),
+      ("--nmax", _REQ_INT))),
+    (("c-inf",), "asymptotic attraction rate", cmd_c_inf,
+     (("--map", _REQ), ("--nmax", {**_INT, "default": 6}))),
+    (("skewness",), "tree height from a proximity chart", cmd_skewness,
+     (("--chart", {**_REQ, "help": "path to chart JSON"}), ("--i", _REQ_INT),
+      ("--j", _REQ_INT))),
+    (("recursion",), "detect an integral linear recursion", cmd_recursion,
+     (("--terms", {**_REQ, "help": "comma-separated integers"}),
+      ("--max-order", {**_INT, "default": 4}), ("--holdout", {**_INT, "default": 2}))),
+    (("pipeline",), "mu sequence, recursion, rate, bounds", cmd_pipeline,
+     (("--map", _REQ), ("--ideal", _REQ), ("--nmax", _REQ_INT),
+      ("--max-order", {**_INT, "default": 3}))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # shared flags carry no default of their own, so a value parsed before
-    # the subcommand is not clobbered by the subparser's defaults
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="sampler seed")
-    common.add_argument("--format", choices=["json", "csv", "text"],
-                        default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output path (default stdout)")
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help="sparse term-count budget for compositions")
+    for flag, options, _ in GLOBALS:
+        common.add_argument(flag, default=argparse.SUPPRESS, **options)
     ap = argparse.ArgumentParser(
         prog="germdyn",
         description="Exact curve-family, multiplicity, and attraction-rate "
         "computations for plane germs.",
         parents=[common],
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add("curve", help="coefficients and pair multiplicities")
-    ps = p.add_subparsers(dest="action", required=True)
-    pc = ps.add_parser("coeffs", parents=[common])
-    pc.add_argument("--seq", required=True)
-    pc.add_argument("--n", type=int, required=True)
-    pm = ps.add_parser("mult", parents=[common])
-    pm.add_argument("--a", required=True)
-    pm.add_argument("--b", required=True)
-    pm.add_argument("--horizon", type=int, default=64)
-    pm.add_argument("--coeff-horizon", type=int, default=400)
-    p.set_defaults(func=cmd_curve)
-
-    p = add("verify", help="exact verification suites")
-    vs = p.add_subparsers(dest="check", required=True)
-    vf = vs.add_parser("functoriality", parents=[common])
-    vf.add_argument("--seq", required=True)
-    vf.add_argument("--n", type=int, default=2000)
-    vb = vs.add_parser("bound", parents=[common])
-    vb.add_argument("--seq", required=True)
-    vb.add_argument("--n", type=int, default=2000)
-    vl = vs.add_parser("lemma", parents=[common])
-    vl.add_argument("--n", type=int, default=10000)
-    v3 = vs.add_parser("section3", parents=[common])
-    v3.add_argument("--a", required=True)
-    v3.add_argument("--b", required=True)
-    v3.add_argument("--horizon", type=int, default=64)
-    p.set_defaults(func=cmd_verify)
-
-    p = add("arnold", help="fast-growth witness construction")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--witnesses", type=int, default=3)
-    p.set_defaults(func=cmd_arnold)
-
-    p = add("mu-seq", help="multiplicity sequence of iterates")
-    p.add_argument("--map", required=True)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.set_defaults(func=cmd_mu_seq)
-
-    p = add("samuel", help="staircase multiplicity")
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(func=cmd_samuel)
-
-    p = add("mixed", help="mixed multiplicity by polarization")
-    p.add_argument("--ideal-a", required=True)
-    p.add_argument("--ideal-b", required=True)
-    p.set_defaults(func=cmd_mixed)
-
-    p = add("c-seq", help="attraction rates along iterates")
-    p.add_argument("--map", required=True)
-    p.add_argument("--wx", default="1")
-    p.add_argument("--wy", default="1")
-    p.add_argument("--nmax", type=int, required=True)
-    p.set_defaults(func=cmd_c_seq)
-
-    p = add("c-inf", help="asymptotic attraction rate")
-    p.add_argument("--map", required=True)
-    p.add_argument("--nmax", type=int, default=6)
-    p.set_defaults(func=cmd_c_inf)
-
-    p = add("skewness", help="tree height from a proximity chart")
-    p.add_argument("--chart", required=True, help="path to chart JSON")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.set_defaults(func=cmd_skewness)
-
-    p = add("recursion", help="detect an integral linear recursion")
-    p.add_argument("--terms", required=True, help="comma-separated integers")
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--holdout", type=int, default=2)
-    p.set_defaults(func=cmd_recursion)
-
-    p = add("pipeline", help="mu sequence, recursion, rate, bounds")
-    p.add_argument("--map", required=True)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=3)
-    p.set_defaults(func=cmd_pipeline)
-
+    subparsers = {(): ap.add_subparsers(dest="command", required=True)}
+    for path, help_text, handler, arguments in COMMANDS:
+        # a parser added with help=None would still get a line of its own in
+        # its group's help, so a leaf without help passes none
+        kw = {} if help_text is None else {"help": help_text}
+        p = subparsers[path[:-1]].add_parser(path[-1], parents=[common], **kw)
+        if handler is None:
+            subparsers[path] = p.add_subparsers(dest="command", required=True)
+            continue
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return ap
 
 
@@ -484,23 +402,38 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # outputs legitimately contain very large exact integers
         sys.set_int_max_str_digits(10**7)
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    for dest, default in (("seed", 0), ("format", "json"), ("out", None),
-                          ("budget", 10**6)):
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    for flag, _, default in GLOBALS:
+        vars(args).setdefault(flag[2:], default)
     try:
-        return args.func(args)
-    except (ParseError, ValueError) as exc:
+        payload, ok, csv_rows = args.func(args)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        elif args.format == "text":
+            text = _render_text(payload)
+        elif csv_rows is None:
+            raise ValueError("this command has no CSV rendering")
+        else:
+            import csv  # imported here: every other format starts faster without it
+
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+            text = buf.getvalue()
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         sys.stderr.write("budget exceeded: %s\n" % exc)
         return EXIT_BUDGET
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -14,28 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bitseq import BitSeq, NoneBelow, first_difference
+from .bitseq import BitSeq, first_difference
 from .dyadic import Dyadic
-from .series import USeries
+from .series import AtLeast, USeries
 
 
 class UndeterminedDifference(ValueError):
     """The first bit disagreement was not found below the horizon."""
-
-
-class InfiniteAbove:
-    """Sentinel: the multiplicity exceeds the certified lower bound."""
-
-    __slots__ = ("bound",)
-
-    def __init__(self, bound: int):
-        self.bound = bound
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteAbove) and self.bound == other.bound
-
-    def __repr__(self):
-        return "InfiniteAbove(%s)" % self.bound
 
 
 class CoeffTable:
@@ -136,9 +121,9 @@ def mult_formula(s: BitSeq, t: BitSeq, horizon: int):
     """Contact order (4^(m+1) + 2) / 3 from the first bit disagreement m,
     or a certified lower bound when no disagreement is found."""
     m = first_difference(s, t, horizon)
-    if isinstance(m, NoneBelow):
-        return InfiniteAbove((4 ** (horizon + 1) + 2) // 3)
-    return (4 ** (m + 1) + 2) // 3
+    if isinstance(m, AtLeast):
+        return AtLeast(mult_formula_from_m(horizon))
+    return mult_formula_from_m(m)
 
 
 def mult_formula_from_m(m: int) -> int:
@@ -158,12 +143,12 @@ def mult_formula_exceeds(m: int, bound: int) -> bool:
         return True
     if m >= 1 and 2 * m >= bound.bit_length():
         return True
-    return (4 ** (m + 1) + 2) // 3 > bound
+    return mult_formula_from_m(m) > bound
 
 
 def mult_coeffwise(s: BitSeq, t: BitSeq, N: int, table: CoeffTable | None = None):
     """Contact order 2 + 4n from the first differing coefficient index n < N,
-    else InfiniteAbove(2 + 4*N) as a certified lower bound.
+    else AtLeast(2 + 4*N) as a certified lower bound.
 
     The compared prefix widens 8 -> 32 -> 128 -> ... -> N, so a pair that
     disagrees early never pays for rows up to N."""
@@ -178,7 +163,7 @@ def mult_coeffwise(s: BitSeq, t: BitSeq, N: int, table: CoeffTable | None = None
             if row_s[n] != row_t[n]:
                 return 2 + 4 * n
         if width == N:
-            return InfiniteAbove(2 + 4 * N)
+            return AtLeast(2 + 4 * N)
         lo, width = width, min(4 * width, N)
 
 
@@ -257,6 +242,8 @@ def lemma_sum_check_range(n_max: int):
     the inequality; only an inconclusive bound falls back to the exact
     lemma_sum_check(n).
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     one = 1 << _LEMMA_BITS
     h1 = h2 = 0
     for n in range(1, n_max + 1):
@@ -271,7 +258,7 @@ def section3_recursion_check(s: BitSeq, t: BitSeq, horizon: int) -> bool:
     """Check the contact orders satisfy: value 2 when the first bits differ,
     else 4 * (value of the shifted pair) - 2."""
     m = first_difference(s, t, horizon)
-    if isinstance(m, NoneBelow):
+    if isinstance(m, AtLeast):
         raise UndeterminedDifference(
             "no bit disagreement below horizon %d" % horizon
         )
@@ -279,7 +266,7 @@ def section3_recursion_check(s: BitSeq, t: BitSeq, horizon: int) -> bool:
     if s.bit(0) != t.bit(0):
         return value == 2
     shifted = mult_formula(s.shift(), t.shift(), horizon)
-    if isinstance(shifted, InfiniteAbove):
+    if isinstance(shifted, AtLeast):
         raise UndeterminedDifference("shifted pair undetermined")
     return value == 4 * shifted - 2
 
@@ -378,7 +365,7 @@ def build_theoremA_pair(nu: GrowthSpec, K: int):
     for k in range(K):
         shifted = t.shift_by(starts[k])
         M = shifted.first_one(lengths[k] + 2)
-        if isinstance(M, NoneBelow) or M != lengths[k]:
+        if isinstance(M, AtLeast) or M != lengths[k]:
             raise AssertionError("witness construction out of sync")
         witnesses.append((starts[k], M, nu(starts[k])))
     return s, t, witnesses
@@ -395,7 +382,7 @@ def certify_finite_contacts(s: BitSeq, t: BitSeq, horizon: int) -> bool:
     for n in range(horizon + 1):
         shifted = t.shift_by(n)
         m = first_difference(s, shifted, math.inf)
-        if isinstance(m, NoneBelow):
+        if isinstance(m, AtLeast):
             return False
     return True
 
@@ -410,8 +397,8 @@ def mu_theoremA(s: BitSeq, t: BitSeq, n: int, horizon: int = 10**6,
     """
     shifted = t.shift_by(n)
     m = first_difference(s, shifted, horizon)
-    if isinstance(m, NoneBelow):
-        return InfiniteAbove((4 ** (horizon + 1) + 2) // 3)
+    if isinstance(m, AtLeast):
+        return AtLeast(mult_formula_from_m(horizon))
     if m > materialize_limit:
         raise OverflowError(
             "contact order has ~%s digits; compare symbolically instead" % m

@@ -156,6 +156,3 @@ def _coerce(x):
         return Dyadic(x, 0)
     return NotImplemented
 
-
-DYADIC_ZERO = Dyadic(0)
-DYADIC_ONE = Dyadic(1)

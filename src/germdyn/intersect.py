@@ -268,6 +268,8 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
     Raises InfiniteMultiplicity (with the failing index in the message) when
     the two curves share a component through the origin.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     Dz = generic_member(generators, z)
     Dw = generic_member(generators, w)
     out = []

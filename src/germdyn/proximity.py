@@ -63,7 +63,11 @@ class ProximityChart:
     @classmethod
     def from_json(cls, text: str) -> "ProximityChart":
         data = json.loads(text)
-        return cls(data["points"], data["proximate"], data.get("axis", "y"))
+        try:
+            return cls(data["points"], data["proximate"], data.get("axis", "y"))
+        except (KeyError, TypeError, AttributeError) as exc:
+            # a missing field, a field of the wrong type, or not an object
+            raise ValueError("malformed chart JSON: %r" % exc) from None
 
     def to_json(self) -> dict:
         return {
@@ -190,6 +194,9 @@ def _check_negative_definite(N):
 def skewness(chart: ProximityChart, i: int, j: int) -> Fraction:
     """Tree height of the meet of the i-th and j-th divisorial valuations:
     -(b_i^{-1} dual_i) . (b_j^{-1} dual_j), a rational >= 1."""
+    for k in (i, j):
+        if not 1 <= k <= chart.r:
+            raise ValueError("point %d outside 1..%d" % (k, chart.r))
     lat = intersection_matrix(chart)
     return -lat.dual_pairing(i, j) / (lat.b[i - 1] * lat.b[j - 1])
 

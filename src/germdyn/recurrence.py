@@ -89,6 +89,8 @@ def detect_recursion(seq: list[int], max_order: int, holdout: int) -> Recurrence
     onset is the least index after which the relation is exact, and the
     model must reproduce every holdout term.
     """
+    if holdout < 0:
+        raise ValueError("holdout must be >= 0")
     seq = list(seq)
     if len(seq) < 2 * max_order + holdout:
         raise ValueError("sequence too short for requested order and holdout")

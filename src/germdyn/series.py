@@ -11,10 +11,12 @@ from __future__ import annotations
 
 
 class AtLeast:
-    """Sentinel for "order of vanishing is at least ``bound``".
+    """Sentinel for a certified lower bound: the value is at least ``bound``.
 
-    Returned when every known coefficient vanishes; deliberately not an
-    integer so it cannot silently enter arithmetic.
+    Stands for an order of vanishing when every known coefficient vanishes,
+    a first-difference index or first one-bit when none lies below the
+    horizon, and a contact order past the compared range; deliberately not
+    an integer so it cannot silently enter arithmetic.
     """
 
     __slots__ = ("bound",)
@@ -29,7 +31,7 @@ class AtLeast:
         return hash(("AtLeast", self.bound))
 
     def __repr__(self):
-        return "AtLeast(%d)" % self.bound
+        return "AtLeast(%s)" % self.bound
 
 
 class USeries:

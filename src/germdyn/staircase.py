@@ -79,10 +79,6 @@ def _mono_str(i, j):
     return "*".join(parts) if parts else "1"
 
 
-def minimalize(gens) -> MonomialIdeal2:
-    return MonomialIdeal2(gens)
-
-
 def staircase_covolume(I: MonomialIdeal2) -> Fraction:
     """Area of the first-quadrant region outside the Newton polyhedron."""
     hull = _lower_hull(I.gens)

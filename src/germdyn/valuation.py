@@ -58,6 +58,8 @@ def attraction_rate(F: MapGerm, nu: MonomialValuation) -> Fraction:
 def c_sequence(F: MapGerm, nu: MonomialValuation, n_max: int,
                budget: int | None = 10**6) -> list[Fraction]:
     """Attraction rates along iterates F, F^2, ..., F^n_max, exact."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     out = []
     Fn = F
     for n in range(1, n_max + 1):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from germdyn.bipoly import BiPoly
-from germdyn.bitseq import NoneBelow, first_difference, parse_bitseq
+from germdyn.bitseq import first_difference, parse_bitseq
 from germdyn.curvefamily import (
     GrowthSpec,
     build_theoremA_pair,
@@ -38,7 +38,7 @@ from germdyn.proximity import (
     skewness,
 )
 from germdyn.recurrence import RecurrenceModel, detect_recursion
-from germdyn.series import USeries
+from germdyn.series import AtLeast, USeries
 from germdyn.staircase import (
     MonomialIdeal2,
     hilbert_samuel_fit,
@@ -62,7 +62,7 @@ def test_acceptance_1_contact_formula_vs_coefficients(pool, table):
     ok = True
     for a, b in itertools.combinations(pool, 2):
         m = first_difference(a, b, 64)
-        if isinstance(m, NoneBelow) or m > 5:
+        if isinstance(m, AtLeast) or m > 5:
             continue
         seen.add(m)
         f = mult_formula(a, b, 64)

@@ -1,13 +1,14 @@
+import math
 import random
 
 import pytest
 
 from germdyn.bitseq import (
     BitSeq,
-    NoneBelow,
     first_difference,
     parse_bitseq,
 )
+from germdyn.series import AtLeast
 
 
 def rand_seq(rng):
@@ -76,19 +77,21 @@ def test_canonical_key_identifies_equal_sequences():
 
 def test_first_one():
     assert BitSeq.zeros([0, 0, 1]).first_one(10) == 2
-    assert BitSeq.zeros().first_one(10**9) == NoneBelow(10**9)
+    assert BitSeq.zeros().first_one(10**9) == AtLeast(10**9)
     assert BitSeq.blocks([10**40]).first_one(10**41) == 10**40
-    assert BitSeq.blocks([10**40]).first_one(100) == NoneBelow(100)
+    assert BitSeq.blocks([10**40]).first_one(100) == AtLeast(100)
     assert BitSeq.ones().first_one(5) == 0
 
 
 def test_first_difference():
     s = parse_bitseq("0")
     assert first_difference(s, parse_bitseq("0001"), 64) == 3
-    assert first_difference(parse_bitseq(":(01)"), parse_bitseq(":(01)"), 64) == NoneBelow(64)
+    assert first_difference(parse_bitseq(":(01)"), parse_bitseq(":(01)"), 64) == AtLeast(64)
     # huge structural query against zeros
     t = BitSeq.blocks([10**30])
     assert first_difference(s, t, 10**31) == 10**30
+    # an unbounded horizon gives a sentinel that can still be printed
+    assert repr(first_difference(s, s, math.inf)) == "AtLeast(inf)"
     # neither side is all-zeros and the first disagreement is beyond the
     # bitwise scan cap: the query must refuse rather than run forever
     with pytest.raises(OverflowError):
@@ -103,7 +106,7 @@ def test_first_difference_matches_bit_scan():
         a, b = rand_seq(rng), rand_seq(rng)
         got = first_difference(a, b, 60)
         want = next(
-            (m for m in range(60) if a.bit(m) != b.bit(m)), NoneBelow(60)
+            (m for m in range(60) if a.bit(m) != b.bit(m)), AtLeast(60)
         )
         assert got == want
 

@@ -202,3 +202,42 @@ def test_deterministic_output(capsys):
     _, b = run(capsys, "pipeline", "--map", "(x^2 - y^4, y^4)",
                "--ideal", "x, y", "--nmax", "4")
     assert a == b
+
+
+CHARTS = {
+    "chart2": {"points": 2, "proximate": [[2, 1]], "axis": "y"},
+    "nopoints": {"proximate": []},
+    "strpoints": {"points": "2", "proximate": [[2, 1]]},
+    "intprox": {"points": 2, "proximate": 5},
+    "notobject": [2, [[2, 1]]],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["skewness", "--chart", "{missing}", "--i", "1", "--j", "1"],
+    ["arnold", "--nu", "table:{missing}"],
+    ["skewness", "--chart", "{nopoints}", "--i", "1", "--j", "1"],
+    ["skewness", "--chart", "{strpoints}", "--i", "1", "--j", "1"],
+    ["skewness", "--chart", "{intprox}", "--i", "1", "--j", "1"],
+    ["skewness", "--chart", "{notobject}", "--i", "1", "--j", "1"],
+    ["skewness", "--chart", "{chart2}", "--i", "5", "--j", "1"],
+    ["skewness", "--chart", "{chart2}", "--i", "0", "--j", "2"],
+    ["skewness", "--chart", "{chart2}", "--i", "2", "--j", "3"],
+    ["recursion", "--terms", "1,2,3,4,5", "--holdout", "-1"],
+    ["verify", "lemma", "--n", "-5"],
+    ["verify", "lemma", "--n", "0"],
+    ["mu-seq", "--map", "(x^2 - y^4, y^4)", "--ideal", "x, y", "--nmax", "-1"],
+    ["c-seq", "--map", "(x^2 - y^4, y^4)", "--nmax", "0"],
+    ["--out", "{missing}/out.json", "samuel", "--ideal", "x, y"],
+], ids=" ".join)
+def test_bad_input_is_a_usage_error(capsys, tmp_path, argv):
+    # a missing file, a malformed chart, an index or count out of range:
+    # exit 2 with nothing on stdout, never a traceback or a vacuous PASS
+    files = {"missing": tmp_path / "missing"}
+    for name, chart in CHARTS.items():
+        files[name] = tmp_path / (name + ".json")
+        files[name].write_text(json.dumps(chart))
+    argv = [a.format(**files) for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""

@@ -8,7 +8,6 @@ from germdyn.bitseq import BitSeq, parse_bitseq
 from germdyn.curvefamily import (
     CoeffTable,
     GrowthSpec,
-    InfiniteAbove,
     build_theoremA_pair,
     certify_finite_contacts,
     curve,
@@ -25,7 +24,7 @@ from germdyn.curvefamily import (
     verify_functoriality,
 )
 from germdyn.dyadic import Dyadic
-from germdyn.series import USeries
+from germdyn.series import AtLeast, USeries
 
 
 def lemma_sum_direct(n: int) -> Fraction:
@@ -81,7 +80,7 @@ def test_formula_vs_coeffwise_small():
 def test_coeffwise_certified_lower_bound():
     t = CoeffTable()
     out = mult_coeffwise(parse_bitseq("0"), parse_bitseq("0"), 10, t)
-    assert out == InfiniteAbove(42)
+    assert out == AtLeast(42)
 
 
 def test_functoriality_small_and_negative_control():
@@ -221,7 +220,7 @@ def coeffwise_oracle(s, t, N, table):
     for n in range(N):
         if row_s[n] != row_t[n]:
             return 2 + 4 * n
-    return InfiniteAbove(2 + 4 * N)
+    return AtLeast(2 + 4 * N)
 
 
 def test_rows_are_scaled_dyadic_views():
@@ -308,5 +307,5 @@ def test_coeffwise_widening_matches_full_horizon():
     # equal prefixes up to the horizon: a certified lower bound
     a, b = parse_bitseq("0"), parse_bitseq("0" * 6 + "1")
     for N in (1, 8, 100, 341):
-        assert mult_coeffwise(a, b, N, t) == InfiniteAbove(2 + 4 * N)
-        assert mult_coeffwise(a, a, N, t) == InfiniteAbove(2 + 4 * N)
+        assert mult_coeffwise(a, b, N, t) == AtLeast(2 + 4 * N)
+        assert mult_coeffwise(a, a, N, t) == AtLeast(2 + 4 * N)

@@ -1,6 +1,6 @@
-"""Golden replay: every c-seq, c-inf and pipeline job recorded in
-bench/golden.json, run in process through the CLI, must reproduce the
-recorded stdout byte for byte (by sha256) and the recorded exit code.
+"""Golden replay: every CLI job recorded in bench/golden.json, run in
+process through the CLI, must reproduce the recorded stdout byte for byte
+(by sha256) and the recorded exit code.
 
 The file is only read here; bench/record_golden.py writes it.
 """
@@ -14,20 +14,20 @@ import pytest
 from germdyn.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
-COMMANDS = ("c-seq", "c-inf", "pipeline")
+COMMANDS = ("curve", "verify", "arnold", "c-seq", "c-inf", "pipeline")
 
 
 def _jobs():
     recorded = json.loads(GOLDEN.read_text())["sha256"]
     return [(json.loads(key), digest, code)
-            for key, (digest, code) in sorted(recorded.items())
-            if json.loads(key)[0] in COMMANDS]
+            for key, (digest, code) in sorted(recorded.items())]
 
 
 JOBS = _jobs()
 
 
-def test_golden_covers_the_iterate_commands():
+def test_golden_covers_the_cli_commands():
+    assert len(JOBS) == 170
     assert {argv[0] for argv, _, _ in JOBS} == set(COMMANDS)
 
 
