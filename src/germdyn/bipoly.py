@@ -184,12 +184,12 @@ class BiPoly:
         for (i, j), c in self.terms.items():
             by_i.setdefault(i, {})[j] = c
         result = BiPoly.zero()
-        ypows: dict[int, BiPoly] = {0: BiPoly.const(1)}
+        ypows = [BiPoly.const(1)]
 
         def ypow(j):
-            if j not in ypows:
-                ypows[j] = ypow(j - 1) * fy
-                _check_budget(ypows[j], budget)
+            while len(ypows) <= j:  # a loop: y-degrees can be in the thousands
+                ypows.append(ypows[-1] * fy)
+                _check_budget(ypows[-1], budget)
             return ypows[j]
 
         xpow = BiPoly.const(1)

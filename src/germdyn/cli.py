@@ -37,7 +37,6 @@ from .curvefamily import (
     verify_functoriality,
 )
 from .intersect import (
-    GenericityFailure,
     GenericSampler,
     InfiniteMultiplicity,
     MapGerm,
@@ -213,7 +212,7 @@ def _mu_stage(args):
     w = sampler.draw_vector(len(gens))
     try:
         return F, mu_sequence(F, gens, z, w, args.nmax, sampler, args.budget)
-    except (InfiniteMultiplicity, GenericityFailure) as exc:
+    except InfiniteMultiplicity as exc:
         return None, _stage_failure("local multiplicity", str(exc))
 
 

@@ -1,24 +1,21 @@
 """Local intersection multiplicities of exact plane curves at the origin.
 
-The oracle is resultant-based: after ensuring both curves are regular in x
-and meet the x-axis fiber only at the origin, the order of vanishing in y of
-the resultant eliminating x is the local intersection number.  A cheap
-certificate decides when the curves can be used as-is; only when it cannot
-does a gcd look for a shared component, and then seeded random unimodular
-coordinate changes are drawn and two independent draws must agree.
+``local_mult`` is deterministic: each step of its decision order (a graph
+over either axis, the fiber certificate, a gcd, Fulton's reduction) is a
+proof, and none draws a random number.  ``GenericSampler`` only draws the
+generic coefficients of ideal members.
 """
 
 from __future__ import annotations
 
 import random
+from math import gcd, lcm
 
 from .bipoly import (
     BiPoly,
-    ZeroPolynomial,
-    _div,
-    _trim_z,
+    _resultant_linear,
     _ugcd,
-    bipoly_exact_div,
+    _wrap,
     bipoly_gcd,
     resultant_x,
 )
@@ -83,20 +80,10 @@ class MapGerm:
         return cls(BiPoly.x(), BiPoly.y())
 
     def finiteness_certificate(self) -> bool:
-        """Sufficient check for finite-to-one near the origin: the two
-        components are coprime and their resultant in x is nonzero."""
+        """True when i_0(fx, fy) is finite: F is finite-to-one near 0."""
         if self.fx.is_zero() or self.fy.is_zero():
             return False
-        g = bipoly_gcd(self.fx, self.fy)
-        if not g.is_constant():
-            return False
-        if self.fx.degree_x() < 1 or self.fy.degree_x() < 1:
-            # one component is free of x; coprimality already certifies
-            return True
-        try:
-            return bool(_trim_z(resultant_x(self.fx, self.fy)))
-        except ZeroPolynomial:
-            return False
+        return local_mult(PlaneCurve(self.fx), PlaneCurve(self.fy)) is not INFINITE
 
     def compose(self, other: "MapGerm", budget: int | None = None) -> "MapGerm":
         """self after other: (self . other)(p) = self(other(p))."""
@@ -143,13 +130,6 @@ class GenericSampler:
         return (1, b, a, a * b + 1)
 
 
-def apply_linear(P: BiPoly, A) -> BiPoly:
-    a, b, c, d = A
-    fx = BiPoly({(1, 0): a, (0, 1): b})
-    fy = BiPoly({(1, 0): c, (0, 1): d})
-    return P.compose(fx, fy)
-
-
 def _fiber_certificate(P: BiPoly, Q: BiPoly) -> bool:
     """True when ord_y Res_x(P, Q) is provably the local multiplicity:
     neither leading x-coefficient vanishes at y = 0, and the restrictions to
@@ -162,88 +142,106 @@ def _fiber_certificate(P: BiPoly, Q: BiPoly) -> bool:
     return sum(1 for c in g if c != 0) == 1
 
 
-def _ord_y_resultant(P: BiPoly, Q: BiPoly):
-    r = _trim_z(resultant_x(P, Q))
-    if not r:
-        return None  # identically zero resultant
-    for k, c in enumerate(r):
-        if c != 0:
-            return k
+def _ord_y(coeffs: list):
+    """Index of the first nonzero entry; INFINITE for an all-zero list."""
+    return next((k for k, c in enumerate(coeffs) if c), INFINITE)
+
+
+def _is_graph(P: BiPoly, k: int) -> bool:
+    """True when P = c*x - h(y) (k = 0) or P = c*y - h(x) (k = 1), c constant."""
+    lin = (1, 0) if k == 0 else (0, 1)
+    return lin in P.terms and all(ij[k] == 0 or ij == lin for ij in P.terms)
+
+
+def _graph_mult(p: BiPoly, q: BiPoly):
+    """i_0(p, q) when p or q is a graph over either axis, else None.  For
+    x = h(y)/c, i_0 = ord_y of the partner along the graph, which is
+    ord_y Res_x (zero exactly when the graph is a component of the partner)."""
+    for k in (0, 1):
+        for g, other in ((p, q), (q, p)):
+            if _is_graph(g, k):
+                if k:  # swap x and y
+                    g, other = (_wrap({(j, i): c for (i, j), c in t.terms.items()})
+                                for t in (g, other))
+                return _ord_y(_resultant_linear(other, g))
     return None
 
 
-def _graph_form(P: BiPoly):
-    """If P = c*x - h(y) with constant c, return h/c, else None."""
-    c = P.terms.get((1, 0))
-    if c is None or any(i > 1 or (i == 1 and j) for i, j in P.terms):
-        return None
-    return BiPoly({(0, j): _div(-v, c) for (i, j), v in P.terms.items() if i == 0})
+def _primitive(terms: dict) -> dict:
+    """The coprime integer multiple of a nonzero coefficient dict."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den != 1:
+        terms = {ij: c.numerator * (den // c.denominator) for ij, c in terms.items()}
+    g = gcd(*terms.values())
+    return terms if g == 1 else {ij: c // g for ij, c in terms.items()}
 
 
-def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler,
-               max_draws: int = 8):
+def _fulton(p: BiPoly, q: BiPoly) -> int:
+    """i_0(p, q) by Fulton's reduction over Z.  p and q must share no
+    component through the origin: then every split lowers the finite i_0,
+    and between splits the degrees of the restrictions to y = 0 drop."""
+    f, g = _primitive(p.terms), _primitive(q.terms)
+    total = 0
+    # a curve that misses the origin meets nothing there
+    while (0, 0) not in f and (0, 0) not in g:
+        # degrees of the restrictions to y = 0; -1 when one vanishes
+        r, s = (max((i for i, j in t if not j), default=-1) for t in (f, g))
+        if r > s:
+            f, g, r, s = g, f, s, r
+        if r < 0:
+            # f = y^k f1 and i_0(y, g) = ord_x g(x, 0)
+            k = min(j for _, j in f)
+            total += k * min(i for i, j in g if not j)
+            f = {(i, j - k): c for (i, j), c in f.items()}
+            continue
+        # g -> lc(f0) g - lc(g0) x^(s-r) f cancels the top of g(x, 0)
+        a, b, d = f[(r, 0)], g[(s, 0)], s - r
+        h = {ij: a * c for ij, c in g.items()}
+        for (i, j), c in f.items():
+            h[i + d, j] = h.get((i + d, j), 0) - b * c
+        g = _primitive({ij: c for ij, c in h.items() if c})
+    return total
+
+
+def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler | None = None):
     """i_0(P, Q): a nonnegative integer, or INFINITE for a shared component
-    through the origin."""
-    value, _ = local_mult_detailed(P, Q, sampler, max_draws)
+    through the origin.  Deterministic: ``sampler`` is unused, and the first
+    of these steps that decides gives the value, each by a proof:
+    1. graph: when a curve is c*x - h(y), ord_y of the resultant eliminating
+       x (Horner's rule); failing that, the same for c*y - h(x) with x and y
+       swapped;
+    2. fiber certificate: when both leading x-coefficients are units at
+       y = 0 and the curves meet the x-axis only at the origin, ord_y Res_x
+       unless it vanishes identically;
+    3. gcd: INFINITE when the gcd is nonconstant and vanishes at the origin;
+    4. Fulton's reduction (W. Fulton, *Algebraic Curves*, section 3.3) over
+       Z, which needs no cap, since step 3 proved i_0 finite.
+    """
+    value, _ = local_mult_detailed(P, Q, sampler)
     return value
 
 
-def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler,
-                        max_draws: int = 8):
-    """(i_0(P, Q), fallback), where fallback is True when the shear draws
-    gave no two agreeing values and their minimum is returned.
-
-    Decides, in order: two graph curves; the fiber certificate with a
-    nonvanishing resultant; a gcd, which finds a shared component or
-    divides out a common factor that is a unit at the origin; shears.
-    """
+def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve,
+                        sampler: GenericSampler | None = None):
+    """(local_mult(P, Q), False): no step falls back on an unproved value,
+    so the second entry, kept for callers that unpack a pair, is False."""
     if P.is_zero() or Q.is_zero():
         raise DegenerateInput("zero polynomial is not a curve")
     p, q = P.poly, Q.poly
-    # graph fast path: x = g(y) against x = h(y); both are irreducible, so
-    # they share a component exactly when they are equal
-    hp, hq = _graph_form(p), _graph_form(q)
-    if hp is not None and hq is not None:
-        k = (hp - hq).ord_y()
-        return (INFINITE if k is None else k), False
+    value = _graph_mult(p, q)
+    if value is not None:
+        return value, False
     # certified leading coefficients rule out a shared factor in y alone
-    # through the origin, and a shared factor of positive x-degree makes
-    # Res_x vanish
+    # through the origin; one of positive x-degree makes Res_x vanish
     if p.degree_x() >= 1 and q.degree_x() >= 1 and _fiber_certificate(p, q):
-        k = _ord_y_resultant(p, q)
-        if k is not None:
-            return k, False
+        value = _ord_y(resultant_x(p, q))
+        if value is not INFINITE:
+            return value, False
     g = bipoly_gcd(p, q)
-    if not g.is_constant():
-        if g.constant_term() == 0:
-            return INFINITE, False
-        # g is a unit in the local ring, so it does not change i_0
-        return local_mult_detailed(PlaneCurve(bipoly_exact_div(p, g)),
-                                   PlaneCurve(bipoly_exact_div(q, g)),
-                                   sampler, max_draws)
-    # randomized coordinate changes with cross-validation
-    results = []
-    draws = 0
-    while draws < max_draws:
-        A = sampler.unimodular()
-        pa, qa = apply_linear(p, A), apply_linear(q, A)
-        draws += 1
-        if pa.degree_x() < 1 or qa.degree_x() < 1:
-            continue
-        if not _fiber_certificate(pa, qa):
-            continue
-        k = _ord_y_resultant(pa, qa)
-        if k is None:
-            continue
-        results.append(k)
-        if len(results) >= 2:
-            if results[-1] == results[-2]:
-                return results[-1], False
-    if not results:
-        raise GenericityFailure(
-            "no regular coordinate change found in %d draws" % max_draws
-        )
-    return min(results), True
+    if not g.is_constant() and g.constant_term() == 0:
+        return INFINITE, False
+    # a common factor that is a unit at the origin does not change i_0
+    return _fulton(p, q), False
 
 
 def pullback(F: MapGerm, C: PlaneCurve, budget: int | None = None) -> PlaneCurve:
@@ -266,7 +264,8 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
     """mu(n) = i_0(pullback of the z-member by F^n, w-member), n = 0..n_max.
 
     Raises InfiniteMultiplicity (with the failing index in the message) when
-    the two curves share a component through the origin.
+    the two curves share a component through the origin.  ``sampler`` is
+    unused, since local_mult draws nothing.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -276,7 +275,7 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
     Fn = MapGerm.identity()
     for n in range(n_max + 1):
         Pn = pullback(Fn, Dz, budget)
-        val = local_mult(Pn, Dw, sampler)
+        val = local_mult(Pn, Dw)
         if val is INFINITE:
             raise InfiniteMultiplicity(
                 "shared component at iterate %d; sequence %r so far" % (n, out)
@@ -296,7 +295,7 @@ def samuel_via_generic(generators: list[BiPoly], sampler: GenericSampler,
         w = sampler.draw_vector(len(generators))
         D1 = generic_member(generators, z)
         D2 = generic_member(generators, w)
-        v = local_mult(D1, D2, sampler)
+        v = local_mult(D1, D2)
         if v is INFINITE:
             raise GenericityFailure("generic members shared a component")
         values.append(v)

@@ -70,6 +70,28 @@ def test_mu_seq_and_pipeline(capsys):
     assert data2["envelope"]["ratio_max"] == "1"
 
 
+def test_map_validation_is_a_finite_multiplicity(capsys):
+    # x + x^2 and y + x y share 1 + x, a unit at the origin, so the germ is
+    # finite: i_0(x (1 + x), y (1 + x)) = 1
+    code, data = run_json(capsys, "mu-seq", "--map", "(x + x^2, y + x y)",
+                          "--ideal", "x, y", "--nmax", "4")
+    assert code == 0 and data["mu"] == ["1"] * 5
+    # x y and x y^2 share x y, which passes through the origin
+    code2, data2 = run_json(capsys, "mu-seq", "--map", "(x y, x y^2)",
+                            "--ideal", "x, y", "--nmax", "2")
+    assert code2 == 1
+    assert data2 == {"stage": "map validation",
+                     "error": "components share a factor or degenerate"}
+
+
+def test_large_y_degree_does_not_recurse(capsys):
+    code, data = run_json(capsys, "mu-seq", "--map", "(x^2 - y^4, y^4)",
+                          "--ideal", "x, y^1200", "--nmax", "1")
+    assert code == 0 and data["mu"] == ["1200", "4"]
+    code2, data2 = run_json(capsys, "c-seq", "--map", "(x, y^1200)", "--nmax", "2")
+    assert code2 == 0 and data2["rates"] == ["1", "1"]
+
+
 def test_samuel_and_mixed(capsys):
     code, data = run_json(capsys, "samuel", "--ideal", "x^2, y^3, x y")
     assert code == 0 and data["samuel"] == "5"

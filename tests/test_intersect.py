@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from germdyn.bipoly import BiPoly, bipoly_gcd
+from germdyn import intersect
+from germdyn.bipoly import BiPoly, _trim_z, bipoly_exact_div, bipoly_gcd, resultant_x
 from germdyn.intersect import (
     INFINITE,
     DegenerateInput,
@@ -11,7 +12,7 @@ from germdyn.intersect import (
     MapGerm,
     PlaneCurve,
     _fiber_certificate,
-    _graph_form,
+    _is_graph,
     local_mult,
     local_mult_detailed,
     mu_sequence,
@@ -35,6 +36,30 @@ def test_graph_curves():
     assert local_mult(C("x - y^2"), C("x - y^3"), sam) == 2
     assert local_mult(C("x"), C("x - y^7"), sam) == 7
     assert local_mult(C("2 x - y^2"), C("2 x - y^2"), sam) is INFINITE
+    # one graph is enough: i_0(x - y^2, y^2 - x^3) = ord_y(y^2 - y^6)
+    assert local_mult(C("x - y^2"), C("y^2 - x^3"), sam) == 2
+    assert local_mult(C("x - y^2"), C("(x - y^2) (x + y)"), sam) is INFINITE
+    # y-graphs: y = x^2 against the cusp gives ord_x(x^4 - x^3) = 3
+    assert local_mult(C("y - x^2"), C("y^2 - x^3")) == 3
+    assert local_mult(C("y^2 - x^3"), C("3 y + x^2")) == 3
+    # a partner with no y (after the swap, no x): its own order along the graph
+    assert local_mult(C("y - x^3"), C("x^2")) == 2
+    assert local_mult(C("y - x^3"), C("(y - x^3) (x - y)")) is INFINITE
+
+
+def test_value_does_not_depend_on_the_sampler():
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError("local_mult used the sampler: %s" % name)
+
+    rng = random.Random(777)
+    for _ in range(200):
+        P, Q = rand_singular(rng), rand_singular(rng)
+        if P.is_zero() or Q.is_zero():
+            continue
+        values = {repr(local_mult(P, Q, s))
+                  for s in (None, NoDraws(), GenericSampler(0), GenericSampler(99))}
+        assert len(values) == 1, (P, Q, values)
 
 
 def test_classic_values():
@@ -69,23 +94,24 @@ def test_common_factor_missing_the_origin_is_divided_out():
 
 
 def test_infinite_exactly_when_gcd_passes_through_origin():
-    """The decision order (graph, fiber certificate, gcd, shears) gives
-    INFINITE on exactly the pairs whose gcd is nonconstant and vanishes at
-    the origin, whichever path the shared component reaches."""
+    """The decision order (graph over either axis, fiber certificate, gcd,
+    Fulton) gives INFINITE on exactly the pairs whose gcd is nonconstant and
+    vanishes at the origin, whichever path the shared component reaches."""
     rng = random.Random(4242)
     sam = GenericSampler(4242)
 
     def small(j_max=2):
         return BiPoly({(0, j): rng.randint(-3, 3) for j in range(1, j_max + 1)})
 
-    def graph():  # c x - h(y)
-        return BiPoly({(1, 0): rng.choice([1, 2, -3])}) + small(3)
+    def graph():  # c x - h(y), or c y - h(x)
+        S = BiPoly({(1, 0): rng.choice([1, 2, -3])}) + small(3)
+        return S.compose(BiPoly.y(), BiPoly.x()) if rng.random() < 0.5 else S
 
     def regular(a):  # leading x-coefficient a unit at y = 0
         return BiPoly({(2, 0): rng.choice([1, -2]), (1, 0): a,
                        (1, 1): rng.randint(-2, 2)}) + small()
 
-    def singular():  # needs shears: leading x-coefficient vanishes at y = 0
+    def singular():  # leading x-coefficient vanishes at y = 0
         return BiPoly({(1, 1): rng.choice([1, -1]), (0, 1): 1,
                        (2, 1): rng.randint(-2, 2)}) + small()
 
@@ -93,9 +119,9 @@ def test_infinite_exactly_when_gcd_passes_through_origin():
         return BiPoly({(0, 0): 1, (1, 0): rng.randint(-2, 2),
                        (0, 1): rng.randint(-2, 2)})
 
-    # "shear": the fiber certificate rejects the pair, so without the
-    # shared component it would need shears
-    paths = {"graph": 0, "fiber": 0, "shear": 0}
+    # "fulton": neither a graph nor certified, so without the shared
+    # component the pair would reach Fulton's reduction
+    paths = {"graph": 0, "fiber": 0, "fulton": 0}
     infinite = divided = 0
     for k in range(240):
         kind = k % 4
@@ -122,18 +148,66 @@ def test_infinite_exactly_when_gcd_passes_through_origin():
         assert (value is INFINITE) == shared, (str(P), str(Q), value)
         if shared:
             infinite += 1
-            if _graph_form(P) is not None and _graph_form(Q) is not None:
+            if any(_is_graph(R, axis) for R in (P, Q) for axis in (0, 1)):
                 paths["graph"] += 1
             elif (P.degree_x() >= 1 and Q.degree_x() >= 1
                   and _fiber_certificate(P, Q)):
                 paths["fiber"] += 1
             else:
-                paths["shear"] += 1
+                paths["fulton"] += 1
         else:
             assert isinstance(value, int) and value >= 1
             divided += not g.is_constant()
     assert infinite >= 150 and divided >= 10
     assert min(paths.values()) >= 30, paths
+
+
+def shear_oracle(P: BiPoly, Q: BiPoly, sam: GenericSampler) -> int:
+    """i_0 by an independent route: divide out the gcd (a unit at the
+    origin), then ord_y Res_x after a unimodular shear whose fiber
+    certificate holds."""
+    g = bipoly_gcd(P, Q)
+    if not g.is_constant():
+        assert g.constant_term() != 0
+        P, Q = bipoly_exact_div(P, g), bipoly_exact_div(Q, g)
+    for _ in range(50):
+        a, b, c, d = sam.unimodular()
+        fx, fy = BiPoly({(1, 0): a, (0, 1): b}), BiPoly({(1, 0): c, (0, 1): d})
+        pa, qa = P.compose(fx, fy), Q.compose(fx, fy)
+        if pa.degree_x() >= 1 and qa.degree_x() >= 1 and _fiber_certificate(pa, qa):
+            r = _trim_z(resultant_x(pa, qa))
+            assert r, "coprime curves with a zero resultant"
+            return next(k for k, v in enumerate(r) if v)
+    raise AssertionError("no certified shear in 50 draws")
+
+
+def test_fulton_matches_the_shear_oracle(monkeypatch):
+    reached = []
+    fulton = intersect._fulton
+
+    def recording(p, q):
+        reached.append((p, q))
+        return fulton(p, q)
+
+    monkeypatch.setattr(intersect, "_fulton", recording)
+    rng = random.Random(5150)
+    sam = GenericSampler(5150)
+    values = {}
+    for k in range(600):
+        P, Q = rand_singular(rng).poly, rand_singular(rng).poly
+        if k % 3 == 0:  # a common factor that is a unit at the origin
+            U = BiPoly({(0, 0): 1, (1, 0): rng.randint(-2, 2),
+                        (0, 1): rng.randint(-2, 2)})
+            P, Q = P * U, Q * U
+        if P.is_zero() or Q.is_zero():
+            continue
+        before = len(reached)
+        value = local_mult(PlaneCurve(P), PlaneCurve(Q))
+        if len(reached) > before:
+            values[str(P), str(Q)] = value
+            assert value == shear_oracle(P, Q, sam), (str(P), str(Q), value)
+    assert len(values) >= 300
+    assert len(set(values.values())) >= 6
 
 
 def test_degenerate_input():
@@ -188,6 +262,14 @@ def rand_curve(rng):
     return PlaneCurve(BiPoly(terms))
 
 
+def rand_singular(rng):
+    """A small random curve through the origin, often singular there and
+    often with a leading x-coefficient that vanishes at y = 0."""
+    terms = {(i, j): rng.randint(-2, 2) * (rng.random() < 0.45)
+             for i in range(4) for j in range(4) if 0 < i + j <= 4}
+    return PlaneCurve(BiPoly(terms))
+
+
 def test_map_germ_and_pullback():
     fx, fy = parse_map("(x^2 - y^4, y^4)")
     F = MapGerm(fx, fy)
@@ -220,11 +302,7 @@ def test_mu_sequence_shared_component_raises():
         mu_sequence(F, gens, [1], [2], 2, sam)
 
 
-def test_detailed_warn_path_returns_min():
-    # two coincident smooth curves in disguise never certify; equal curves
-    # hit the INFINITE path instead, so use a pair needing draws
-    sam = GenericSampler(8)
-    P = C("y^2 - x^3")
-    Q = C("y^2 - x^3 + x^4")
-    value, warned = local_mult_detailed(P, Q, sam)
-    assert isinstance(value, int) and value >= 4
+def test_detailed_is_exact_with_no_fallback():
+    # neither curve is a graph or certified, so Fulton's reduction decides:
+    # i_0(y^2 - x^3, x^4) = 4 i_0(y^2 - x^3, x) = 8
+    assert local_mult_detailed(C("y^2 - x^3"), C("y^2 - x^3 + x^4")) == (8, False)
