@@ -7,6 +7,10 @@ when it is not.  A polynomial over Z is therefore computed on with ints
 throughout, and rational inputs run through the same code by way of the
 int/Fraction numeric tower.  This is the workhorse behind curve defining
 equations, map germs and their iterates, resultants, and gcds.
+
+Eliminations run over Z on the integer-cleared x-coefficient rows, dense
+polynomials in y: the resultant by fraction-free (Bareiss) elimination and
+the gcd by primitive Euclid over Z[y][x].
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ class ZeroPolynomial(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a sparse term-count budget is exceeded."""
+    """Raised when a sparse term-count budget or a bit-size budget is
+    exceeded."""
 
 
 def _coef(c):
@@ -213,13 +218,6 @@ class BiPoly:
             if j == 0:
                 out[i] = c
         return _trim_z(out)
-
-    def x_coefficients(self) -> list["BiPoly"]:
-        """Coefficients of x**0 .. x**deg_x as polynomials in y."""
-        rows: list[dict] = [{} for _ in range(self.degree_x() + 1)]
-        for (i, j), c in self.terms.items():
-            rows[i][(0, j)] = c
-        return [_wrap(r) for r in rows]
 
     def ord_y(self):
         """Order of vanishing in y of self viewed along x = anything: the
@@ -494,45 +492,54 @@ def _bareiss_poly_det(mat) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def bipoly_gcd(P: BiPoly, Q: BiPoly) -> BiPoly:
-    """A gcd over Q[x, y], primitive with positive leading coefficient."""
-    if P.is_zero():
-        return _normalize_gcd(Q)
-    if Q.is_zero():
-        return _normalize_gcd(P)
-    g = _gcd_rec(P, Q)
-    return _normalize_gcd(g)
+    """A gcd over Q[x, y], primitive over Z with a positive coefficient at
+    its lexicographically largest monomial.
+
+    Primitive Euclid over Z[y][x] on the integer x-coefficient rows: the
+    gcd of the contents in Z[y] times the last nonzero primitive
+    pseudo-remainder, or times 1 once a remainder is free of x."""
+    cp, a = _split_content(_int_coeff_rows(P))
+    cq, b = _split_content(_int_coeff_rows(Q))
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _split_content(_xprem(a, b))[1]
+    if b:  # the primitive parts are coprime
+        a = [[1]]
+    # both factors are primitive, so their product is (Gauss): fix the sign
+    cont = _ugcd(cp, cq)
+    if a and a[0][-1] < 0:
+        cont = [-c for c in cont]
+    d = len(a) - 1
+    return _wrap({(d - i, j): c for i, row in enumerate(a)
+                  for j, c in enumerate(_umul(row, cont)) if c})
 
 
-def _gcd_rec(P: BiPoly, Q: BiPoly) -> BiPoly:
-    dP, dQ = P.degree_x(), Q.degree_x()
-    if dP == 0 and dQ == 0:
-        # both univariate in y
-        g = _ugcd(_y_coeffs(P), _y_coeffs(Q))
-        return _from_y_coeffs(g)
-    if dP == 0 or dQ == 0:
-        if dP == 0:
-            P, Q = Q, P
-        # gcd(P, c(y)) = gcd(content_x(P), c(y))
-        g = _ugcd(_y_coeffs(_content_x(P)), _y_coeffs(Q))
-        return _from_y_coeffs(g)
-    if dP < dQ:
-        P, Q = Q, P
-    cP, pP = _content_x(P), None
-    cQ, pQ = _content_x(Q), None
-    pP = _divide_content(P, cP)
-    pQ = _divide_content(Q, cQ)
-    cont = _from_y_coeffs(_ugcd(_y_coeffs(cP), _y_coeffs(cQ)))
-    # primitive Euclid via pseudo-remainders
-    A, B = pP, pQ
-    while not B.is_zero() and B.degree_x() > 0:
-        R = _pseudo_rem(A, B)
-        A, B = B, _divide_content(R, _content_x(R)) if not R.is_zero() else BiPoly.zero()
-    if B.is_zero():
-        g = A
-    else:
-        # B is a nonzero poly in y only; primitive parts share no y-content
-        g = BiPoly.const(1)
-    return cont * g
+def _split_content(rows):
+    """(content, primitive part) of a polynomial in Z[y][x] given as rows
+    leading first: the content is the gcd of the rows in Z[y] with a
+    positive leading coefficient; ([], []) for the zero polynomial."""
+    cont: list[int] = []
+    for r in rows:
+        cont = _ugcd(cont, r)
+    if not cont:
+        return cont, []
+    # the integer content of the quotients equals that of the rows (Gauss)
+    cont = [_igcd(*(c for r in rows for c in r)) * c for c in cont]
+    return cont, [_uexact_div(r, cont) for r in rows]
+
+
+def _xprem(a, b):
+    """A nonzero multiple in Z[y] of the remainder of a by b over Q(y)[x]
+    (rows leading first): each step cancels the leading row over Z[y]."""
+    lb, n = b[0], len(b)
+    while len(a) >= n:
+        la = a[0]
+        a = [_usub(_umul(r, lb), _umul(la, b[i]) if i < n else [])
+             for i, r in enumerate(a)]
+        while a and not a[0]:
+            del a[0]
+    return a
 
 
 def bipoly_exact_div(P: BiPoly, D: BiPoly) -> BiPoly:
@@ -562,49 +569,3 @@ def bipoly_exact_div(P: BiPoly, D: BiPoly) -> BiPoly:
             else:
                 rem.pop(ij, None)
     return _wrap(quot)
-
-
-def _pseudo_rem(A: BiPoly, B: BiPoly) -> BiPoly:
-    dA, dB = A.degree_x(), B.degree_x()
-    lb = B.x_coefficients()[dB]
-    R = A
-    while not R.is_zero() and R.degree_x() >= dB:
-        dR = R.degree_x()
-        lr = R.x_coefficients()[dR]
-        R = R * lb - B * lr * BiPoly.monomial(1, dR - dB, 0)
-    return R
-
-
-def _content_x(P: BiPoly) -> BiPoly:
-    g: list[int] = []
-    for c in P.x_coefficients():
-        if not c.is_zero():
-            g = _ugcd(g, _y_coeffs(c))
-    return _from_y_coeffs(g)
-
-
-def _divide_content(P: BiPoly, cont: BiPoly) -> BiPoly:
-    if cont.terms == {(0, 0): 1}:
-        return P
-    return bipoly_exact_div(P, cont)
-
-
-def _y_coeffs(P: BiPoly) -> list:
-    if P.degree_x() > 0:
-        raise ValueError("not a polynomial in y only")
-    out = [0] * (P.degree_y() + 1 if not P.is_zero() else 0)
-    for (_, j), c in P.terms.items():
-        out[j] = c
-    return _trim_z(out)
-
-
-def _from_y_coeffs(coeffs) -> BiPoly:
-    return BiPoly({(0, j): c for j, c in enumerate(coeffs) if c})
-
-
-def _normalize_gcd(g: BiPoly) -> BiPoly:
-    """Clear denominators, divide by integer content, fix the sign."""
-    if g.is_zero():
-        return g
-    keys = sorted(g.terms)  # lexicographic, so the leading term comes last
-    return _wrap(dict(zip(keys, _uprimitive([g.terms[ij] for ij in keys]))))

@@ -167,7 +167,7 @@ def cmd_verify_section3(args):
 def cmd_arnold(args):
     nu = GrowthSpec.parse(args.nu)
     try:
-        s, t, witnesses = build_theoremA_pair(nu, args.witnesses)
+        s, t, witnesses = build_theoremA_pair(nu, args.witnesses, args.budget)
     except IndexError as exc:
         raise ParseError(str(exc), 0)
     horizon = witnesses[-1][0]
@@ -326,8 +326,8 @@ GLOBALS = (
     ("--seed", {"type": int, "help": "sampler seed"}, 0),
     ("--format", {"choices": ["json", "csv", "text"]}, "json"),
     ("--out", {"help": "output path (default stdout)"}, None),
-    ("--budget", {"type": int, "help": "sparse term-count budget for compositions"},
-     10**6),
+    ("--budget", {"type": int, "help": "sparse term-count budget for compositions, "
+                  "and bit-size budget for arnold growth values"}, 10**6),
 )
 
 # (path, help, handler, arguments).  A row without a handler is a command

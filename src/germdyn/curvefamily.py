@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .bipoly import BudgetExceeded
 from .bitseq import BitSeq, first_difference
 from .dyadic import Dyadic
 from .series import AtLeast, USeries
@@ -298,23 +299,40 @@ class GrowthSpec:
         else:
             raise ValueError("unknown growth kind %r" % kind)
 
-    def __call__(self, n: int) -> int:
+    def __call__(self, n: int, budget: int | None = None) -> int:
+        """nu(n).  With a budget, raises BudgetExceeded instead of returning
+        a value of more than ``budget`` bits.  A lower bound on the size is
+        checked before any power or factorial is built, so nothing of more
+        than about twice the budget is ever computed."""
         if n < 0:
             raise ValueError("negative argument")
         if self.kind == "pow":
-            return self.arg**n
-        if self.kind == "factorial":
+            v = self._power(n, budget)
+        elif self.kind == "factorial":
             import math
 
-            return math.factorial(n)
-        if self.kind == "tower":
+            h = n // 2  # n! >= h^h
+            self._check_bits(h * (h.bit_length() - 1) + 1, budget)
+            v = math.factorial(n)
+        elif self.kind == "tower":
             v = 1
             for _ in range(n):
-                v = self.arg**v
-            return v
-        if n >= len(self.arg):
+                v = self._power(v, budget)
+        elif n >= len(self.arg):
             raise IndexError("growth table has no entry for n = %d" % n)
-        return self.arg[n]
+        else:
+            v = self.arg[n]
+        self._check_bits(v.bit_length(), budget)
+        return v
+
+    def _power(self, e: int, budget):
+        # arg^e >= 2^(e * (bit_length(arg) - 1))
+        self._check_bits(e * (self.arg.bit_length() - 1) + 1, budget)
+        return self.arg**e
+
+    def _check_bits(self, bits: int, budget):
+        if budget is not None and bits > budget:
+            raise BudgetExceeded("%s value exceeds %d bits" % (self, budget))
 
     @classmethod
     def parse(cls, text: str) -> "GrowthSpec":
@@ -340,9 +358,10 @@ class GrowthSpec:
         return self.kind
 
 
-def build_theoremA_pair(nu: GrowthSpec, K: int):
+def build_theoremA_pair(nu: GrowthSpec, K: int, budget: int | None = None):
     """Construct (s, t, witnesses): s all zeros, t runs of zeros separated by
     single ones, run lengths chosen minimally so each witness shift beats nu.
+    ``budget`` bounds the bit size of each nu value (see GrowthSpec).
 
     Witness k is (n_k, M_k, nu(n_k)) with M_k = nu(n_k) + 1 > nu(n_k), where
     n_k is the start of the k-th run and M_k the first-one position of the
@@ -357,7 +376,7 @@ def build_theoremA_pair(nu: GrowthSpec, K: int):
     pos = 0
     for _ in range(K):
         starts.append(pos)
-        L = nu(pos) + 1
+        L = nu(pos, budget) + 1
         lengths.append(L)
         pos += L + 1
     t = BitSeq.blocks(lengths)
@@ -367,7 +386,7 @@ def build_theoremA_pair(nu: GrowthSpec, K: int):
         M = shifted.first_one(lengths[k] + 2)
         if isinstance(M, AtLeast) or M != lengths[k]:
             raise AssertionError("witness construction out of sync")
-        witnesses.append((starts[k], M, nu(starts[k])))
+        witnesses.append((starts[k], M, lengths[k] - 1))
     return s, t, witnesses
 
 

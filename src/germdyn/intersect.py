@@ -9,12 +9,12 @@ generic coefficients of ideal members.
 from __future__ import annotations
 
 import random
-from math import gcd, lcm
 
 from .bipoly import (
     BiPoly,
     _resultant_linear,
     _ugcd,
+    _uprimitive,
     _wrap,
     bipoly_gcd,
     resultant_x,
@@ -92,14 +92,6 @@ class MapGerm:
             self.fy.compose(other.fx, other.fy, budget),
         )
 
-    def iterate(self, n: int, budget: int | None = None) -> "MapGerm":
-        if n < 0:
-            raise ValueError("negative iterate")
-        out = MapGerm.identity()
-        for _ in range(n):
-            out = self.compose(out, budget)
-        return out
-
     def __repr__(self):
         return "MapGerm(%s, %s)" % (self.fx, self.fy)
 
@@ -169,11 +161,7 @@ def _graph_mult(p: BiPoly, q: BiPoly):
 
 def _primitive(terms: dict) -> dict:
     """The coprime integer multiple of a nonzero coefficient dict."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    if den != 1:
-        terms = {ij: c.numerator * (den // c.denominator) for ij, c in terms.items()}
-    g = gcd(*terms.values())
-    return terms if g == 1 else {ij: c // g for ij, c in terms.items()}
+    return dict(zip(terms, _uprimitive(terms.values())))
 
 
 def _fulton(p: BiPoly, q: BiPoly) -> int:

@@ -3,15 +3,17 @@
 A chart records, for each point after the first, which earlier points it is
 proximate to.  The proximity matrix P (unit lower triangular with -1 at each
 proximity) determines everything: the intersection matrix of the exceptional
-components is N = -P^T P, the dual basis comes from exact inversion, and the
-generic multiplicities are the first column of P^{-1}.  Skewness values are
-negative intersection numbers of the normalized dual divisors.
+components is N = -P^T P, the dual basis is the integer matrix
+N^{-1} = -P^{-1} P^{-T}, and the generic multiplicities are the first column
+of P^{-1}.  All of it is integral.  Skewness values, the one rational
+output, are negative intersection numbers of the normalized dual divisors.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import mul
 
 
 class NotNegativeDefinite(ValueError):
@@ -85,7 +87,7 @@ class ProximityChart:
 
 
 class ExceptionalLattice:
-    """Intersection matrix, exact dual-basis coefficients, and generic
+    """Intersection matrix, integer dual-basis coefficients, and generic
     multiplicities of the exceptional components of a chart."""
 
     __slots__ = ("N", "dual", "b", "ord_x", "ord_y")
@@ -97,14 +99,15 @@ class ExceptionalLattice:
         self.ord_x = ord_x
         self.ord_y = ord_y
 
-    def dual_pairing(self, i: int, j: int) -> Fraction:
+    def dual_pairing(self, i: int, j: int) -> int:
         """Intersection of the i-th and j-th dual divisors (1-based)."""
         # dual_i . dual_j = (N^{-1})_{ij}; dual holds exactly N^{-1}
         return self.dual[i - 1][j - 1]
 
 
 def intersection_matrix(chart: ProximityChart) -> ExceptionalLattice:
-    """Build the lattice: N = -P^T P, dual coefficients N^{-1}, generic
+    """Build the lattice: N = -P^T P, dual coefficients
+    N^{-1} = -P^{-1} P^{-T} (P is unimodular, so N^{-1} is integral), generic
     multiplicities from the first column of P^{-1}, and coordinate orders
     from the chain membership of the followed axis."""
     r = chart.r
@@ -116,7 +119,7 @@ def intersection_matrix(chart: ProximityChart) -> ExceptionalLattice:
     ]
     _check_negative_definite(N)
     Pinv = _invert_unit_lower(P)
-    dual = _invert_exact(N)
+    dual = [[-sum(map(mul, u, v)) for v in Pinv] for u in Pinv]
     b = [Pinv[i][0] for i in range(r)]
     # the axis curve passes through the first point and every later free
     # point of the chain; the other coordinate is in generic position
@@ -141,54 +144,25 @@ def _invert_unit_lower(P):
     for j in range(r):
         inv[j][j] = 1
         for i in range(j + 1, r):
-            s = -sum(P[i][k] * inv[k][j] for k in range(j, i))
-            inv[i][j] = s
+            inv[i][j] = -sum(P[i][k] * inv[k][j] for k in range(j, i))
     return inv
 
 
-def _invert_exact(M):
-    r = len(M)
-    aug = [
-        [Fraction(M[i][j]) for j in range(r)]
-        + [Fraction(1 if i == j else 0) for j in range(r)]
-        for i in range(r)
-    ]
-    for col in range(r):
-        piv = next((k for k in range(col, r) if aug[k][col] != 0), None)
-        if piv is None:
-            raise NotNegativeDefinite("intersection form is degenerate")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for k in range(r):
-            if k != col and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[col])]
-    return [row[r:] for row in aug]
-
-
 def _check_negative_definite(N):
-    """Exact sign test on leading principal minors: (-1)^k det_k > 0."""
+    """Sylvester's criterion, (-1)^k det_k > 0 for every leading principal
+    minor det_k.  The minors are the pivots of one fraction-free (Bareiss)
+    elimination over Z with no row exchanges; a zero minor fails too."""
     r = len(N)
-    mat = [[Fraction(N[i][j]) for j in range(r)] for i in range(r)]
-    det = Fraction(1)
+    mat = [list(row) for row in N]
+    prev = 1
     for k in range(r):
-        piv = next((m for m in range(k, r) if mat[m][k] != 0), None)
-        if piv is None:
-            raise NotNegativeDefinite("singular leading block")
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            det = -det
-        det *= mat[k][k]
-        expected_sign = -1 if (k + 1) % 2 else 1
-        if (det > 0) - (det < 0) != expected_sign:
-            raise NotNegativeDefinite(
-                "leading minor %d has the wrong sign" % (k + 1)
-            )
-        for m in range(k + 1, r):
-            f = mat[m][k] / mat[k][k]
-            if f != 0:
-                mat[m] = [a - f * b for a, b in zip(mat[m], mat[k])]
+        det = mat[k][k]  # the leading minor of size k + 1
+        if det == 0 or (det < 0) != (k % 2 == 0):
+            raise NotNegativeDefinite("leading minor %d has the wrong sign" % (k + 1))
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                mat[i][j] = (det * mat[i][j] - mat[i][k] * mat[k][j]) // prev
+        prev = det
 
 
 def skewness(chart: ProximityChart, i: int, j: int) -> Fraction:
@@ -198,7 +172,7 @@ def skewness(chart: ProximityChart, i: int, j: int) -> Fraction:
         if not 1 <= k <= chart.r:
             raise ValueError("point %d outside 1..%d" % (k, chart.r))
     lat = intersection_matrix(chart)
-    return -lat.dual_pairing(i, j) / (lat.b[i - 1] * lat.b[j - 1])
+    return Fraction(-lat.dual_pairing(i, j), lat.b[i - 1] * lat.b[j - 1])
 
 
 def random_chart(rng, max_points: int = 6) -> ProximityChart:

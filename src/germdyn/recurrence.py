@@ -1,14 +1,13 @@
 """Detection of eventual integral linear recursions in integer sequences.
 
 A model of order k asserts u(n+k) = c1*u(n+k-1) + ... + ck*u(n) with integer
-coefficients from some onset index onward.  Detection solves a small exact
-linear system on trailing terms and then verifies the relation across the
-whole tail, including a mandatory holdout block.
+coefficients from some onset index onward.  Detection solves a small linear
+system on trailing terms by fraction-free elimination over Z and then
+verifies the relation across the whole tail, including a mandatory holdout
+block.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class NoRecurrenceFound(RuntimeError):
@@ -59,26 +58,25 @@ class RecurrenceModel:
         )
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over the rationals; None when singular."""
+def _solve_exact(rows: list[list[int]], rhs: list[int]):
+    """Fraction-free Gauss-Jordan elimination over Z: (d, x) with
+    rows . x = d * rhs and d = +-det(rows) != 0; None when singular.  Each
+    step divides exactly by the previous pivot (Bareiss)."""
     k = len(rhs)
     aug = [list(rows[i]) + [rhs[i]] for i in range(k)]
+    prev = 1
     for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if aug[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        top, p = aug[col], aug[col][col]
         for r in range(k):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][k] for i in range(k)]
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], top)]
+        prev = p
+    return prev, [aug[i][k] for i in range(k)]
 
 
 def detect_recursion(seq: list[int], max_order: int, holdout: int) -> RecurrenceModel:
@@ -116,18 +114,15 @@ def _fit_order(seq, k, fit_end):
     # slide the k-equation window backwards until the system is solvable
     top = fit_end - k  # last usable equation index n satisfies n + k < fit_end
     for start in range(top - k, -1, -1):
-        rows = []
-        rhs = []
-        for n in range(start, start + k):
-            rows.append([Fraction(seq[n + k - 1 - i]) for i in range(k)])
-            rhs.append(Fraction(seq[n + k]))
-        sol = _solve_exact(rows, rhs)
+        eqs = range(start, start + k)
+        sol = _solve_exact([[seq[n + k - 1 - i] for i in range(k)] for n in eqs],
+                           [seq[n + k] for n in eqs])
         if sol is None:
             continue
-        if any(c.denominator != 1 for c in sol):
+        d, x = sol
+        if any(c % d for c in x):  # a non-integral solution
             return None
-        coeffs = [int(c) for c in sol]
-        model = RecurrenceModel(k, coeffs, 0)
+        model = RecurrenceModel(k, [c // d for c in x], 0)
         onset = _minimal_onset(model, seq)
         if onset is None:
             return None

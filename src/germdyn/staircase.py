@@ -81,13 +81,7 @@ def _mono_str(i, j):
 
 def staircase_covolume(I: MonomialIdeal2) -> Fraction:
     """Area of the first-quadrant region outside the Newton polyhedron."""
-    hull = _lower_hull(I.gens)
-    # polygon (0,0) -> (0, y_power) -> hull vertices -> (x_power, 0) -> close
-    verts = [(0, 0)] + hull
-    area2 = 0
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-        area2 += x1 * y2 - x2 * y1
-    return Fraction(abs(area2), 2)
+    return Fraction(samuel(I), 2)
 
 
 def _lower_hull(points):
@@ -107,11 +101,15 @@ def _cross(o, a, b):
 
 
 def samuel(I: MonomialIdeal2) -> int:
-    """Twice the staircase covolume; always a nonnegative integer."""
-    e = 2 * staircase_covolume(I)
-    if e.denominator != 1:
-        raise AssertionError("doubled covolume must be an integer")
-    return int(e)
+    """Twice the staircase covolume, by the shoelace formula on integer
+    vertices; always a nonnegative integer."""
+    hull = _lower_hull(I.gens)
+    # polygon (0,0) -> (0, y_power) -> hull vertices -> (x_power, 0) -> close
+    verts = [(0, 0)] + hull
+    area2 = 0
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        area2 += x1 * y2 - x2 * y1
+    return abs(area2)
 
 
 def colength(I: MonomialIdeal2) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .bipoly import BiPoly, ZeroPolynomial
+from .bipoly import BiPoly, ZeroPolynomial, _uexact_div, _ugcd, _uprem
 from .intersect import MapGerm
 from .recurrence import NoRecurrenceFound, RecurrenceModel, detect_recursion
 
@@ -184,30 +184,47 @@ def growth_envelope_check(mu: list[int], c_inf: Fraction, max_order: int = 3,
     return report
 
 
-def _eval_int_poly(cp: list[int], x: int) -> int:
+def _eval_int_poly(p: list[int], x: int) -> int:
+    """p(x) for a coefficient list, low degree first."""
     acc = 0
-    for c in cp:
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
 def _dominant_root_bracket(cp: list[int]):
     """Integers (a, b) with the largest real root of the monic polynomial in
-    [a, b]; a == b when that root is an exact integer.
+    [a, b]: a == b exactly when that root is the integer a, else b = a + 1;
+    (-B, B), B the Cauchy bound, when there is no real root.
 
-    The recursions detected here come from positive growing sequences, whose
+    Real roots are counted exactly by a Sturm chain of the square-free part,
+    so two roots between consecutive integers are not missed.  The
+    recursions detected here come from positive growing sequences, whose
     dominant characteristic root is the largest real root.
     """
-    bound = 1 + max(abs(c) for c in cp)
-    a = None
-    for x in range(bound, -bound - 1, -1):
-        v = _eval_int_poly(cp, x)
-        if v == 0:
-            return x, x
-        if v < 0:
-            a = x
-            break
-    if a is None:
-        # no sign change on integers: fall back to the Cauchy bound
-        return -bound, bound
-    return a, a + 1
+    bound = 1 + max(abs(c) for c in cp)  # every root lies in (-bound, bound)
+    p = cp[::-1]
+    q = _uexact_div(p, _ugcd(p, [i * c for i, c in enumerate(p)][1:]))
+    chain = [q, [i * c for i, c in enumerate(q)][1:]]
+    while len(chain[-1]) > 1:
+        # with a positive leading divisor coefficient, _uprem returns a
+        # positive multiple of the remainder, which a Sturm chain negates
+        b = chain[-1] if chain[-1][-1] > 0 else [-c for c in chain[-1]]
+        chain.append([-c for c in _uprem(chain[-2], b)])
+
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_infinity = sign_changes([f[-1] for f in chain])
+
+    def roots_above(x):
+        return sign_changes([_eval_int_poly(f, x) for f in chain]) - at_infinity
+
+    lo, hi = -bound, bound
+    if not roots_above(lo):
+        return lo, hi
+    while hi - lo > 1:  # a root lies above lo and none above hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if roots_above(mid) else (lo, mid)
+    return (hi, hi) if _eval_int_poly(q, hi) == 0 else (lo, hi)

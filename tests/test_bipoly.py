@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -151,6 +152,34 @@ def test_gcd():
         "(x + y)(x - y^2)"
     )
     assert bipoly_gcd(parse_poly("x^2"), parse_poly("y^3")).is_constant()
+
+
+@pytest.mark.parametrize("p, q", [
+    ("y^3 - y", "y^2 + 2 y + 1"),                      # both free of x
+    ("(y - 2) (x^2 + y)", "(y - 2) (y + 1)"),          # one free of x
+    ("(y^2 + 1) (x + y)^2", "(y^2 + 1) (y - 3) (x - y)"),  # shared y-content
+    ("2 y (x + y)", "4 y^2 (x - 1)"),                  # integer content too
+    ("1/2 x^2 - 1/3 y", "3/4 x^2 y - 1/2 y^2"),        # rational coefficients
+    ("(1/2 x + 2/3 y) (x - y^2)", "(3 x + 4 y) (x + 1/5)"),
+    ("y^2", "x y + y^3"),
+])
+def test_gcd_matches_sympy(p, q):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(P):
+        return sympy.Poly(sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                                      * x**i * y**j for (i, j), c in P.terms.items()]),
+                          x, y)
+
+    P, Q = parse_poly(p), parse_poly(q)
+    g = bipoly_gcd(P, Q)
+    assert sympy.cancel(to_sympy(g).as_expr()
+                        / sympy.gcd(to_sympy(P), to_sympy(Q)).as_expr()).is_number
+    # the normalization: primitive over Z, with a positive coefficient at
+    # the lexicographically largest monomial
+    assert all(type(c) is int for c in g.terms.values())
+    assert gcd(*g.terms.values()) == 1 and g.terms[max(g.terms)] > 0
 
 
 def test_gcd_random_divides():

@@ -206,6 +206,22 @@ def test_budget_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("nu, witnesses", [("tower:2", "3"), ("pow:10", "4")])
+def test_arnold_growth_values_are_bounded_by_budget(nu, witnesses):
+    # the last witness needs nu of a height-21 tower, resp. 10^(10^1005)
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", "arnold", "--nu", nu,
+         "--witnesses", witnesses],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_global_flags_both_positions_and_out(capsys, tmp_path):
     out = tmp_path / "a.json"
     code, text = run(capsys, "--format", "json", "--out", str(out),

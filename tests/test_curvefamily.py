@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from germdyn import curvefamily
+from germdyn.bipoly import BudgetExceeded
 from germdyn.bitseq import BitSeq, parse_bitseq
 from germdyn.curvefamily import (
     CoeffTable,
@@ -143,6 +144,19 @@ def test_growth_specs():
     assert GrowthSpec.parse("tower:2")(3) == 16
     with pytest.raises(ValueError):
         GrowthSpec.parse("bogus")
+
+
+def test_growth_spec_bit_budget():
+    # a value of exactly `budget` bits passes; one more bit does not
+    assert GrowthSpec.parse("pow:2")(9, budget=10) == 512
+    assert GrowthSpec.parse("tower:2")(4, budget=17) == 65536
+    assert GrowthSpec.parse("factorial")(20, budget=62) == 2432902008176640000
+    for text, n, budget in (("pow:2", 10, 10), ("pow:3", 10, 15),
+                            ("tower:2", 4, 16), ("factorial", 20, 61),
+                            ("tower:2", 6, 10**6), ("pow:10", 10**1005, 10**6),
+                            ("factorial", 10**100, 10**6)):
+        with pytest.raises(BudgetExceeded):
+            GrowthSpec.parse(text)(n, budget)
 
 
 def test_theoremA_pair_structure():

@@ -73,6 +73,13 @@ def test_negative_definite_sweep():
         r = chart.r
         assert all(lat.N[i][j] == lat.N[j][i] for i in range(r) for j in range(r))
         assert all(b >= 1 for b in lat.b)
+        # the dual lattice is the integer inverse of N, and symmetric
+        assert all(type(v) is int for row in lat.dual for v in row)
+        assert all(lat.dual[i][j] == lat.dual[j][i] for i in range(r) for j in range(r))
+        assert all(
+            sum(lat.N[i][k] * lat.dual[k][j] for k in range(r)) == (i == j)
+            for i in range(r) for j in range(r)
+        )
 
 
 def test_not_negative_definite_detection():
@@ -82,6 +89,10 @@ def test_not_negative_definite_detection():
         _check_negative_definite([[1, 0], [0, -1]])
     with pytest.raises(NotNegativeDefinite):
         _check_negative_definite([[-1, 2], [2, -1]])
+    with pytest.raises(NotNegativeDefinite):
+        _check_negative_definite([[0, 1], [1, 0]])  # a zero leading minor
+    # not the form of any chart, but negative definite: minors -2, 3, -4
+    _check_negative_definite([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
 
 
 def test_json_round_trip():

@@ -1,12 +1,61 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from germdyn.recurrence import (
     NoRecurrenceFound,
     RecurrenceModel,
+    _solve_exact,
     detect_recursion,
 )
+
+
+def _solve_fraction(rows, rhs):
+    """Gaussian elimination over the rationals; None when singular.  The
+    oracle for the fraction-free solver."""
+    k = len(rhs)
+    aug = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(k)]
+    for col in range(k):
+        piv = None
+        for r in range(col, k):
+            if aug[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][k] for i in range(k)]
+
+
+def test_fraction_free_solve_matches_rational_oracle():
+    rng = random.Random(1968)
+    singular = 0
+    for trial in range(2000):
+        k = rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+        if trial % 3 == 0 and k > 1:  # an integer combination of two rows
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+        rhs = [rng.randint(-9, 9) for _ in range(k)]
+        expected = _solve_fraction(rows, rhs)
+        got = _solve_exact(rows, rhs)
+        if expected is None:
+            assert got is None
+            singular += 1
+            continue
+        d, x = got
+        assert d != 0 and all(type(c) is int for c in x)
+        assert [Fraction(c, d) for c in x] == expected
+        assert all(sum(a * c for a, c in zip(row, x)) == d * h
+                   for row, h in zip(rows, rhs))
+    assert 200 <= singular <= 1500
 
 
 def test_fibonacci():

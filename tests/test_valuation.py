@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from germdyn.intersect import MapGerm
 from germdyn.polyparse import parse_map, parse_poly
 from germdyn.valuation import (
     MonomialValuation,
+    _dominant_root_bracket,
     attraction_rate,
     c_infinity,
     c_sequence,
@@ -66,3 +68,41 @@ def test_growth_envelope():
     assert report2["pass"] and report2["ratio_min"] == 3
     with pytest.raises(ValueError):
         growth_envelope_check(mu, 1)
+
+
+def test_dominant_root_bracket_counts_roots_exactly():
+    # two real roots between 3 and 4 (3.79 and the integer 3): the old
+    # integer sign scan stopped at 3 and called the dominant root 3
+    assert _dominant_root_bracket([1, -6, 6, 9]) == (3, 4)
+    assert _dominant_root_bracket([1, -2]) == (2, 2)
+    assert _dominant_root_bracket([1, -1, -1]) == (1, 2)
+    assert _dominant_root_bracket([1, -4, 4]) == (2, 2)  # a double root
+
+
+def test_dominant_root_bracket_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    rng = random.Random(1829)
+    for trial in range(400):
+        degree = rng.randint(1, 4)
+        if trial % 2:
+            cp = [1] + [rng.randint(-9, 9) for _ in range(degree)]
+        else:  # integer and quadratic factors: repeated and clustered roots
+            p = sympy.Integer(1)
+            while sympy.degree(p, t) < degree:
+                if degree - sympy.degree(p, t) == 1 or rng.random() < 0.6:
+                    p *= t - rng.randint(-4, 4)
+                else:
+                    p *= t**2 + rng.randint(-6, 6) * t + rng.randint(-6, 6)
+            cp = [int(c) for c in sympy.Poly(p, t).all_coeffs()]
+        lo, hi = _dominant_root_bracket(cp)
+        roots = sympy.real_roots(sympy.Poly(cp, t))
+        if not roots:
+            bound = 1 + max(abs(c) for c in cp)
+            assert (lo, hi) == (-bound, bound)
+            continue
+        top = max(roots)
+        if top.is_integer:
+            assert lo == hi == top
+        else:
+            assert hi == lo + 1 and lo < top < hi
