@@ -19,14 +19,11 @@ from fractions import Fraction
 from math import gcd as _igcd
 from math import lcm as _ilcm
 
+from .series import BudgetExceeded
+
 
 class ZeroPolynomial(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a sparse term-count budget or a bit-size budget is
-    exceeded."""
 
 
 def _coef(c):

@@ -9,7 +9,9 @@ ValueError on bad input.  ``main`` alone renders json, csv or text, honours
 ``--out`` and picks the exit code: 0 all checks pass, 1 a check failed
 (witness in the output) or a stage could not be decided (a {"stage",
 "error"} payload), 2 a usage, parse or input-file error, 3 a computation
-budget was exceeded.  No failure ends in a traceback.
+budget was exceeded.  No failure ends in a traceback.  A handler imports
+the modules it runs in its own body, so a job loads only what its command
+needs.
 """
 
 from __future__ import annotations
@@ -20,34 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bipoly import BudgetExceeded
-from .bitseq import parse_bitseq
-from .curvefamily import (
-    CoeffTable,
-    GrowthSpec,
-    build_theoremA_pair,
-    certify_finite_contacts,
-    lemma_sum_check_range,
-    mu_digit_count,
-    mult_coeffwise,
-    mult_formula,
-    mult_formula_exceeds,
-    section3_recursion_check,
-    verify_bound,
-    verify_functoriality,
-)
-from .intersect import (
-    GenericSampler,
-    InfiniteMultiplicity,
-    MapGerm,
-    mu_sequence,
-)
-from .polyparse import ParseError, parse_map, parse_poly_list
-from .proximity import ProximityChart, skewness
-from .recurrence import NoRecurrenceFound, detect_recursion
-from .series import AtLeast
-from .staircase import MonomialIdeal2, minkowski_check, mixed, samuel
-from .valuation import MonomialValuation, c_infinity, c_sequence, growth_envelope_check
+from .series import AtLeast, BudgetExceeded
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -55,7 +30,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _parse_ideal(text: str) -> MonomialIdeal2:
+def _parse_ideal(text: str):
+    from .polyparse import ParseError, parse_poly_list
+    from .staircase import MonomialIdeal2
+
     gens = []
     for poly in parse_poly_list(text):
         if poly.term_count() != 1:
@@ -91,6 +69,9 @@ def _mult_str(v):
 # -- subcommand handlers: each returns (payload, ok, csv_rows) -------------
 
 def cmd_curve_coeffs(args):
+    from .bitseq import parse_bitseq
+    from .curvefamily import CoeffTable
+
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     s = parse_bitseq(args.seq)
@@ -106,6 +87,9 @@ def cmd_curve_coeffs(args):
 
 
 def cmd_curve_mult(args):
+    from .bitseq import parse_bitseq
+    from .curvefamily import CoeffTable, mult_coeffwise, mult_formula
+
     a = parse_bitseq(args.a)
     b = parse_bitseq(args.b)
     if a.same_sequence(b):
@@ -126,6 +110,9 @@ def cmd_curve_mult(args):
 
 
 def cmd_verify_functoriality(args):
+    from .bitseq import parse_bitseq
+    from .curvefamily import CoeffTable, verify_functoriality
+
     s = parse_bitseq(args.seq)
     ok, witness = verify_functoriality(s, args.n, CoeffTable())
     payload = {"check": "functoriality", "sequence": str(s), "n": args.n,
@@ -137,6 +124,9 @@ def cmd_verify_functoriality(args):
 
 
 def cmd_verify_bound(args):
+    from .bitseq import parse_bitseq
+    from .curvefamily import CoeffTable, verify_bound
+
     s = parse_bitseq(args.seq)
     ok, witness = verify_bound(s, args.n, CoeffTable())
     payload = {"check": "bound", "sequence": str(s), "n": args.n,
@@ -149,6 +139,8 @@ def cmd_verify_bound(args):
 
 
 def cmd_verify_lemma(args):
+    from .curvefamily import lemma_sum_check_range
+
     ok, bad = lemma_sum_check_range(args.n)
     payload = {"check": "lemma", "n_max": args.n, "result": _result(ok)}
     if bad is not None:
@@ -157,6 +149,9 @@ def cmd_verify_lemma(args):
 
 
 def cmd_verify_section3(args):
+    from .bitseq import parse_bitseq
+    from .curvefamily import section3_recursion_check
+
     a = parse_bitseq(args.a)
     b = parse_bitseq(args.b)
     ok = section3_recursion_check(a, b, args.horizon)
@@ -165,10 +160,16 @@ def cmd_verify_section3(args):
 
 
 def cmd_arnold(args):
+    from .curvefamily import (GrowthSpec, build_theoremA_pair,
+                              certify_finite_contacts, mu_digit_count,
+                              mult_formula_exceeds)
+
     nu = GrowthSpec.parse(args.nu)
     try:
         s, t, witnesses = build_theoremA_pair(nu, args.witnesses, args.budget)
     except IndexError as exc:
+        from .polyparse import ParseError
+
         raise ParseError(str(exc), 0)
     horizon = witnesses[-1][0]
     finite_ok = certify_finite_contacts(s, t, horizon)
@@ -202,6 +203,9 @@ def _mu_stage(args):
     """The stages mu-seq and pipeline share: validate the map, then compute
     mu(0..nmax).  Returns (F, mu), or (None, result) with the handler result
     naming the stage that failed."""
+    from .intersect import GenericSampler, InfiniteMultiplicity, MapGerm, mu_sequence
+    from .polyparse import parse_map, parse_poly_list
+
     F = MapGerm(*parse_map(args.map))
     if not F.finiteness_certificate():
         return None, _stage_failure("map validation",
@@ -226,11 +230,15 @@ def cmd_mu_seq(args):
 
 
 def cmd_samuel(args):
+    from .staircase import samuel
+
     ideal = _parse_ideal(args.ideal)
     return {"ideal": str(ideal), "samuel": str(samuel(ideal))}, True, None
 
 
 def cmd_mixed(args):
+    from .staircase import minkowski_check, mixed, samuel
+
     A = _parse_ideal(args.ideal_a)
     B = _parse_ideal(args.ideal_b)
     e_a, e_b = samuel(A), samuel(B)
@@ -242,6 +250,10 @@ def cmd_mixed(args):
 
 
 def cmd_c_seq(args):
+    from .intersect import MapGerm
+    from .polyparse import parse_map
+    from .valuation import MonomialValuation, c_sequence
+
     F = MapGerm(*parse_map(args.map))
     nu = MonomialValuation(Fraction(args.wx), Fraction(args.wy))
     rates = c_sequence(F, nu, args.nmax, args.budget)
@@ -251,6 +263,11 @@ def cmd_c_seq(args):
 
 
 def cmd_c_inf(args):
+    from .intersect import MapGerm
+    from .polyparse import parse_map
+    from .recurrence import NoRecurrenceFound
+    from .valuation import c_infinity
+
     F = MapGerm(*parse_map(args.map))
     try:
         rate = c_infinity(F, args.nmax, args.budget)
@@ -260,6 +277,8 @@ def cmd_c_inf(args):
 
 
 def cmd_skewness(args):
+    from .proximity import ProximityChart, skewness
+
     with open(args.chart) as fh:
         chart = ProximityChart.from_json(fh.read())
     value = skewness(chart, args.i, args.j)
@@ -269,6 +288,8 @@ def cmd_skewness(args):
 
 
 def cmd_recursion(args):
+    from .recurrence import NoRecurrenceFound, detect_recursion
+
     seq = [int(v) for v in args.terms.split(",")]
     max_order = max(1, min(args.max_order, (len(seq) - args.holdout) // 2))
     try:
@@ -279,6 +300,9 @@ def cmd_recursion(args):
 
 
 def cmd_pipeline(args):
+    from .recurrence import NoRecurrenceFound, detect_recursion
+    from .valuation import c_infinity, growth_envelope_check
+
     F, mu = _mu_stage(args)
     if F is None:  # mu is the stage failure
         return mu
@@ -408,6 +432,8 @@ def main(argv=None) -> int:
     for flag, _, default in GLOBALS:
         vars(args).setdefault(flag[2:], default)
     try:
+        if args.budget < 0:
+            raise ValueError("--budget must be >= 0")
         payload, ok, csv_rows = args.func(args)
         if args.format == "json":
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

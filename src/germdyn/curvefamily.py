@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipoly import BudgetExceeded
 from .bitseq import BitSeq, first_difference
 from .dyadic import Dyadic
-from .series import AtLeast, USeries
+from .series import AtLeast, BudgetExceeded, USeries
 
 
 class UndeterminedDifference(ValueError):

@@ -23,9 +23,10 @@ class NotNegativeDefinite(ValueError):
 class ProximityChart:
     """r infinitely near points; point i > 1 is proximate to its predecessor
     and to at most one other earlier point.  ``axis`` names the coordinate
-    whose zero curve the chain of free points follows."""
+    whose zero curve the chain of free points follows.  A chart is immutable,
+    so it builds its lattice once, on first use."""
 
-    __slots__ = ("r", "proximities", "axis")
+    __slots__ = ("r", "proximities", "axis", "_lattice")
 
     def __init__(self, r: int, proximities, axis: str = "y"):
         if r < 1:
@@ -45,6 +46,7 @@ class ProximityChart:
         self.r = r
         self.proximities = frozenset(prox)
         self.axis = axis
+        self._lattice = None
 
     @classmethod
     def free_chain(cls, r: int, axis: str = "y") -> "ProximityChart":
@@ -57,6 +59,11 @@ class ProximityChart:
         for i, j in self.proximities:
             P[i - 1][j - 1] = -1
         return P
+
+    def lattice(self) -> "ExceptionalLattice":
+        if self._lattice is None:
+            self._lattice = intersection_matrix(self)
+        return self._lattice
 
     def is_free(self, i: int) -> bool:
         """Point i is free when proximate to at most one earlier point."""
@@ -171,7 +178,7 @@ def skewness(chart: ProximityChart, i: int, j: int) -> Fraction:
     for k in (i, j):
         if not 1 <= k <= chart.r:
             raise ValueError("point %d outside 1..%d" % (k, chart.r))
-    lat = intersection_matrix(chart)
+    lat = chart.lattice()
     return Fraction(-lat.dual_pairing(i, j), lat.b[i - 1] * lat.b[j - 1])
 
 

@@ -10,6 +10,11 @@ Coefficients may be Dyadic, Fraction, or int; they only need ring operators.
 from __future__ import annotations
 
 
+class BudgetExceeded(RuntimeError):
+    """Raised when a sparse term-count budget or a bit-size budget is
+    exceeded."""
+
+
 class AtLeast:
     """Sentinel for a certified lower bound: the value is at least ``bound``.
 

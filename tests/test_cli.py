@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import germdyn
-from germdyn import cli
+from germdyn import cli, intersect
 from germdyn.cli import main
 from germdyn.intersect import InfiniteMultiplicity
 
@@ -191,7 +191,7 @@ def test_csv_failure_quotes_commas(capsys, monkeypatch, command):
     def failing(*args, **kwargs):
         raise InfiniteMultiplicity(message)
 
-    monkeypatch.setattr(cli, "mu_sequence", failing)
+    monkeypatch.setattr(intersect, "mu_sequence", failing)
     code, out = run(capsys, command, "--map", "(x^2 - y^4, y^4)",
                     "--ideal", "x, y", "--nmax", "3", "--format", "csv")
     assert code == 1
@@ -204,6 +204,24 @@ def test_budget_exit_code(capsys):
     code, _ = run(capsys, "--budget", "2", "pipeline",
                   "--map", "(x^2 - y^4, y^4)", "--ideal", "x, y", "--nmax", "5")
     assert code == 3
+
+
+LEAVES = {path: arguments for path, _, handler, arguments in cli.COMMANDS if handler}
+
+
+@pytest.mark.parametrize("path", list(LEAVES), ids=" ".join)
+@pytest.mark.parametrize("after", [False, True])
+def test_negative_budget_is_a_usage_error(capsys, path, after):
+    # the budget is checked before the command runs, so any required value does
+    argv = list(path)
+    for flag, options in LEAVES[path]:
+        if options.get("required"):
+            argv += [flag, "1"]
+    argv = argv + ["--budget", "-1"] if after else ["--budget", "-1"] + argv
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget must be >= 0\n"
 
 
 @pytest.mark.parametrize("nu, witnesses", [("tower:2", "3"), ("pow:10", "4")])

@@ -102,3 +102,18 @@ def test_json_round_trip():
     assert back.r == chart.r
     assert back.proximities == chart.proximities
     assert back.axis == "x"
+
+
+def test_chart_builds_its_lattice_once():
+    rng = random.Random(11)
+    for _ in range(50):
+        chart = random_chart(rng, 8)
+        lat = chart.lattice()
+        assert chart.lattice() is lat
+        fresh = intersection_matrix(chart)
+        assert fresh is not lat and (fresh.N, fresh.dual, fresh.b) == (lat.N, lat.dual, lat.b)
+        for i in range(1, chart.r + 1):
+            for j in range(1, chart.r + 1):
+                assert skewness(chart, i, j) == Fraction(
+                    -fresh.dual_pairing(i, j), fresh.b[i - 1] * fresh.b[j - 1])
+        assert chart.lattice() is lat

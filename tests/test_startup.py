@@ -1,0 +1,124 @@
+"""Start-up cost: importing the package loads no module, and a CLI job loads
+only the modules its command runs."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import germdyn
+from germdyn import cli
+
+SRC = os.path.dirname(os.path.dirname(germdyn.__file__))
+
+# runs one CLI job, then prints its exit code and the germdyn modules loaded
+PROBE = """\
+import contextlib, io, json, sys
+from germdyn.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "germdyn")]))
+"""
+
+FAMILY = {"bitseq", "curvefamily", "dyadic", "series"}
+ITERATE = {"bipoly", "intersect", "polyparse", "recurrence", "series", "valuation"}
+MU = {"bipoly", "intersect", "polyparse", "series"}
+IDEALS = {"bipoly", "polyparse", "series", "staircase"}
+MAP = "(x^2 - y^4, y^4)"
+
+# one cheap, successful job per COMMANDS leaf, and the modules it may load
+JOBS = {
+    ("curve", "coeffs"): (["--seq", "0", "--n", "3"], FAMILY),
+    ("curve", "mult"): (["--a", "0", "--b", "001"], FAMILY),
+    ("verify", "functoriality"): (["--seq", "0", "--n", "20"], FAMILY),
+    ("verify", "bound"): (["--seq", "0", "--n", "20"], FAMILY),
+    ("verify", "lemma"): (["--n", "50"], FAMILY),
+    ("verify", "section3"): (["--a", "0", "--b", "001"], FAMILY),
+    ("arnold",): (["--nu", "pow:2", "--witnesses", "2"], FAMILY),
+    ("mu-seq",): (["--map", MAP, "--ideal", "x, y", "--nmax", "2"], MU),
+    ("samuel",): (["--ideal", "x^2, y^3"], IDEALS),
+    ("mixed",): (["--ideal-a", "x^2, y^3", "--ideal-b", "x, y"], IDEALS),
+    ("c-seq",): (["--map", MAP, "--nmax", "3"], ITERATE),
+    ("c-inf",): (["--map", MAP, "--nmax", "3"], ITERATE),
+    ("skewness",): (["--chart", "CHART", "--i", "1", "--j", "2"], {"proximity", "series"}),
+    ("recursion",): (["--terms", "1,2,4,8,16,32"], {"recurrence", "series"}),
+    ("pipeline",): (["--map", MAP, "--ideal", "x, y", "--nmax", "3"], ITERATE),
+}
+
+# what the package exported when its __init__ imported every module
+OLD_EXPORTS = {
+    "bipoly": ["BiPoly", "BudgetExceeded", "ZeroPolynomial", "bipoly_gcd", "resultant_x"],
+    "bitseq": ["BitSeq", "first_difference", "parse_bitseq"],
+    "curvefamily": ["CoeffTable", "GrowthSpec", "build_theoremA_pair", "coeff", "curve",
+                    "lemma_sum_check", "mult_coeffwise", "mult_formula", "mu_theoremA",
+                    "section3_recursion_check", "verify_bound", "verify_functoriality"],
+    "dyadic": ["Dyadic"],
+    "intersect": ["INFINITE", "GenericSampler", "MapGerm", "PlaneCurve", "local_mult",
+                  "mu_sequence", "pullback", "samuel_via_generic"],
+    "proximity": ["ExceptionalLattice", "ProximityChart", "intersection_matrix", "skewness"],
+    "recurrence": ["NoRecurrenceFound", "RecurrenceModel", "detect_recursion"],
+    "series": ["AtLeast", "USeries"],
+    "staircase": ["MonomialIdeal2", "colength_power", "containment_index",
+                  "hilbert_samuel_fit", "minkowski_check", "mixed", "product", "samuel"],
+    "valuation": ["AsymptoticRate", "MonomialValuation", "attraction_rate", "c_infinity",
+                  "c_sequence", "growth_envelope_check"],
+}
+
+
+def probe(*argv):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, modules
+
+
+def test_every_leaf_has_a_job():
+    leaves = {path for path, _, handler, _ in cli.COMMANDS if handler is not None}
+    assert leaves == set(JOBS)
+
+
+def test_importing_the_cli_loads_no_math_module():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import germdyn.cli, sys; print(' '.join(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'germdyn')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.split() == ["germdyn", "germdyn.cli", "germdyn.series"]
+
+
+@pytest.mark.parametrize("path", sorted(JOBS), ids=" ".join)
+def test_a_job_loads_only_what_its_command_runs(path, tmp_path):
+    args, allowed = JOBS[path]
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps({"points": 3, "proximate": [[2, 1], [3, 2], [3, 1]]}))
+    args = [str(chart) if a == "CHART" else a for a in args]
+    code, modules = probe(*path, *args)
+    assert code == 0
+    assert set(modules) == {"germdyn", "germdyn.cli"} | {"germdyn." + m for m in allowed}
+
+
+def test_old_exports_resolve_lazily_to_the_defining_objects():
+    names = dir(germdyn)
+    for module, exported in OLD_EXPORTS.items():
+        mod = import_module("germdyn." + module)
+        assert module in names and getattr(germdyn, module) is mod
+        for name in exported:
+            assert name in names
+            assert getattr(germdyn, name) is getattr(mod, name), name
+    assert germdyn.bipoly.BudgetExceeded is germdyn.series.BudgetExceeded
+    assert germdyn.__version__ == "0.1.0"
+
+
+def test_from_imports_and_unknown_names():
+    from germdyn import BiPoly, intersect, polyparse
+
+    assert BiPoly is germdyn.bipoly.BiPoly
+    assert intersect is sys.modules["germdyn.intersect"]
+    assert polyparse.BiPoly is BiPoly
+    with pytest.raises(AttributeError):
+        germdyn.nosuchname
+    with pytest.raises(ImportError):
+        from germdyn import nosuchname  # noqa: F401
