@@ -300,6 +300,8 @@ def cmd_recursion(args):
 
 
 def cmd_pipeline(args):
+    if args.nmax < 2:  # a recursion needs terms to fit and one to hold out
+        raise ValueError("--nmax must be >= 2")
     from .recurrence import NoRecurrenceFound, detect_recursion
     from .valuation import c_infinity, growth_envelope_check
 
@@ -351,6 +353,7 @@ GLOBALS = (
     ("--format", {"choices": ["json", "csv", "text"]}, "json"),
     ("--out", {"help": "output path (default stdout)"}, None),
     ("--budget", {"type": int, "help": "sparse term-count budget for compositions, "
+                  "coefficient budget for the jets of mu-seq and pipeline, "
                   "and bit-size budget for arnold growth values"}, 10**6),
 )
 

@@ -13,6 +13,7 @@ witness pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .bitseq import BitSeq, first_difference
 from .dyadic import Dyadic
@@ -78,15 +79,11 @@ class CoeffTable:
             n = len(row) - 1  # defining a_(n+1)
             # convolution over i + j = n + 1 with i, j >= 1, folded by
             # symmetry; in the A_n scaling the 4-powers cancel exactly
-            acc = 0
-            i, j = 1, n
-            while i < j:
-                acc += row[i] * row[j]
-                i += 1
-                j -= 1
+            m = n // 2
+            acc = sum(map(mul, row[1:m + 1], row[n:n - m:-1]))
             total = acc + acc
-            if i == j:
-                total += row[i] * row[i]
+            if n % 2:
+                total += row[m + 1] * row[m + 1]
             if n % 4 == 0:
                 k = n // 4
                 if k >= len(shift_row):

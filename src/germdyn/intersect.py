@@ -4,11 +4,21 @@
 over either axis, the fiber certificate, a gcd, Fulton's reduction) is a
 proof, and none draws a random number.  ``GenericSampler`` only draws the
 generic coefficients of ideal members.
+
+``mu_sequence`` reads mu(n) = i_0((F^n)^* D_z, D_w) off the arc formula
+i_0(P, C) = ord_t P(gamma(t)), for a primitive parametrization gamma of an
+irreducible germ C (E. Casas-Alvero, *Singularities of Plane Curves*, LMS
+LN 276, ch. 2), whenever the w-member has an integer one: a graph over
+either axis, or a coprime binomial c x^p + d y^q.  It iterates the arc
+F^n(gamma) as jets truncated below t^T and never builds F^n.  Every other
+w-member goes through the exact pullback and ``local_mult``.
 """
 
 from __future__ import annotations
 
 import random
+from math import gcd
+from operator import mul
 
 from .bipoly import (
     BiPoly,
@@ -19,6 +29,7 @@ from .bipoly import (
     bipoly_gcd,
     resultant_x,
 )
+from .series import AtLeast, BudgetExceeded, USeries
 
 
 class DegenerateInput(ValueError):
@@ -246,31 +257,141 @@ def generic_member(generators: list[BiPoly], coeffs: list[int]) -> PlaneCurve:
     return PlaneCurve(acc)
 
 
+def _parametrization(D: BiPoly):
+    """An integer primitive parametrization (x(t), y(t)) of the germ D = 0,
+    as two coefficient lists in t, when D is a graph or a coprime binomial;
+    else None.  The shape is read after clearing denominators."""
+    d = _primitive(D.terms)
+    for k in (0, 1):
+        if _is_graph(D, k):
+            # c u = h(v): v = c t and u = h(c t) / c, integral since h(0) = 0
+            c = d.pop((1, 0) if k == 0 else (0, 1))
+            u = [0] * (max(map(sum, d), default=1) + 1)
+            for ij, e in d.items():
+                u[sum(ij)] = -e * c ** (sum(ij) - 1)
+            return (u, [0, c]) if k == 0 else ([0, c], u)
+    if len(d) != 2:
+        return None
+    ((p, py), c), ((qx, q), e) = sorted(d.items(), reverse=True)
+    if py or qx or gcd(p, q) != 1:
+        return None
+    # c x^p + e y^q vanishes at (s c^i e^j t^q, r c^g e^f t^p) when
+    # 1 + i p = g q, j p = 1 + f q and s^p = -r^q; p, q >= 2 here, since a
+    # binomial with an exponent 1 is a graph
+    g, j = pow(q, -1, p), pow(p, -1, q)
+    i, f = (g * q - 1) // p, (j * p - 1) // q
+    s, r = (1, -1) if q % 2 else (-1, 1)
+    return [0] * q + [s * c**i * e**j], [0] * p + [r * c**g * e**f]
+
+
+def _at_jets(P: BiPoly, X: USeries, Y: USeries) -> USeries:
+    """P(X, Y) for a P with no constant term and jets X, Y exact below t^T
+    (their truncation): a ring operation mod t^T, so exact below t^T as
+    well.  A product runs over the nonzero span of its factors only."""
+    T = X.trunc
+
+    def times(a, b):
+        out = [0] * T
+        sa, sb = ([k for k, c in enumerate(v) if c] for v in (a, b))
+        if not sa or not sb:
+            return out
+        (oa, la), (ob, lb) = (sa[0], sa[-1]), (sb[0], sb[-1])
+        rb = b[::-1]
+        # out[k] sums a[i] b[k - i] over oa <= i <= la, ob <= k - i <= lb;
+        # a square takes each pair i < k - i once, doubled, and the middle
+        for k in range(oa + ob, min(T, la + lb + 1)):
+            lo, hi = max(oa, k - lb), min(la, k - ob)
+            if a is b:
+                hi = min(hi, (k - 1) // 2)
+            s = sum(map(mul, a[lo:hi + 1], rb[T - 1 - k + lo:T - k + hi]))
+            if a is b:
+                s = 2 * s + (a[k // 2] ** 2 if k % 2 == 0 else 0)
+            out[k] = s
+        return out
+
+    def power(squares, e):  # by repeated squaring: exponents run to thousands
+        acc = None
+        for b in range(e.bit_length()):
+            if b == len(squares):
+                squares.append(times(squares[-1], squares[-1]))
+            if e >> b & 1:
+                acc = squares[b] if acc is None else times(acc, squares[b])
+        return acc
+
+    xs, ys = [X.coeffs], [Y.coeffs]
+    out = [0] * T
+    for (i, j), c in P.terms.items():
+        m = (times(power(xs, i), power(ys, j)) if i and j
+             else power(xs, i) if i else power(ys, j))
+        for k, v in enumerate(m):
+            if v:
+                out[k] += c * v
+    return USeries(out, T)
+
+
 def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
                 w: list[int], n_max: int, sampler: GenericSampler,
                 budget: int = DEFAULT_TERM_BUDGET) -> list[int]:
     """mu(n) = i_0(pullback of the z-member by F^n, w-member), n = 0..n_max.
 
+    When the w-member D_w has an integer primitive parametrization gamma (a
+    graph c x - h(y) or c y - h(x), or a coprime binomial c x^p + d y^q),
+    mu(n) = ord_t D_z(F^n(gamma(t))), read off the arc iterated as jets
+    below t^T; no F^n, pullback or resultant is built.  A nonzero jet gives
+    mu(n); a zero jet doubles T, up to ``budget``.  Past the degree bound
+    deg(D_z) deg(F)^n deg_t(gamma) a zero jet proves D_z(F^n(gamma)) = 0.
+    Any other D_w goes through the exact pullback and ``local_mult``, under
+    the same term ``budget`` as compositions.
+
     Raises InfiniteMultiplicity (with the failing index in the message) when
-    the two curves share a component through the origin.  ``sampler`` is
+    the two curves share a component through the origin, and BudgetExceeded
+    when a jet would need more than ``budget`` coefficients.  ``sampler`` is
     unused, since local_mult draws nothing.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     Dz = generic_member(generators, z)
     Dw = generic_member(generators, w)
+    if Dz.is_zero() or Dw.is_zero():
+        raise DegenerateInput("zero polynomial is not a curve")
     out = []
-    Fn = MapGerm.identity()
-    for n in range(n_max + 1):
-        Pn = pullback(Fn, Dz, budget)
-        val = local_mult(Pn, Dw)
-        if val is INFINITE:
-            raise InfiniteMultiplicity(
-                "shared component at iterate %d; sequence %r so far" % (n, out)
-            )
-        out.append(val)
-        if n < n_max:
-            Fn = F.compose(Fn, budget)
+
+    def shared(n):
+        return InfiniteMultiplicity(
+            "shared component at iterate %d; sequence %r so far" % (n, out))
+
+    gamma = _parametrization(Dw.poly)
+    if gamma is None:
+        Fn = MapGerm.identity()
+        for n in range(n_max + 1):
+            val = local_mult(pullback(Fn, Dz, budget), Dw)
+            if val is INFINITE:
+                raise shared(n)
+            out.append(val)
+            if n < n_max:
+                Fn = F.compose(Fn, budget)
+        return out
+    deg_f = max(F.fx.degree(), F.fy.degree())
+    deg_gamma = max(map(len, gamma)) - 1
+    T, arc = min(8, budget), None
+    while len(out) <= n_max:
+        n = len(out)
+        if arc is None:  # F^n(gamma) below t^T, from gamma
+            arc = [USeries(u, T) for u in gamma]
+            for _ in range(n):
+                arc = [_at_jets(f, *arc) for f in (F.fx, F.fy)]
+        val = _at_jets(Dz.poly, *arc).ord()
+        if not isinstance(val, AtLeast):
+            out.append(val)
+            if n < n_max:
+                arc = [_at_jets(f, *arc) for f in (F.fx, F.fy)]
+        elif T > Dz.poly.degree() * deg_f ** n * deg_gamma:
+            raise shared(n)
+        elif T >= budget:
+            raise BudgetExceeded(
+                "mu(%d) is at least %d, the jet budget" % (n, budget))
+        else:
+            T, arc = min(2 * T, budget), None
     return out
 
 

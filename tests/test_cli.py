@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -204,6 +205,35 @@ def test_budget_exit_code(capsys):
     code, _ = run(capsys, "--budget", "2", "pipeline",
                   "--map", "(x^2 - y^4, y^4)", "--ideal", "x, y", "--nmax", "5")
     assert code == 3
+
+
+def test_budget_bounds_the_jets(capsys):
+    # mu(n) = 2^n: mu(10) needs a jet longer than the budget
+    start = time.monotonic()
+    code, out = run(capsys, "--budget", "1000", "mu-seq", "--map", "(x^2 - y^4, y^4)",
+                    "--ideal", "x, y", "--nmax", "40")
+    assert code == 3 and out == ""
+    assert time.monotonic() - start < 30
+
+
+def test_mu_seq_on_each_arc_shape_and_the_fallback(capsys):
+    # a y-graph, a coprime binomial, and a member with no parametrization
+    for ideal, mu in [("y - x^2, x^3", ["3", "4", "8", "16", "32"]),
+                      ("x^2, y^3", ["6", "12", "24", "48", "96"]),
+                      ("x^2, x y, y^2", ["4", "8", "16"])]:
+        nmax = str(len(mu) - 1)
+        code, data = run_json(capsys, "mu-seq", "--map", "(x^2 - y^4, y^4)",
+                              "--ideal", ideal, "--nmax", nmax)
+        assert code == 0 and data["mu"] == mu, ideal
+
+
+@pytest.mark.parametrize("nmax", ["0", "1"])
+def test_pipeline_needs_two_terms(capsys, nmax):
+    code = main(["pipeline", "--map", "(x^2 - y^4, y^4)", "--ideal", "x, y",
+                 "--nmax", nmax])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --nmax must be >= 2\n"
 
 
 LEAVES = {path: arguments for path, _, handler, arguments in cli.COMMANDS if handler}

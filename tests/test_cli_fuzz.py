@@ -19,7 +19,8 @@ garbage = st.text(max_size=12)
 small = st.integers(-3, 3).map(str)
 MAPS = ["(x^2 - y^4, y^4)", "(x^2 + y^3, x y)", "(y^2, x^2 - y^3)", "(y, x y)",
         "(x^2, y^2)", "(x, y)", "(0, y)", "(x^2 - y^4)"]
-IDEALS = ["x, y", "x^2, y^3", "x - 2 y, y^2", "x, x", "x y", "1", "x^2 + y"]
+IDEALS = ["x, y", "x^2, y^3", "x - 2 y, y^2", "x, x", "x y", "1", "x^2 + y",
+          "y - x^2, x^3", "x^3, y^2", "x^2, x y, y^2"]
 SEQS = ["0", "1", "001", ":(01)", "0110:(10)", ":1...", "", "2"]
 
 # flags whose default is expensive are always passed, with a small value

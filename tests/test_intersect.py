@@ -1,4 +1,6 @@
 import random
+import re
+from math import gcd
 
 import pytest
 
@@ -13,13 +15,16 @@ from germdyn.intersect import (
     PlaneCurve,
     _fiber_certificate,
     _is_graph,
+    _parametrization,
+    generic_member,
     local_mult,
     local_mult_detailed,
     mu_sequence,
     pullback,
     samuel_via_generic,
 )
-from germdyn.polyparse import parse_map, parse_poly
+from germdyn.polyparse import parse_map, parse_poly, parse_poly_list
+from germdyn.series import BudgetExceeded
 
 
 def C(text):
@@ -306,3 +311,108 @@ def test_detailed_is_exact_with_no_fallback():
     # neither curve is a graph or certified, so Fulton's reduction decides:
     # i_0(y^2 - x^3, x^4) = 4 i_0(y^2 - x^3, x) = 8
     assert local_mult_detailed(C("y^2 - x^3"), C("y^2 - x^3 + x^4")) == (8, False)
+
+
+# the paper, cusp, swap and (y, x y) maps
+ARC_MAPS = ["(x^2 - y^4, y^4)", "(x^2 + y^3, x y)", "(y^2, x^2 - y^3)", "(y, x y)"]
+# ideals whose generic member has an integer parametrization: x-graphs (one
+# with rational coefficients), a y-graph and coprime binomials; n_max stays
+# where the exact loop is quick (at n = 4 the binomials take it a minute)
+ARC_IDEALS = [("x, y", 4), ("x - 2 y, y^2", 4), ("y - x^2, x^3", 3),
+              ("x^2, y^3", 3), ("x^3, y^2", 3), ("1/2 x - 2/3 y^2, 3/4 y^3", 4)]
+
+
+def exact_mu(F, gens, z, w, n_max):
+    """The oracle: mu(0..n_max) by the exact pullback and local_mult, or the
+    message of the InfiniteMultiplicity that mu_sequence raises."""
+    Dz, Dw = generic_member(gens, z), generic_member(gens, w)
+    out, Fn = [], MapGerm.identity()
+    for n in range(n_max + 1):
+        v = local_mult(pullback(Fn, Dz), Dw)
+        if v is INFINITE:
+            return "shared component at iterate %d; sequence %r so far" % (n, out)
+        out.append(v)
+        Fn = F.compose(Fn)
+    return out
+
+
+def mu_or_message(F, gens, z, w, n_max):
+    try:
+        return mu_sequence(F, gens, z, w, n_max, None)
+    except InfiniteMultiplicity as exc:
+        return str(exc)
+
+
+def test_parametrization_shapes():
+    # c x^2 + d y^3 at (c d^2 t^3, -c d t^2), on its primitive multiple
+    assert _parametrization(parse_poly("10 x^2 + 14 y^3")) == ([0, 0, 0, 245], [0, 0, -35])
+    for text in ["x", "y", "3 x - y^2 + 2 y^5", "1/2 x - 2/3 y", "2 y + x^3",
+                 "5 x^2 + 7 y^3", "2 x^3 - 3 y^2", "x^5 - 4 y^3", "x^7 + y^2"]:
+        D = parse_poly(text)
+        gx, gy = _parametrization(D)
+        assert all(type(c) is int for c in gx + gy), text
+        X, Y = (BiPoly({(0, k): c for k, c in enumerate(g)}) for g in (gx, gy))
+        assert D.compose(X, Y).is_zero(), text
+        # primitive: not an arc in a power of t
+        assert gcd(*(k for g in (gx, gy) for k, c in enumerate(g) if c)) == 1, text
+    for text in ["x^2 + x y + y^2", "x^2 + y^4", "x^2 - y^2", "x y", "x^2 + x y^3",
+                 "x^3 + y^3"]:
+        assert _parametrization(parse_poly(text)) is None, text
+
+
+def test_arc_path_matches_the_exact_loop():
+    rng = random.Random(2718)
+    infinite = compared = 0
+    for map_text in ARC_MAPS:
+        F = MapGerm(*parse_map(map_text))
+        for ideal, n_max in ARC_IDEALS:
+            gens = parse_poly_list(ideal)
+            for k in range(3):
+                w = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in gens]
+                # z == w is INFINITE at n = 0; z may put D_z on one generator
+                z = list(w) if k == 0 else [rng.randint(-9, 9) for _ in gens]
+                if not any(z):
+                    continue
+                assert _parametrization(generic_member(gens, w).poly) is not None
+                want = exact_mu(F, gens, z, w, n_max)
+                assert mu_or_message(F, gens, z, w, n_max) == want, (map_text, ideal, z, w)
+                compared += 1
+                infinite += isinstance(want, str)
+    assert compared >= 70 and infinite >= 24
+
+
+def test_rational_map_on_the_arc_path():
+    F = MapGerm(*parse_map("(1/2 x^2 + y^3, 2/3 x y)"))
+    for ideal, z, w in [("x - 2 y, y^2", [3, 1], [2, 5]), ("x^2, y^3", [1, 4], [-3, 2])]:
+        gens = parse_poly_list(ideal)
+        assert mu_sequence(F, gens, z, w, 3, None) == exact_mu(F, gens, z, w, 3)
+
+
+def test_infinite_first_at_iterate_one():
+    # mu(0) = i_0(x^2 - y, x - y) = 1, and (x^2 - y) o F = (x - y) (x + y)
+    F = MapGerm(*parse_map("(x, y^2)"))
+    gens = parse_poly_list("x^2 - y, x - y")
+    message = "shared component at iterate 1; sequence [1] so far"
+    assert exact_mu(F, gens, [1, 0], [0, 1], 3) == message
+    with pytest.raises(InfiniteMultiplicity, match=re.escape(message)):
+        mu_sequence(F, gens, [1, 0], [0, 1], 3, None)
+
+
+def test_non_arc_ideal_takes_the_exact_loop():
+    F = MapGerm(*parse_map("(x^2 + y^3, x y)"))
+    for ideal, z, w in [("x^2, x y, y^2", [3, -1, 2], [1, 4, -2]),
+                        ("x^2, y^4", [2, -3], [5, 1])]:
+        gens = parse_poly_list(ideal)
+        assert _parametrization(generic_member(gens, w).poly) is None
+        assert mu_sequence(F, gens, z, w, 3, None) == exact_mu(F, gens, z, w, 3)
+
+
+def test_jets_stay_within_the_budget():
+    # mu = 1, 2, 4, 8: mu(3) needs a jet of more than 8 coefficients
+    F = MapGerm(*parse_map("(x^2 - y^4, y^4)"))
+    gens = parse_poly_list("x, y")
+    assert mu_sequence(F, gens, [3, 5], [2, -7], 3, None, budget=9) == [1, 2, 4, 8]
+    with pytest.raises(BudgetExceeded):
+        mu_sequence(F, gens, [3, 5], [2, -7], 3, None, budget=8)
+    with pytest.raises(BudgetExceeded):
+        mu_sequence(F, gens, [3, 5], [2, -7], 3, None, budget=0)
