@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "bipoly": ("BiPoly", "ZeroPolynomial", "bipoly_gcd", "resultant_x"),
+    "bipoly": ("BiPoly", "MapGerm", "ZeroPolynomial", "bipoly_gcd", "resultant_x"),
     "bitseq": ("BitSeq", "first_difference", "parse_bitseq"),
     "curvefamily": (
         "CoeffTable",
@@ -36,7 +36,6 @@ _EXPORTS = {
     "intersect": (
         "INFINITE",
         "GenericSampler",
-        "MapGerm",
         "PlaneCurve",
         "local_mult",
         "mu_sequence",

@@ -6,7 +6,9 @@ zero entries.  Coefficients are integer-first: a stored coefficient is an
 when it is not.  A polynomial over Z is therefore computed on with ints
 throughout, and rational inputs run through the same code by way of the
 int/Fraction numeric tower.  This is the workhorse behind curve defining
-equations, map germs and their iterates, resultants, and gcds.
+equations, map germs and their iterates, resultants, and gcds.  ``MapGerm``,
+a polynomial self-map of the plane fixing the origin, lives here beside
+``BiPoly.compose``, so that iterating a map loads no intersection code.
 
 Eliminations run over Z on the integer-cleared x-coefficient rows, dense
 polynomials in y: the resultant by fraction-free (Bareiss) elimination and
@@ -257,6 +259,40 @@ class BiPoly:
             {"i": i, "j": j, "coefficient": str(c)}
             for (i, j), c in sorted(self.terms.items())
         ]
+
+
+class MapGerm:
+    """A polynomial self-map fixing the origin, with a finiteness check."""
+
+    __slots__ = ("fx", "fy")
+
+    def __init__(self, fx: BiPoly, fy: BiPoly):
+        if fx.constant_term() != 0 or fy.constant_term() != 0:
+            raise ValueError("map must fix the origin")
+        self.fx = fx
+        self.fy = fy
+
+    @classmethod
+    def identity(cls):
+        return cls(BiPoly.x(), BiPoly.y())
+
+    def finiteness_certificate(self) -> bool:
+        """True when i_0(fx, fy) is finite: F is finite-to-one near 0."""
+        from .intersect import INFINITE, PlaneCurve, local_mult
+
+        if self.fx.is_zero() or self.fy.is_zero():
+            return False
+        return local_mult(PlaneCurve(self.fx), PlaneCurve(self.fy)) is not INFINITE
+
+    def compose(self, other: "MapGerm", budget: int | None = None) -> "MapGerm":
+        """self after other: (self . other)(p) = self(other(p))."""
+        return MapGerm(
+            self.fx.compose(other.fx, other.fy, budget),
+            self.fy.compose(other.fx, other.fy, budget),
+        )
+
+    def __repr__(self):
+        return "MapGerm(%s, %s)" % (self.fx, self.fy)
 
 
 def _wrap(terms: dict) -> BiPoly:

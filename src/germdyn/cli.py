@@ -9,9 +9,10 @@ ValueError on bad input.  ``main`` alone renders json, csv or text, honours
 ``--out`` and picks the exit code: 0 all checks pass, 1 a check failed
 (witness in the output) or a stage could not be decided (a {"stage",
 "error"} payload), 2 a usage, parse or input-file error, 3 a computation
-budget was exceeded.  No failure ends in a traceback.  A handler imports
-the modules it runs in its own body, so a job loads only what its command
-needs.
+budget was exceeded.  No failure ends in a traceback.  A job loads and
+builds only what its command needs: a handler imports the modules it runs in
+its own body, and ``main`` builds the subparsers of the leaf that argv names
+(``_leaf_path``), falling back to the full parser for anything else.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ def _mu_stage(args):
     """The stages mu-seq and pipeline share: validate the map, then compute
     mu(0..nmax).  Returns (F, mu), or (None, result) with the handler result
     naming the stage that failed."""
-    from .intersect import GenericSampler, InfiniteMultiplicity, MapGerm, mu_sequence
+    from .bipoly import MapGerm
+    from .intersect import GenericSampler, InfiniteMultiplicity, mu_sequence
     from .polyparse import parse_map, parse_poly_list
 
     F = MapGerm(*parse_map(args.map))
@@ -250,7 +252,7 @@ def cmd_mixed(args):
 
 
 def cmd_c_seq(args):
-    from .intersect import MapGerm
+    from .bipoly import MapGerm
     from .polyparse import parse_map
     from .valuation import MonomialValuation, c_sequence
 
@@ -263,7 +265,7 @@ def cmd_c_seq(args):
 
 
 def cmd_c_inf(args):
-    from .intersect import MapGerm
+    from .bipoly import MapGerm
     from .polyparse import parse_map
     from .recurrence import NoRecurrenceFound
     from .valuation import c_infinity
@@ -399,7 +401,10 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaf: tuple | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Given the path of a COMMANDS leaf, it builds only the
+    subparsers on that path; their usage lines still name every command, so
+    an argv that names the leaf parses, and fails, as with the full parser."""
     common = argparse.ArgumentParser(add_help=False)
     for flag, options, _ in GLOBALS:
         common.add_argument(flag, default=argparse.SUPPRESS, **options)
@@ -409,14 +414,27 @@ def build_parser() -> argparse.ArgumentParser:
         "computations for plane germs.",
         parents=[common],
     )
-    subparsers = {(): ap.add_subparsers(dest="command", required=True)}
+
+    def add_subparsers(parser, path):
+        kw = {}
+        if leaf is not None:
+            # the usage the full parser derives from its choices; a metavar
+            # also names the action in the errors of a missing or unknown
+            # command, which an argv naming this leaf never raises
+            kw["metavar"] = "{%s}" % ",".join(
+                p[-1] for p, _, _, _ in COMMANDS if p[:-1] == path)
+        return parser.add_subparsers(dest="command", required=True, **kw)
+
+    subparsers = {(): add_subparsers(ap, ())}
     for path, help_text, handler, arguments in COMMANDS:
+        if leaf is not None and leaf[:len(path)] != path:
+            continue
         # a parser added with help=None would still get a line of its own in
         # its group's help, so a leaf without help passes none
         kw = {} if help_text is None else {"help": help_text}
         p = subparsers[path[:-1]].add_parser(path[-1], parents=[common], **kw)
         if handler is None:
-            subparsers[path] = p.add_subparsers(dest="command", required=True)
+            subparsers[path] = add_subparsers(p, path)
             continue
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -424,12 +442,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _leaf_path(argv):
+    """The path of the COMMANDS leaf that argv names, skipping global flags
+    and their values; None when anything else comes first (help, an
+    abbreviated or unknown flag, a flag-like value, a group without its leaf
+    or an unknown command), which only the full parser handles."""
+    flags = {flag for flag, _, _ in GLOBALS}
+    handlers = {path: handler for path, _, handler, _ in COMMANDS}
+    path = ()
+    args = iter(argv)
+    for arg in args:
+        if arg in flags:
+            if next(args, "-").startswith("-"):
+                return None
+        elif arg.startswith("-"):
+            if arg.partition("=")[0] not in flags:
+                return None
+        else:
+            path += (arg,)
+            if path not in handlers:
+                return None
+            if handlers[path] is not None:
+                return path
+    return None
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # outputs legitimately contain very large exact integers
         sys.set_int_max_str_digits(10**7)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(_leaf_path(argv)).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     for flag, _, default in GLOBALS:

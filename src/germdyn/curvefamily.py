@@ -435,13 +435,48 @@ def decimal_digits(n: int) -> int:
     return d
 
 
+_LOG_GUARD_BITS = 64  # fractional bits of mu_digit_count beyond m's own size
+
+
+def _atanh_inv(k: int, bits: int) -> tuple[int, int]:
+    """(s, e) with s <= 2^bits * atanh(1/k) < s + e, for an integer k >= 3.
+
+    The terms 2^bits / ((2j+1) k^(2j+1)) are summed over Z.  Nested floor
+    divisions by integers equal one floor division, so each summed term is
+    the floor of its true value and lags it by less than 1, and the tail
+    after the first zero power is below k^2 / (k^2 - 1) <= 9/8."""
+    power = (1 << bits) // k
+    k2 = k * k
+    total = terms = 0
+    while power:
+        total += power // (2 * terms + 1)
+        terms += 1
+        power //= k2
+    return total, terms + 2
+
+
 def mu_digit_count(m) -> int:
-    """Decimal digit count of (4^(m+1) + 2)/3, exact for modest m and by
-    high-precision logarithm for astronomically large m."""
+    """Decimal digit count of (4^(m+1) + 2)/3: exact for m <= 10^5, and
+    floor((m+1) log10 4 - log10 3) + 1 from a certified interval above.
+
+    The value is 2 mod 4, so it is no power of 10, and 4^(m+1) + 1 is not
+    divisible by 3: no integer lies in (log10(4^(m+1)/3), log10 of the
+    value], so the two floors agree.  ln 2 = 2 atanh(1/3), ln 3 = ln 2 +
+    2 atanh(1/5) and ln 10 = 3 ln 2 + 2 atanh(1/9) are bracketed in fixed
+    point, and the precision doubles until both ends of the bracket of the
+    logarithm have the same floor (it is irrational, so this ends)."""
     if m <= 10**5:
         return decimal_digits(mult_formula_from_m(m))
-    import mpmath
-
-    with mpmath.workdps(decimal_digits(m) + 30):
-        val = (mpmath.mpf(m) + 1) * mpmath.log10(4) - mpmath.log10(3)
-        return int(mpmath.floor(val)) + 1
+    bits = m.bit_length() + _LOG_GUARD_BITS
+    while True:
+        a, ea = _atanh_inv(3, bits)
+        b, eb = _atanh_inv(5, bits)
+        c, ec = _atanh_inv(9, bits)
+        ln2, ln2_hi = 2 * a, 2 * (a + ea)
+        ln3, ln3_hi = ln2 + 2 * b, ln2_hi + 2 * (b + eb)
+        ln10, ln10_hi = 3 * ln2 + 2 * c, 3 * ln2_hi + 2 * (c + ec)
+        lo = (2 * (m + 1) * ln2 - ln3_hi) // ln10_hi
+        hi = (2 * (m + 1) * ln2_hi - ln3) // ln10
+        if lo == hi:
+            return lo + 1
+        bits *= 2

@@ -20,8 +20,9 @@ import random
 from math import gcd
 from operator import mul
 
-from .bipoly import (
+from .bipoly import (  # MapGerm is re-exported: callers import it from here too
     BiPoly,
+    MapGerm,
     _resultant_linear,
     _ugcd,
     _uprimitive,
@@ -73,38 +74,6 @@ class PlaneCurve:
 
     def __repr__(self):
         return "PlaneCurve(%s)" % self.poly
-
-
-class MapGerm:
-    """A polynomial self-map fixing the origin, with a finiteness check."""
-
-    __slots__ = ("fx", "fy")
-
-    def __init__(self, fx: BiPoly, fy: BiPoly):
-        if fx.constant_term() != 0 or fy.constant_term() != 0:
-            raise ValueError("map must fix the origin")
-        self.fx = fx
-        self.fy = fy
-
-    @classmethod
-    def identity(cls):
-        return cls(BiPoly.x(), BiPoly.y())
-
-    def finiteness_certificate(self) -> bool:
-        """True when i_0(fx, fy) is finite: F is finite-to-one near 0."""
-        if self.fx.is_zero() or self.fy.is_zero():
-            return False
-        return local_mult(PlaneCurve(self.fx), PlaneCurve(self.fy)) is not INFINITE
-
-    def compose(self, other: "MapGerm", budget: int | None = None) -> "MapGerm":
-        """self after other: (self . other)(p) = self(other(p))."""
-        return MapGerm(
-            self.fx.compose(other.fx, other.fy, budget),
-            self.fy.compose(other.fx, other.fy, budget),
-        )
-
-    def __repr__(self):
-        return "MapGerm(%s, %s)" % (self.fx, self.fy)
 
 
 class GenericSampler:

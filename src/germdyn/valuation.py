@@ -5,6 +5,8 @@ as the minimal weighted degree over its support.  Pulling back along a map
 germ and renormalizing gives the attraction rate; its growth along iterates
 is summarized either by an exact rational asymptotic rate (when a detected
 recursion has a rational dominant root) or by an algebraic certificate.
+Only ``c_infinity`` and ``growth_envelope_check`` detect a recursion; they
+import ``recurrence`` themselves, so ``c_sequence`` alone does not load it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .bipoly import BiPoly, ZeroPolynomial, _uexact_div, _ugcd, _uprem
-from .intersect import MapGerm
-from .recurrence import NoRecurrenceFound, RecurrenceModel, detect_recursion
+from .bipoly import BiPoly, MapGerm, ZeroPolynomial, _uexact_div, _ugcd, _uprem
 
 
 class MonomialValuation:
@@ -123,6 +123,8 @@ def c_infinity(F: MapGerm, n_max: int, budget: int | None = 10**6,
     integer rational roots, so either the dominant root is an exact integer
     or an algebraic certificate with an integer bracket is returned.
     """
+    from .recurrence import detect_recursion
+
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     max_order = min(max_order, (n_max - holdout) // 2)
@@ -157,6 +159,8 @@ def growth_envelope_check(mu: list[int], c_inf: Fraction, max_order: int = 3,
     Returns {"pass": bool, "model": ..., "ratio_min": ..., "ratio_max": ...,
     "onset": int}; ratios are taken from the recursion onset onward.
     """
+    from .recurrence import NoRecurrenceFound, detect_recursion
+
     if not mu:
         raise ValueError("empty sequence")
     c_inf = Fraction(c_inf)

@@ -1,14 +1,17 @@
 """In-process fuzzing of the CLI: every drawn argv ends in exit code 0-3 and
-never in an exception, and a json result (code 0 or 1) is valid JSON."""
+never in an exception, a json result (code 0 or 1) is valid JSON, and the
+parser built for the leaf argv names answers as the full parser does."""
 
 import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from germdyn import cli
 from germdyn.cli import COMMANDS, GLOBALS, main
 
 LEAVES = [(path, arguments) for path, _, handler, arguments in COMMANDS
@@ -91,16 +94,72 @@ def files(tmp_path_factory):
     return {"CHART": str(tmp / "chart.json"), "TABLE": str(tmp / "table.txt")}
 
 
+def with_files(argv, files):
+    for name, path in files.items():
+        argv = [a.replace(name, path) for a in argv]
+    return argv
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of one in-process run of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parser_outcome(argv):
+    with mock.patch.object(cli, "_leaf_path", lambda argv: None):
+        return outcome(argv)
+
+
 @settings(max_examples=300, deadline=None)
 @given(drawn=argvs())
 @example(drawn=(["arnold", "--nu", "table:TABLE", "--witnesses", "2"], "json"))
 def test_every_argv_ends_in_an_exit_code(files, drawn):
     argv, fmt = drawn
-    for name, path in files.items():
-        argv = [a.replace(name, path) for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    code, out, err = outcome(with_files(argv, files))
+    assert code in (0, 1, 2, 3), (argv, code, err)
     if code in (0, 1) and fmt == "json":
-        json.loads(out.getvalue())
+        json.loads(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=argvs())
+def test_the_leaf_parser_answers_as_the_full_parser(files, drawn):
+    argv = with_files(drawn[0], files)
+    assert outcome(argv) == full_parser_outcome(argv), argv
+
+
+MAP_ARGS = ["--map", "(x^2 + y^3, x y)", "--nmax", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["c-seq", *MAP_ARGS, "extra", "--more"],  # trailing extra arguments
+    ["--seed=3", "c-seq", *MAP_ARGS],
+    ["c-seq", "--seed=3", *MAP_ARGS],
+    ["--seed=x", "c-seq", *MAP_ARGS],
+    ["--bud", "5", "c-seq", *MAP_ARGS],  # an abbreviated flag before the leaf
+    ["c-seq", "--bud", "5", *MAP_ARGS],
+    ["c-seq", "--nm", "2", "--map", "(x^2 + y^3, x y)"],
+    ["-h", "c-seq"],
+    ["c-seq", "-h"],
+    ["curve", "-h", "coeffs"],
+    ["curve", "coeffs", "-h"],
+    ["curve", "--seed", "1", "coeffs", "--seq", "0", "--n", "2"],
+    ["curve", "--format", "xml", "coeffs", "--seq", "0", "--n", "2"],
+    ["--format", "xml", "c-seq", *MAP_ARGS],
+    ["--format", "csv", "--budget", "3", "c-seq", *MAP_ARGS],
+    ["--seed", "-1", "arnold", "--nu", "pow:2"],
+    ["--out", "--format", "c-seq", *MAP_ARGS],
+    ["--", "c-seq", *MAP_ARGS],
+    ["c-seq", "--", *MAP_ARGS],
+    ["c-seq", "--nmax"],
+    ["c-seq"],
+    ["curve"],
+    ["curve", "coefs"],
+    ["--seed"],
+    [],
+], ids=" ".join)
+def test_the_leaf_parser_answers_as_the_full_parser_on_edge_cases(argv):
+    assert outcome(argv) == full_parser_outcome(argv)

@@ -12,6 +12,7 @@ from germdyn.curvefamily import (
     build_theoremA_pair,
     certify_finite_contacts,
     curve,
+    decimal_digits,
     lemma_sum_check,
     lemma_sum_check_range,
     mu_digit_count,
@@ -196,11 +197,63 @@ def test_mult_formula_exceeds_is_exact():
 def test_mu_digit_count():
     assert mu_digit_count(0) == 1      # value 2
     assert mu_digit_count(5) == 4      # value 1366
-    # cross-check the high-precision log branch against exact arithmetic
-    big = 10**5 + 10
-    d = mu_digit_count(big)
-    v = mult_formula_from_m(big)
-    assert 10 ** (d - 1) <= v < 10**d
+    # the logarithm branch against exact arithmetic
+    rng = random.Random(2026)
+    for m in [10**5 + 1] + [rng.randint(10**5 + 1, 3 * 10**5) for _ in range(29)]:
+        assert mu_digit_count(m) == decimal_digits(mult_formula_from_m(m)), m
+
+
+def mpmath_digit_count(m):
+    """Digit count by mpmath at 30 guard digits; test-only oracle."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(decimal_digits(m) + 30):
+        val = (mpmath.mpf(m) + 1) * mpmath.log10(4) - mpmath.log10(3)
+        return int(mpmath.floor(val)) + 1
+
+
+def witness_ms():
+    """The first-one positions M of the arnold witnesses, up to ~1900 digits."""
+    specs = ["pow:%d" % k for k in range(2, 13)] + ["factorial"]
+    return [M for spec in specs
+            for _, M, _ in build_theoremA_pair(GrowthSpec.parse(spec), 3)[2]]
+
+
+def test_mu_digit_count_matches_mpmath_on_the_witnesses():
+    for m in witness_ms() + [2**8207]:
+        assert mu_digit_count(m) == mpmath_digit_count(m), m
+    mpmath = pytest.importorskip("mpmath")
+    for k in (3, 5, 9):
+        for bits in (8, 64, 1000):
+            s, e = curvefamily._atanh_inv(k, bits)
+            with mpmath.workdps(bits // 3 + 30):
+                scaled = mpmath.atanh(mpmath.mpf(1) / k) * 2**bits
+                assert s <= scaled < s + e, (k, bits)
+
+
+def test_mu_digit_count_widens_until_the_floors_agree(monkeypatch):
+    exact = curvefamily._atanh_inv
+    calls = []
+
+    def recording(k, bits):
+        calls.append(bits)
+        return exact(k, bits)
+
+    big = 2**8207
+    expected = {m: decimal_digits(mult_formula_from_m(m))
+                for m in (10**5 + 1, 123457, 3 * 10**5)}
+    expected[big] = mu_digit_count(big)  # checked against mpmath above
+    monkeypatch.setattr(curvefamily, "_atanh_inv", recording)
+    for m, digits in expected.items():
+        calls.clear()
+        assert mu_digit_count(m) == digits
+        assert len(calls) == 3, m  # the guard bits decide at once
+    # with no guard bits the first bracket straddles an integer
+    monkeypatch.setattr(curvefamily, "_LOG_GUARD_BITS", 0)
+    for m, digits in expected.items():
+        calls.clear()
+        assert mu_digit_count(m) == digits
+        assert len(calls) > 3, m
+        assert calls[3] == 2 * calls[0]
 
 
 # -- the integer-row checks against the Dyadic / Fraction formulations -------

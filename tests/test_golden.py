@@ -1,6 +1,8 @@
 """Golden replay: every CLI job recorded in bench/golden.json, run in
 process through the CLI, must reproduce the recorded stdout byte for byte
-(by sha256) and the recorded exit code.
+(by sha256) and the recorded exit code.  The full parser, which main builds
+only for an argv that names no leaf, must answer every job alike, stderr
+included.
 
 The file is only read here; bench/record_golden.py writes it.
 """
@@ -9,8 +11,11 @@ import hashlib
 import json
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
 
+from germdyn import cli
 from germdyn.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
@@ -35,5 +40,8 @@ def test_golden_covers_the_cli_commands():
                          ids=[" ".join(argv) for argv, _, _ in JOBS])
 def test_golden_output(capsys, argv, digest, code):
     assert main(list(argv)) == code
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    with mock.patch.object(cli, "_leaf_path", lambda argv: None):
+        assert main(list(argv)) == code
+    assert capsys.readouterr() == (out, err)

@@ -1,6 +1,7 @@
-"""Start-up cost: importing the package loads no module, and a CLI job loads
-only the modules its command runs."""
+"""Start-up cost: importing the package loads no module, a CLI job loads only
+the modules its command runs, and the runtime needs nothing but the stdlib."""
 
+import ast
 import json
 import os
 import subprocess
@@ -14,17 +15,22 @@ from germdyn import cli
 
 SRC = os.path.dirname(os.path.dirname(germdyn.__file__))
 
-# runs one CLI job, then prints its exit code and the germdyn modules loaded
+# runs one CLI job, then prints its exit code, the germdyn modules loaded and
+# every other module it loaded from outside the stdlib
 PROBE = """\
 import contextlib, io, json, sys
+before = set(sys.modules)
 from germdyn.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "germdyn")]))
+tops = {m.split(".")[0] for m in set(sys.modules) - before}
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "germdyn"),
+                  sorted(tops - {"germdyn"} - sys.stdlib_module_names)]))
 """
 
 FAMILY = {"bitseq", "curvefamily", "dyadic", "series"}
-ITERATE = {"bipoly", "intersect", "polyparse", "recurrence", "series", "valuation"}
+RATES = {"bipoly", "polyparse", "series", "valuation"}
+ITERATE = RATES | {"intersect", "recurrence"}
 MU = {"bipoly", "intersect", "polyparse", "series"}
 IDEALS = {"bipoly", "polyparse", "series", "staircase"}
 MAP = "(x^2 - y^4, y^4)"
@@ -37,12 +43,13 @@ JOBS = {
     ("verify", "bound"): (["--seq", "0", "--n", "20"], FAMILY),
     ("verify", "lemma"): (["--n", "50"], FAMILY),
     ("verify", "section3"): (["--a", "0", "--b", "001"], FAMILY),
-    ("arnold",): (["--nu", "pow:2", "--witnesses", "2"], FAMILY),
+    # the third witness has m > 10^5, so its digit count is taken by logarithm
+    ("arnold",): (["--nu", "pow:3", "--witnesses", "3"], FAMILY),
     ("mu-seq",): (["--map", MAP, "--ideal", "x, y", "--nmax", "2"], MU),
     ("samuel",): (["--ideal", "x^2, y^3"], IDEALS),
     ("mixed",): (["--ideal-a", "x^2, y^3", "--ideal-b", "x, y"], IDEALS),
-    ("c-seq",): (["--map", MAP, "--nmax", "3"], ITERATE),
-    ("c-inf",): (["--map", MAP, "--nmax", "3"], ITERATE),
+    ("c-seq",): (["--map", MAP, "--nmax", "3"], RATES),
+    ("c-inf",): (["--map", MAP, "--nmax", "3"], RATES | {"recurrence"}),
     ("skewness",): (["--chart", "CHART", "--i", "1", "--j", "2"], {"proximity", "series"}),
     ("recursion",): (["--terms", "1,2,4,8,16,32"], {"recurrence", "series"}),
     ("pipeline",): (["--map", MAP, "--ideal", "x, y", "--nmax", "3"], ITERATE),
@@ -72,8 +79,7 @@ def probe(*argv):
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
-    return code, modules
+    return json.loads(proc.stdout)
 
 
 def test_every_leaf_has_a_job():
@@ -95,9 +101,28 @@ def test_a_job_loads_only_what_its_command_runs(path, tmp_path):
     chart = tmp_path / "chart.json"
     chart.write_text(json.dumps({"points": 3, "proximate": [[2, 1], [3, 2], [3, 1]]}))
     args = [str(chart) if a == "CHART" else a for a in args]
-    code, modules = probe(*path, *args)
+    code, modules, outside = probe(*path, *args)
     assert code == 0
     assert set(modules) == {"germdyn", "germdyn.cli"} | {"germdyn." + m for m in allowed}
+    assert outside == []
+
+
+def test_the_package_imports_only_itself_and_the_stdlib():
+    pkg = os.path.dirname(germdyn.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue  # not an import, or a relative one inside germdyn
+            for top in tops:
+                assert top == "germdyn" or top in sys.stdlib_module_names, (name, top)
 
 
 def test_old_exports_resolve_lazily_to_the_defining_objects():
