@@ -11,8 +11,10 @@ a polynomial self-map of the plane fixing the origin, lives here beside
 ``BiPoly.compose``, so that iterating a map loads no intersection code.
 
 Eliminations run over Z on the integer-cleared x-coefficient rows, dense
-polynomials in y: the resultant by fraction-free (Bareiss) elimination and
-the gcd by primitive Euclid over Z[y][x].
+polynomials in y: the resultant by Horner's rule or fraction-free (Bareiss)
+elimination, and the gcd by primitive Euclid over Z[y][x].  ``local_mult``
+calls the row-level resultant core and pseudo-remainder directly; it runs no
+gcd, so ``bipoly_gcd`` is API and a test oracle.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ def _coef(c):
             return c
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
-
-
-def _div(a, b):
-    """The exact quotient a / b of two coefficients, normalized by _coef."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return _coef(Fraction(a) / b)
 
 
 class BiPoly:
@@ -432,49 +426,36 @@ def resultant_x(P: BiPoly, Q: BiPoly) -> list[int]:
     """Sylvester resultant of P and Q eliminating x, as a dense integer poly
     in y.
 
-    Computed fraction-free (Bareiss) over integer-cleared coefficients;
-    a linear-in-x input takes a direct evaluation shortcut.  The result is
-    exact up to the rational factor introduced by denominator clearing,
-    which is harmless for order-of-vanishing and zero-testing uses.
+    Computed over the integer-cleared coefficient rows by ``_resultant_rows``.
+    The result is exact up to sign and the rational factor introduced by
+    denominator clearing, which is harmless for order-of-vanishing and
+    zero-testing uses.
     """
     if P.is_zero() or Q.is_zero():
         raise ZeroPolynomial("resultant of a zero polynomial")
-    dP, dQ = P.degree_x(), Q.degree_x()
-    if dP < 1 or dQ < 1:
+    if P.degree_x() < 1 or Q.degree_x() < 1:
         raise ValueError("both inputs must have positive degree in x")
-    if dQ == 1 or dP == 1:
-        if dQ != 1:
-            P, Q = Q, P
-            dP, dQ = dQ, dP
-        return _resultant_linear(P, Q)
-    prows = _int_coeff_rows(P)
-    qrows = _int_coeff_rows(Q)
-    n = dP + dQ
-    mat = []
-    for k in range(dQ):
-        row = [[] for _ in range(n)]
-        for i, c in enumerate(prows):
-            row[k + i] = c
-        mat.append(row)
-    for k in range(dP):
-        row = [[] for _ in range(n)]
-        for i, c in enumerate(qrows):
-            row[k + i] = c
-        mat.append(row)
+    return _resultant_rows(_int_coeff_rows(P), _int_coeff_rows(Q))
+
+
+def _resultant_rows(a, b) -> list[int]:
+    """Res_x, up to sign, of two polynomials given as integer rows leading
+    first, b of positive x-degree: Horner's rule when one is linear in x,
+    else fraction-free (Bareiss) elimination of the Sylvester matrix."""
+    if len(b) != 2 and len(a) == 2:
+        a, b = b, a
+    if len(b) == 2:
+        # Res_x(a, q1*x + q0) = sum_i a_i * (-q0)**i * q1**(dA - i)
+        q1, neg_q0 = b[0], [-c for c in b[1]]
+        acc, q1_pow = a[0], [1]
+        for a_i in a[1:]:
+            q1_pow = _umul(q1_pow, q1)
+            acc = _uadd(_umul(acc, neg_q0), _umul(a_i, q1_pow))
+        return acc
+    dA, dB = len(a) - 1, len(b) - 1
+    mat = [[[]] * k + a + [[]] * (dB - 1 - k) for k in range(dB)]
+    mat += [[[]] * k + b + [[]] * (dA - 1 - k) for k in range(dA)]
     return _bareiss_poly_det(mat)
-
-
-def _resultant_linear(P: BiPoly, Q: BiPoly) -> list[int]:
-    """Res_x(P, q1*x + q0) = sum_i p_i * (-q0)**i * q1**(dP - i), up to sign
-    and scale, by Horner's rule over the integer-cleared coefficients."""
-    prows = _int_coeff_rows(P)
-    q1, q0 = _int_coeff_rows(Q)
-    neg_q0 = [-c for c in q0]
-    acc, q1_pow = prows[0], [1]
-    for p_i in prows[1:]:
-        q1_pow = _umul(q1_pow, q1)
-        acc = _uadd(_umul(acc, neg_q0), _umul(p_i, q1_pow))
-    return acc
 
 
 def _int_coeff_rows(P: BiPoly) -> list[list[int]]:
@@ -573,32 +554,3 @@ def _xprem(a, b):
         while a and not a[0]:
             del a[0]
     return a
-
-
-def bipoly_exact_div(P: BiPoly, D: BiPoly) -> BiPoly:
-    """P / D over Q[x, y]; raises ArithmeticError unless D divides P.
-
-    Long division on the lexicographic leading monomial: lex order is
-    multiplicative, so when D divides P each leading monomial of the
-    remainder is a multiple of D's."""
-    if D.is_zero():
-        raise ZeroPolynomial("division by the zero polynomial")
-    (di, dj) = lead = max(D.terms)
-    lc = D.terms[lead]
-    rem = dict(P.terms)
-    quot = {}
-    while rem:
-        ri, rj = max(rem)
-        qi, qj = ri - di, rj - dj
-        if qi < 0 or qj < 0:
-            raise ArithmeticError("inexact polynomial division")
-        c = _div(rem[(ri, rj)], lc)
-        quot[(qi, qj)] = c
-        for (i, j), d in D.terms.items():
-            ij = (i + qi, j + qj)
-            s = rem.get(ij, 0) - c * d
-            if s:
-                rem[ij] = s
-            else:
-                rem.pop(ij, None)
-    return _wrap(quot)

@@ -1,9 +1,9 @@
 """Local intersection multiplicities of exact plane curves at the origin.
 
 ``local_mult`` is deterministic: each step of its decision order (a graph
-over either axis, the fiber certificate, a gcd, Fulton's reduction) is a
-proof, and none draws a random number.  ``GenericSampler`` only draws the
-generic coefficients of ideal members.
+over either axis, the fiber certificate, Fulton's reduction capped by
+Bezout) is a proof, and none draws a random number or runs a gcd.
+``GenericSampler`` only draws the generic coefficients of ideal members.
 
 ``mu_sequence`` reads mu(n) = i_0((F^n)^* D_z, D_w) off the arc formula
 i_0(P, C) = ord_t P(gamma(t)), for a primitive parametrization gamma of an
@@ -20,16 +20,9 @@ import random
 from math import gcd
 from operator import mul
 
-from .bipoly import (  # MapGerm is re-exported: callers import it from here too
-    BiPoly,
-    MapGerm,
-    _resultant_linear,
-    _ugcd,
-    _uprimitive,
-    _wrap,
-    bipoly_gcd,
-    resultant_x,
-)
+# MapGerm is re-exported: callers import it from here too
+from .bipoly import (BiPoly, MapGerm, _int_coeff_rows, _resultant_rows, _ugcd,
+                     _uprimitive, _wrap, _xprem)
 from .series import AtLeast, BudgetExceeded, USeries
 
 
@@ -50,9 +43,6 @@ class _Infinite:
 
     def __repr__(self):
         return "INFINITE"
-
-    def __bool__(self):
-        return True
 
 
 INFINITE = _Infinite()
@@ -135,7 +125,7 @@ def _graph_mult(p: BiPoly, q: BiPoly):
                 if k:  # swap x and y
                     g, other = (_wrap({(j, i): c for (i, j), c in t.terms.items()})
                                 for t in (g, other))
-                return _ord_y(_resultant_linear(other, g))
+                return _ord_y(_resultant_rows(*map(_int_coeff_rows, (other, g))))
     return None
 
 
@@ -144,22 +134,28 @@ def _primitive(terms: dict) -> dict:
     return dict(zip(terms, _uprimitive(terms.values())))
 
 
-def _fulton(p: BiPoly, q: BiPoly) -> int:
-    """i_0(p, q) by Fulton's reduction over Z.  p and q must share no
-    component through the origin: then every split lowers the finite i_0,
-    and between splits the degrees of the restrictions to y = 0 drop."""
+def _fulton(p: BiPoly, q: BiPoly):
+    """i_0(p, q) by Fulton's reduction over Z, or INFINITE.  The total plus
+    i_0 of the current pair stays i_0(p, q), and each split adds >= 1; a
+    finite i_0(p, q) is at most cap = deg p * deg q (Bezout, after dividing
+    out a common unit factor).  As m^n lies in an ideal of finite i_0 = n,
+    terms of degree > cap - total change no verdict and are dropped."""
+    cap, total = p.degree() * q.degree(), 0
     f, g = _primitive(p.terms), _primitive(q.terms)
-    total = 0
     # a curve that misses the origin meets nothing there
     while (0, 0) not in f and (0, 0) not in g:
         # degrees of the restrictions to y = 0; -1 when one vanishes
         r, s = (max((i for i, j in t if not j), default=-1) for t in (f, g))
         if r > s:
             f, g, r, s = g, f, s, r
+        if s < 0:  # y divides both
+            return INFINITE
         if r < 0:
-            # f = y^k f1 and i_0(y, g) = ord_x g(x, 0)
+            # f = y^k f1 and i_0(y, g) = ord_x g(x, 0) >= 1
             k = min(j for _, j in f)
             total += k * min(i for i, j in g if not j)
+            if total > cap:
+                return INFINITE
             f = {(i, j - k): c for (i, j), c in f.items()}
             continue
         # g -> lc(f0) g - lc(g0) x^(s-r) f cancels the top of g(x, 0)
@@ -167,7 +163,10 @@ def _fulton(p: BiPoly, q: BiPoly) -> int:
         h = {ij: a * c for ij, c in g.items()}
         for (i, j), c in f.items():
             h[i + d, j] = h.get((i + d, j), 0) - b * c
-        g = _primitive({ij: c for ij, c in h.items() if c})
+        h = {(i, j): c for (i, j), c in h.items() if c and i + j <= cap - total}
+        if not h:  # h lies in m^(cap - total + 1) and f(0, 0) = 0
+            return INFINITE
+        g = _primitive(h)
     return total
 
 
@@ -179,11 +178,10 @@ def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler | None = No
        x (Horner's rule); failing that, the same for c*y - h(x) with x and y
        swapped;
     2. fiber certificate: when both leading x-coefficients are units at
-       y = 0 and the curves meet the x-axis only at the origin, ord_y Res_x
-       unless it vanishes identically;
-    3. gcd: INFINITE when the gcd is nonconstant and vanishes at the origin;
-    4. Fulton's reduction (W. Fulton, *Algebraic Curves*, section 3.3) over
-       Z, which needs no cap, since step 3 proved i_0 finite.
+       y = 0 and the curves meet the x-axis only at the origin, ord_y of
+       Res_x(Q, r), r the pseudo-remainder of P by Q (x-degrees dP >= dQ);
+    3. Fulton's reduction (W. Fulton, *Algebraic Curves*, section 3.3) over
+       Z, capped by Bezout: INFINITE once its total passes deg P * deg Q.
     """
     value, _ = local_mult_detailed(P, Q, sampler)
     return value
@@ -199,16 +197,18 @@ def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve,
     value = _graph_mult(p, q)
     if value is not None:
         return value, False
-    # certified leading coefficients rule out a shared factor in y alone
-    # through the origin; one of positive x-degree makes Res_x vanish
-    if p.degree_x() >= 1 and q.degree_x() >= 1 and _fiber_certificate(p, q):
-        value = _ord_y(resultant_x(p, q))
-        if value is not INFINITE:
-            return value, False
-    g = bipoly_gcd(p, q)
-    if not g.is_constant() and g.constant_term() == 0:
-        return INFINITE, False
-    # a common factor that is a unit at the origin does not change i_0
+    if _fiber_certificate(p, q):  # unit lc_x and p(0, 0) = 0: x-degrees >= 1
+        a, b = sorted((_int_coeff_rows(p), _int_coeff_rows(q)), key=len)[::-1]
+        # r = lc(b)^e a mod b, and lc(b) is a unit at y = 0, so
+        # ord_y Res_x(a, b) = ord_y Res_x(b, r); Res_x(b, r) = r^deg_x(b) when
+        # r is free of x.  A zero resultant is INFINITE: a common factor of
+        # positive x-degree has a leading x-coefficient dividing lc_x(P), a
+        # unit at y = 0, so its restriction to y = 0 has positive degree and
+        # divides the certified c x^k; the factor passes through the origin.
+        r = _xprem(a, b)
+        value = (_ord_y(_resultant_rows(b, r)) if len(r) > 1
+                 else (len(b) - 1) * _ord_y(r[0]) if r else INFINITE)
+        return value, False
     return _fulton(p, q), False
 
 

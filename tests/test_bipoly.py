@@ -8,7 +8,6 @@ from germdyn.bipoly import (
     BiPoly,
     BudgetExceeded,
     ZeroPolynomial,
-    bipoly_exact_div,
     bipoly_gcd,
     resultant_x,
 )
@@ -129,19 +128,6 @@ def test_gcd_and_resultant_match_sympy():
         ord_y = min(m[0] for m in sympy.Poly(theirs, y).monoms())
         assert ord_y == min(j for j, r in enumerate(resultant_x(P, b)) if r)
     assert nontrivial >= 30 and resultants >= 20
-
-
-def test_exact_division():
-    rng = random.Random(1618)
-    for _ in range(40):
-        a, b = rand_poly(rng), rand_poly(rng)
-        if a.is_zero() or b.is_zero():
-            continue
-        assert bipoly_exact_div(a * b, b) == a
-    with pytest.raises(ArithmeticError):
-        bipoly_exact_div(parse_poly("x + 1"), parse_poly("x"))
-    with pytest.raises(ArithmeticError):
-        bipoly_exact_div(parse_poly("x^2 + y"), parse_poly("x + y"))
 
 
 def test_gcd():

@@ -227,6 +227,20 @@ def test_mu_seq_on_each_arc_shape_and_the_fallback(capsys):
         assert code == 0 and data["mu"] == mu, ideal
 
 
+@pytest.mark.parametrize("ideal, mu", [
+    ("x^2, x y, y^2", ["4", "8", "16", "32", "64"]),
+    ("x^3, x y, y^2", ["5", "12", "24", "48"]),
+])
+def test_mu_seq_pullback_at_high_degree(capsys, ideal, mu):
+    # the pullback against D_w reaches x-degree 2^nmax: one pseudo-division
+    # by D_w leaves a small resultant (each once took over 30 s)
+    start = time.monotonic()
+    code, data = run_json(capsys, "mu-seq", "--map", "(x^2 - y^4, y^4)",
+                          "--ideal", ideal, "--nmax", str(len(mu) - 1))
+    assert code == 0 and data["mu"] == mu
+    assert time.monotonic() - start < 30
+
+
 @pytest.mark.parametrize("nmax", ["0", "1"])
 def test_pipeline_needs_two_terms(capsys, nmax):
     code = main(["pipeline", "--map", "(x^2 - y^4, y^4)", "--ideal", "x, y",

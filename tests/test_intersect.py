@@ -1,11 +1,12 @@
 import random
 import re
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from germdyn import intersect
-from germdyn.bipoly import BiPoly, _trim_z, bipoly_exact_div, bipoly_gcd, resultant_x
+from germdyn.bipoly import BiPoly, _int_coeff_rows, _trim_z, _xprem, bipoly_gcd, resultant_x
 from germdyn.intersect import (
     INFINITE,
     DegenerateInput,
@@ -15,6 +16,7 @@ from germdyn.intersect import (
     PlaneCurve,
     _fiber_certificate,
     _is_graph,
+    _ord_y,
     _parametrization,
     generic_member,
     local_mult,
@@ -99,9 +101,10 @@ def test_common_factor_missing_the_origin_is_divided_out():
 
 
 def test_infinite_exactly_when_gcd_passes_through_origin():
-    """The decision order (graph over either axis, fiber certificate, gcd,
-    Fulton) gives INFINITE on exactly the pairs whose gcd is nonconstant and
-    vanishes at the origin, whichever path the shared component reaches."""
+    """The decision order (graph over either axis, fiber certificate,
+    Fulton capped by Bezout) gives INFINITE on exactly the pairs whose gcd
+    is nonconstant and vanishes at the origin, whichever path the shared
+    component reaches."""
     rng = random.Random(4242)
     sam = GenericSampler(4242)
 
@@ -167,6 +170,46 @@ def test_infinite_exactly_when_gcd_passes_through_origin():
     assert min(paths.values()) >= 30, paths
 
 
+def bipoly_exact_div(P: BiPoly, D: BiPoly) -> BiPoly:
+    """P / D over Q[x, y]; raises ArithmeticError unless D divides P.
+
+    Long division on the lexicographic leading monomial: lex order is
+    multiplicative, so when D divides P each leading monomial of the
+    remainder is a multiple of D's."""
+    lead = max(D.terms)
+    quot, rem = {}, P
+    while not rem.is_zero():
+        ri, rj = max(rem.terms)
+        ij = (ri - lead[0], rj - lead[1])
+        if min(ij) < 0:
+            raise ArithmeticError("inexact polynomial division")
+        quot[ij] = Fraction(rem.terms[ri, rj]) / D.terms[lead]
+        rem = rem - BiPoly({ij: quot[ij]}) * D
+    return BiPoly(quot)
+
+
+def test_exact_division():
+    rng = random.Random(1618)
+
+    def rand_poly():
+        return BiPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+                       Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+                       for _ in range(rng.randint(1, 5))})
+
+    for _ in range(60):
+        a, b = rand_poly(), rand_poly()
+        if a.is_zero() or b.is_zero():
+            continue
+        q = bipoly_exact_div(a * b, b)
+        assert q == a
+        # integer-first: an int when integral, else a Fraction
+        assert all(type(c) is int or c.denominator > 1 for c in q.terms.values())
+    with pytest.raises(ArithmeticError):
+        bipoly_exact_div(parse_poly("x + 1"), parse_poly("x"))
+    with pytest.raises(ArithmeticError):
+        bipoly_exact_div(parse_poly("x^2 + y"), parse_poly("x + y"))
+
+
 def shear_oracle(P: BiPoly, Q: BiPoly, sam: GenericSampler) -> int:
     """i_0 by an independent route: divide out the gcd (a unit at the
     origin), then ord_y Res_x after a unimodular shear whose fiber
@@ -187,6 +230,9 @@ def shear_oracle(P: BiPoly, Q: BiPoly, sam: GenericSampler) -> int:
 
 
 def test_fulton_matches_the_shear_oracle(monkeypatch):
+    """Fulton's reduction decides INFINITE on exactly the pairs reaching it
+    whose gcd is nonconstant and vanishes at the origin, and agrees with the
+    shear oracle on the others."""
     reached = []
     fulton = intersect._fulton
 
@@ -197,7 +243,7 @@ def test_fulton_matches_the_shear_oracle(monkeypatch):
     monkeypatch.setattr(intersect, "_fulton", recording)
     rng = random.Random(5150)
     sam = GenericSampler(5150)
-    values = {}
+    values, infinite = {}, 0
     for k in range(600):
         P, Q = rand_singular(rng).poly, rand_singular(rng).poly
         if k % 3 == 0:  # a common factor that is a unit at the origin
@@ -208,11 +254,135 @@ def test_fulton_matches_the_shear_oracle(monkeypatch):
             continue
         before = len(reached)
         value = local_mult(PlaneCurve(P), PlaneCurve(Q))
-        if len(reached) > before:
+        if len(reached) == before:
+            continue
+        g = bipoly_gcd(P, Q)
+        shared = not g.is_constant() and g.constant_term() == 0
+        assert (value is INFINITE) == shared, (str(P), str(Q), value)
+        if shared:
+            infinite += 1
+        else:
             values[str(P), str(Q)] = value
             assert value == shear_oracle(P, Q, sam), (str(P), str(Q), value)
-    assert len(values) >= 300
+    assert len(values) >= 300 and infinite >= 50
     assert len(set(values.values())) >= 6
+
+
+def test_fulton_drops_terms_past_the_bezout_bound():
+    """Fulton's reduction drops terms of degree above deg P * deg Q less its
+    total.  On pairs of degree up to 8 that reach it, the values still equal
+    the shear oracle's, and a shared component is still INFINITE."""
+    rng = random.Random(6502)
+    S = parse_poly("x^3 y + x^2 + y^2 + x y^3")  # lc_x vanishes at y = 0
+
+    def rand_poly(d, low):
+        return BiPoly({(i, j): rng.randint(-3, 3) for i in range(d + 1)
+                       for j in range(d + 1 - i) if i + j >= low})
+
+    sam = GenericSampler(6502)
+    finite = infinite = 0
+    for k in range(60):
+        d = 3 + k % 4
+        A, B = S * rand_poly(d - 3, 1), S * rand_poly(d - 3, 1)
+        if k % 2:  # S stays a shared component through the origin
+            P, Q = A * rand_poly(1, 0), B
+        else:
+            P, Q = (T + BiPoly.y() * rand_poly(d - 1, 1) for T in (A, B))
+        if (P.is_zero() or Q.is_zero() or P.constant_term() or Q.constant_term()
+                or _fiber_certificate(P, Q)):
+            continue
+        value = local_mult(PlaneCurve(P), PlaneCurve(Q))
+        g = bipoly_gcd(P, Q)
+        if not g.is_constant() and g.constant_term() == 0:
+            assert value is INFINITE, (str(P), str(Q))
+            infinite += 1
+        else:
+            assert value == shear_oracle(P, Q, sam), (str(P), str(Q), value)
+            finite += 1
+    assert finite >= 12 and infinite >= 35
+
+
+def certified_pair_branch(p: BiPoly, q: BiPoly) -> str:
+    """Which step of the pseudo-division order decides a certified pair:
+    the remainder r of the higher x-degree curve by the other is zero, free
+    of x, linear in x, or of x-degree >= 2 (a Sylvester matrix)."""
+    a, b = _int_coeff_rows(p), _int_coeff_rows(q)
+    if len(a) < len(b):
+        a, b = b, a
+    r = _xprem(a, b)
+    return {0: "zero", 1: "free", 2: "linear"}.get(len(r), "sylvester")
+
+
+def test_pseudo_division_matches_the_full_resultant():
+    """On certified pairs that are not graphs, every branch after the one
+    pseudo-division gives ord_y of the full Sylvester resultant."""
+    rng = random.Random(8086)
+
+    def weierstrass(d):  # c x^d + y-terms: lc_x a unit, P(x, 0) = c x^d
+        terms = {(d, 0): rng.choice([1, -1, 2, 3])}
+        for _ in range(rng.randint(2, 6)):
+            terms[rng.randint(0, d), rng.randint(1, 3)] = rng.randint(-3, 3)
+        terms[1, 1] = rng.choice([1, -2])  # neither curve is a graph
+        terms[0, 2] = rng.choice([1, -1])
+        return BiPoly(terms)
+
+    counts = {"zero": 0, "free": 0, "linear": 0, "sylvester": 0}
+    free_over_nonlinear = 0
+    for k in range(400):
+        dq = 1 + k % 4
+        p, q = weierstrass(rng.randint(dq, 6)), weierstrass(dq)
+        if k % 5 == 0:  # q divides p: the remainder is zero
+            p = q * weierstrass(rng.randint(1, 2))
+        elif k % 5 == 1:  # the remainder is a power of y
+            p = q * weierstrass(rng.randint(1, 2)) + BiPoly.monomial(1, 0, rng.randint(1, 9))
+        if any(_is_graph(t, axis) for t in (p, q) for axis in (0, 1)):
+            continue
+        assert _fiber_certificate(p, q)
+        branch = certified_pair_branch(p, q)
+        want = _ord_y(resultant_x(p, q))
+        assert local_mult(PlaneCurve(p), PlaneCurve(q)) == want, (str(p), str(q))
+        assert local_mult(PlaneCurve(q), PlaneCurve(p)) == want, (str(p), str(q))
+        counts[branch] += 1
+        free_over_nonlinear += branch == "free" and min(p.degree_x(), q.degree_x()) >= 2
+        if branch == "sylvester":
+            assert min(p.degree_x(), q.degree_x()) >= 3
+    assert min(counts.values()) >= 50 and free_over_nonlinear >= 40, counts
+
+
+def test_fulton_decides_infinite_by_the_bezout_cap(monkeypatch):
+    """Pairs that are neither graphs nor certified reach Fulton's reduction,
+    which decides INFINITE itself: y divides both, one curve divides the
+    other, or a shared component through the origin pushes its total past
+    deg P * deg Q.  A component shared only away from the origin is a unit
+    there and leaves i_0 finite."""
+    reached = []
+    fulton = intersect._fulton
+    monkeypatch.setattr(intersect, "_fulton",
+                        lambda p, q: reached.append(1) or fulton(p, q))
+    cases = [
+        # y divides both
+        ("y (x^2 + y)", "y (x^3 + x y + y^2)", INFINITE),
+        ("x^2 y + y^3", "x y^2 - 2 y^3 + x^3 y", INFINITE),
+        # one curve is a multiple of the other
+        ("x^2 y + y^2", "(x^2 y + y^2) (x - y)", INFINITE),
+        ("x^2 y + y^2", "(x^2 y + y^2) (2 + x)", INFINITE),
+        ("x^2 y + y^2 + x^3 - x^4", "(x^2 y + y^2 + x^3 - x^4) (y - x^2)", INFINITE),
+        # a shared component through the origin, the rest coprime
+        ("(y^2 - x^3) (x + y - x^2)", "(y^2 - x^3) (x - y^2 - x^2)", INFINITE),
+        ("(x y + y^2 + x^3 y) x", "(x y + y^2 + x^3 y) (y^2 - x^2)", INFINITE),
+        ("(x^3 y + x^2 + y^2) (x + y)", "(x^3 y + x^2 + y^2) (x - y^2)", INFINITE),
+        # components shared only away from the origin
+        ("(x + y) (1 + x)", "(x - y) (1 + x)", 1),
+        ("(y^2 - x^3) (1 + x y)", "(y^2 + x^3 + x^4) (1 + x y)", 6),
+    ]
+    for p_text, q_text, want in cases:
+        p, q = parse_poly(p_text), parse_poly(q_text)
+        assert not any(_is_graph(t, axis) for t in (p, q) for axis in (0, 1))
+        assert not _fiber_certificate(p, q), (p_text, q_text)
+        for a, b in ((p, q), (q, p)):
+            before = len(reached)
+            assert local_mult(PlaneCurve(a), PlaneCurve(b)) == want, (p_text, q_text)
+            assert len(reached) > before
 
 
 def test_degenerate_input():
