@@ -12,6 +12,7 @@ from germdyn.bipoly import (
     resultant_x,
 )
 from germdyn.polyparse import parse_poly
+from test_intersect import bipoly_exact_div
 
 
 def rand_poly(rng, dmax=2):
@@ -128,6 +129,33 @@ def test_gcd_and_resultant_match_sympy():
         ord_y = min(m[0] for m in sympy.Poly(theirs, y).monoms())
         assert ord_y == min(j for j, r in enumerate(resultant_x(P, b)) if r)
     assert nontrivial >= 30 and resultants >= 20
+
+
+def test_exact_division():
+    rng = random.Random(1618)
+
+    def rand_q_poly():
+        return BiPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+                       Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+                       for _ in range(rng.randint(1, 5))})
+
+    for _ in range(40):
+        a, b = rand_poly(rng), rand_poly(rng)
+        if a.is_zero() or b.is_zero():
+            continue
+        assert bipoly_exact_div(a * b, b) == a
+    for _ in range(60):
+        a, b = rand_q_poly(), rand_q_poly()
+        if a.is_zero() or b.is_zero():
+            continue
+        q = bipoly_exact_div(a * b, b)
+        assert q == a
+        # integer-first: an int when integral, else a Fraction
+        assert all(type(c) is int or c.denominator > 1 for c in q.terms.values())
+    with pytest.raises(ArithmeticError):
+        bipoly_exact_div(parse_poly("x + 1"), parse_poly("x"))
+    with pytest.raises(ArithmeticError):
+        bipoly_exact_div(parse_poly("x^2 + y"), parse_poly("x + y"))
 
 
 def test_gcd():

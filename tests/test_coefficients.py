@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from germdyn.bipoly import BiPoly, bipoly_gcd, resultant_x
 from germdyn.polyparse import parse_poly
+from test_intersect import bipoly_exact_div
 
 sympy = pytest.importorskip("sympy")
 X, Y = sympy.symbols("x y")
@@ -90,6 +91,14 @@ def test_compose(P, fx, fy):
     assert_normalized(R)
     oracle = sympy.expand(expr(P).subs({X: expr(fx), Y: expr(fy)}, simultaneous=True))
     assert to_sympy(R) == sympy.Poly(oracle, X, Y, domain="QQ")
+
+
+@SETTINGS
+@given(polys(), nonzero_polys())
+def test_exact_division(P, D):
+    Q = bipoly_exact_div(P * D, D)
+    assert_normalized(Q)
+    assert Q == P
 
 
 @SETTINGS

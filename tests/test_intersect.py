@@ -188,28 +188,6 @@ def bipoly_exact_div(P: BiPoly, D: BiPoly) -> BiPoly:
     return BiPoly(quot)
 
 
-def test_exact_division():
-    rng = random.Random(1618)
-
-    def rand_poly():
-        return BiPoly({(rng.randint(0, 2), rng.randint(0, 2)):
-                       Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-                       for _ in range(rng.randint(1, 5))})
-
-    for _ in range(60):
-        a, b = rand_poly(), rand_poly()
-        if a.is_zero() or b.is_zero():
-            continue
-        q = bipoly_exact_div(a * b, b)
-        assert q == a
-        # integer-first: an int when integral, else a Fraction
-        assert all(type(c) is int or c.denominator > 1 for c in q.terms.values())
-    with pytest.raises(ArithmeticError):
-        bipoly_exact_div(parse_poly("x + 1"), parse_poly("x"))
-    with pytest.raises(ArithmeticError):
-        bipoly_exact_div(parse_poly("x^2 + y"), parse_poly("x + y"))
-
-
 def shear_oracle(P: BiPoly, Q: BiPoly, sam: GenericSampler) -> int:
     """i_0 by an independent route: divide out the gcd (a unit at the
     origin), then ord_y Res_x after a unimodular shear whose fiber
