@@ -105,11 +105,6 @@ class BiPoly:
             return -1
         return max(i for i, _ in self.terms)
 
-    def degree_y(self) -> int:
-        if not self.terms:
-            return -1
-        return max(j for _, j in self.terms)
-
     def term_count(self) -> int:
         return len(self.terms)
 

@@ -76,7 +76,7 @@ def cmd_curve_coeffs(args):
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     s = parse_bitseq(args.seq)
-    row = CoeffTable().row(s, args.n + 1)
+    row = CoeffTable(args.budget).row(s, args.n + 1)
     payload = {
         "sequence": str(s),
         "coefficients": [
@@ -97,7 +97,7 @@ def cmd_curve_mult(args):
         return ({"a": str(a), "b": str(b),
                  "multiplicity": "infinite (equal sequences)"}, True, None)
     formula = mult_formula(a, b, args.horizon)
-    coeffwise = mult_coeffwise(a, b, args.coeff_horizon, CoeffTable())
+    coeffwise = mult_coeffwise(a, b, args.coeff_horizon, CoeffTable(args.budget))
     decided = isinstance(coeffwise, int)
     agree = decided and formula == coeffwise
     payload = {
@@ -115,7 +115,7 @@ def cmd_verify_functoriality(args):
     from .curvefamily import CoeffTable, verify_functoriality
 
     s = parse_bitseq(args.seq)
-    ok, witness = verify_functoriality(s, args.n, CoeffTable())
+    ok, witness = verify_functoriality(s, args.n, CoeffTable(args.budget))
     payload = {"check": "functoriality", "sequence": str(s), "n": args.n,
                "result": _result(ok)}
     if witness:
@@ -129,7 +129,7 @@ def cmd_verify_bound(args):
     from .curvefamily import CoeffTable, verify_bound
 
     s = parse_bitseq(args.seq)
-    ok, witness = verify_bound(s, args.n, CoeffTable())
+    ok, witness = verify_bound(s, args.n, CoeffTable(args.budget))
     payload = {"check": "bound", "sequence": str(s), "n": args.n,
                "result": _result(ok)}
     if witness:
@@ -142,6 +142,9 @@ def cmd_verify_bound(args):
 def cmd_verify_lemma(args):
     from .curvefamily import lemma_sum_check_range
 
+    if args.n > args.budget:
+        raise BudgetExceeded("a range of %d terms exceeds the budget of %d"
+                             % (args.n, args.budget))
     ok, bad = lemma_sum_check_range(args.n)
     payload = {"check": "lemma", "n_max": args.n, "result": _result(ok)}
     if bad is not None:
@@ -355,8 +358,10 @@ GLOBALS = (
     ("--format", {"choices": ["json", "csv", "text"]}, "json"),
     ("--out", {"help": "output path (default stdout)"}, None),
     ("--budget", {"type": int, "help": "sparse term-count budget for compositions, "
-                  "coefficient budget for the jets of mu-seq and pipeline, "
-                  "and bit-size budget for arnold growth values"}, 10**6),
+                  "coefficient budget for the jets of mu-seq and pipeline and "
+                  "for the coefficient rows of curve and verify, range budget "
+                  "for verify lemma, and bit-size budget for arnold growth "
+                  "values"}, 10**6),
 )
 
 # (path, help, handler, arguments).  A row without a handler is a command

@@ -1,13 +1,16 @@
 """The invariant family of curve germs indexed by binary sequences.
 
 Each sequence s gets a series g_s(y) = sum a_n y^(2+4n) with dyadic
-coefficients produced by a convolution recursion driven by the bits of s.
-The curve x + g_s(y) = 0 maps onto the curve of the shifted sequence under
-(x, y) -> (x^2 - y^4, y^4), and the pairwise contact orders follow the
-closed formula (4^(m+1) + 2) / 3 in the first bit disagreement m.  This
-module computes the coefficients exactly, re-verifies the defining
-identities and the coefficient growth bound, and builds the fast-growth
-witness pairs.
+coefficients: the square root of g_s(y)^2 = y^4 - g_{sigma(s)}(y^4) whose
+leading sign is set by the first bit of s.  The coefficients come from
+Miller's recurrence for a power of a power series (Knuth, TAOCP Vol. 2,
+section 4.7), linear in the row and driven by the row of the shifted
+sequence (see CoeffTable).  The curve x + g_s(y) = 0 maps onto the curve of
+the shifted sequence under (x, y) -> (x^2 - y^4, y^4), and the pairwise
+contact orders follow the closed formula (4^(m+1) + 2) / 3 in the first bit
+disagreement m.  This module computes the coefficients exactly, re-verifies
+the defining identities and the coefficient growth bound, and builds the
+fast-growth witness pairs.
 """
 
 from __future__ import annotations
@@ -27,16 +30,29 @@ class UndeterminedDifference(ValueError):
 class CoeffTable:
     """Memoized coefficient rows, one per distinct shifted sequence.
 
-    A row is stored as the integers A_n = a_n * 4**n: the recursion only
-    ever halves even quantities in this scaling, so the A_n stay integral,
-    and every check in this module runs on them.  ``row`` builds Dyadic
-    views of a row on each call.  Rows are extended bottom-up along the
+    A row is stored as the integers A_n = a_n * 4**n, and every check in
+    this module runs on them.  ``row`` builds Dyadic views of a row on each
+    call.  In u = y^4/4, G(u) = sum A_n u^n is the square root of
+    H(u) = 1 - 4u B(64 u^4) with G(0) = +-1 by the first bit, where
+    B(u) = sum B_k u^k is the row of the shifted sequence.  Differentiating
+    G^2 = H gives 2 H G' = H' G, Miller's recurrence for a power of a power
+    series (Knuth, TAOCP Vol. 2, section 4.7).  It is linear in the row, and
+    H is nonzero only at u^0 and u^(1+4k), so
+
+        2n A_n = sum_k (2n - 3(1 + 4k)) B_k A_(n-1-4k) 2^(6k+2)
+
+    over 0 <= k <= (n-1)/4: A_n costs about n/4 products whose small factor
+    is a shift coefficient.  The A_n are integers, so every division is
+    exact, and that is asserted.  Rows are extended bottom-up along the
     shift chain (no call recursion), so requesting coefficients at index
-    ~10^4 never risks stack depth.
+    ~10^4 never risks stack depth.  With a ``budget``, a request for a row
+    of more than ``budget`` coefficients raises BudgetExceeded before any
+    work.
     """
 
-    def __init__(self):
+    def __init__(self, budget: int | None = None):
         self._irows: dict[tuple, list[int]] = {}
+        self.budget = budget
 
     def coeff(self, s: BitSeq, n: int) -> Dyadic:
         return Dyadic(self.irow(s, n + 1)[n], 2 * n)
@@ -49,6 +65,9 @@ class CoeffTable:
         """Scaled coefficients A_n = a_n * 4**n for 0 <= n < upto."""
         if upto <= 0:
             return []
+        if self.budget is not None and upto > self.budget:
+            raise BudgetExceeded("a row of %d coefficients exceeds the budget of %d"
+                                 % (upto, self.budget))
         # plan the shift chain iteratively: row for s needs the row of the
         # shifted sequence only up to ~upto/4
         chain = []
@@ -57,7 +76,7 @@ class CoeffTable:
             chain.append((seq, need))
             if need <= 1:
                 break
-            # indices n with 4 | (n-1), n < upto, pull a_((n-1)/4) of the shift
+            # A_n with n < upto reads B_k for k <= (n-1)/4
             need = (need - 2) // 4 + 1
             seq = seq.shift()
         for seq, need in reversed(chain):
@@ -72,26 +91,24 @@ class CoeffTable:
             self._irows[key] = row
         if len(row) >= upto:
             return
-        sign = -row[0]  # a_0 = +-1, so -X/(2 a_0) = sign * X / 2
-        shift_key = s.shift().canonical_key()
-        shift_row = self._irows.get(shift_key, [])
+        # a sequence that is its own shift reads its own (shorter) prefix
+        shift_row = self._irows.get(s.shift().canonical_key(), [])
         while len(row) < upto:
-            n = len(row) - 1  # defining a_(n+1)
-            # convolution over i + j = n + 1 with i, j >= 1, folded by
-            # symmetry; in the A_n scaling the 4-powers cancel exactly
-            m = n // 2
-            acc = sum(map(mul, row[1:m + 1], row[n:n - m:-1]))
-            total = acc + acc
-            if n % 2:
-                total += row[m + 1] * row[m + 1]
-            if n % 4 == 0:
-                k = n // 4
-                if k >= len(shift_row):
-                    raise AssertionError("shift row too short; planner bug")
-                total += shift_row[k] << (2 * (n + 1) - 2 * k)
-            if total % 2:
-                raise AssertionError("scaled recursion produced an odd value")
-            row.append(sign * (total // 2))
+            n = len(row)
+            top = (n - 1) // 4
+            if top >= len(shift_row):
+                raise AssertionError("shift row too short; planner bug")
+            # Horner's rule over the factor 2^6 between consecutive k,
+            # from k = top down to 0
+            acc = 0
+            c = 2 * n - 3 - 12 * top
+            for b, a in zip(shift_row[top::-1], row[n - 1 - 4 * top::4]):
+                acc = (acc << 6) + c * b * a
+                c += 12
+            value, rest = divmod(acc << 2, 2 * n)
+            if rest:
+                raise AssertionError("recurrence left a remainder at n = %d" % n)
+            row.append(value)
 
 
 _DEFAULT_TABLE = CoeffTable()
@@ -177,16 +194,20 @@ def verify_functoriality(s: BitSeq, N: int, table: CoeffTable | None = None):
         raise ValueError("N must be >= 8")
     tb = table or _DEFAULT_TABLE
     T = (N - 5) // 4 + 1
-    g = USeries(tb.irow(s, T), T)
-    lhs = (g * g).coeffs
+    g = tb.irow(s, T)
     rhs = [0] * T
     rhs[0] = 1
     # 4u * (64 u^4)^n = 2^(6n+2) u^(1+4n)
     for n, b in enumerate(tb.irow(s.shift(), (T + 2) // 4)):
         rhs[1 + 4 * n] -= b << (6 * n + 2)
     for t in range(T):
-        if lhs[t] != rhs[t]:
-            return False, (4 + 4 * t, Dyadic(lhs[t], 2 * t), Dyadic(rhs[t], 2 * t))
+        # the square's coefficient folded by symmetry: pairs i < t - i, twice
+        h = (t + 1) // 2
+        lhs = 2 * sum(map(mul, g[:h], g[t:t - h:-1]))
+        if t % 2 == 0:
+            lhs += g[t // 2] ** 2
+        if lhs != rhs[t]:
+            return False, (4 + 4 * t, Dyadic(lhs, 2 * t), Dyadic(rhs[t], 2 * t))
     return True, None
 
 

@@ -48,10 +48,6 @@ class ProximityChart:
         self.axis = axis
         self._lattice = None
 
-    @classmethod
-    def free_chain(cls, r: int, axis: str = "y") -> "ProximityChart":
-        return cls(r, [(i, i - 1) for i in range(2, r + 1)], axis)
-
     def proximity_matrix(self) -> list[list[int]]:
         P = [[0] * self.r for _ in range(self.r)]
         for i in range(self.r):
@@ -180,15 +176,3 @@ def skewness(chart: ProximityChart, i: int, j: int) -> Fraction:
             raise ValueError("point %d outside 1..%d" % (k, chart.r))
     lat = chart.lattice()
     return Fraction(-lat.dual_pairing(i, j), lat.b[i - 1] * lat.b[j - 1])
-
-
-def random_chart(rng, max_points: int = 6) -> ProximityChart:
-    """A seeded random well-formed chart: predecessor proximities always,
-    plus occasional satellite proximities one step further back."""
-    r = rng.randint(1, max_points)
-    prox = [(i, i - 1) for i in range(2, r + 1)]
-    for i in range(3, r + 1):
-        if rng.random() < 0.4:
-            prox.append((i, i - 2))
-    axis = rng.choice(["x", "y"])
-    return ProximityChart(r, prox, axis)

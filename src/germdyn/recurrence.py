@@ -35,13 +35,6 @@ class RecurrenceModel:
         """Monic characteristic polynomial, highest degree first."""
         return [1] + [-c for c in self.coeffs]
 
-    def extend(self, seq, extra: int) -> list:
-        out = list(seq)
-        k = self.order
-        for _ in range(extra):
-            out.append(sum(self.coeffs[i] * out[-1 - i] for i in range(k)))
-        return out
-
     def to_json(self) -> dict:
         return {
             "order": self.order,

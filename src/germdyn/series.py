@@ -109,19 +109,6 @@ class USeries:
                     out[i + j] = out[i + j] + a * b
         return USeries(out, n)
 
-    def compose_monomial(self, k: int) -> "USeries":
-        """Substitute y -> y**k; truncation scales accordingly."""
-        if k < 1:
-            raise ValueError("exponent must be >= 1")
-        if k == 1:
-            return USeries(self.coeffs, self.trunc)
-        n = k * self.trunc
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                out[i * k] = c
-        return USeries(out, n)
-
     def __eq__(self, other):
         if not isinstance(other, USeries):
             return NotImplemented

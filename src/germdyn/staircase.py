@@ -9,8 +9,6 @@ or rational computation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class NotPrimary(ValueError):
     """The generators do not cut out the origin (no pure power of each
@@ -77,11 +75,6 @@ def _mono_str(i, j):
     if j:
         parts.append("y" if j == 1 else "y^%d" % j)
     return "*".join(parts) if parts else "1"
-
-
-def staircase_covolume(I: MonomialIdeal2) -> Fraction:
-    """Area of the first-quadrant region outside the Newton polyhedron."""
-    return Fraction(samuel(I), 2)
 
 
 def _lower_hull(points):
@@ -199,14 +192,3 @@ def containment_index(I: MonomialIdeal2) -> int:
         if all(I.contains(u, s - u) for u in range(s + 1)):
             return s
     raise AssertionError("an origin-cutting ideal absorbs some power")
-
-
-def random_primary_ideal(rng, max_power: int = 8, extra: int = 3) -> MonomialIdeal2:
-    """A seeded random origin-cutting monomial ideal, for consistency sweeps."""
-    p = rng.randint(1, max_power)
-    q = rng.randint(1, max_power)
-    gens = {(p, 0), (0, q)}
-    for _ in range(rng.randint(0, extra)):
-        if p > 1 and q > 1:
-            gens.add((rng.randint(1, p - 1), rng.randint(1, q - 1)))
-    return MonomialIdeal2(gens)

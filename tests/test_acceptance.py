@@ -31,12 +31,7 @@ from germdyn.intersect import (
     samuel_via_generic,
 )
 from germdyn.polyparse import parse_map, parse_poly
-from germdyn.proximity import (
-    ProximityChart,
-    intersection_matrix,
-    random_chart,
-    skewness,
-)
+from germdyn.proximity import intersection_matrix, skewness
 from germdyn.recurrence import RecurrenceModel, detect_recursion
 from germdyn.series import AtLeast, USeries
 from germdyn.staircase import (
@@ -45,10 +40,12 @@ from germdyn.staircase import (
     minkowski_check,
     mixed,
     product,
-    random_primary_ideal,
     samuel,
 )
 from germdyn.valuation import c_infinity, growth_envelope_check
+from test_proximity import free_chain, random_chart
+from test_recurrence import extend
+from test_staircase import random_primary_ideal
 
 
 def report(name, ok):
@@ -152,7 +149,7 @@ def test_acceptance_8_proximity_charts():
             intersection_matrix(chart)
         except Exception:
             ok = False
-    two = ProximityChart.free_chain(2)
+    two = free_chain(2)
     ok = ok and skewness(two, 2, 2) == 2
     ok = ok and skewness(two, 1, 2) == 1
     report("8 proximity charts negative definite; alpha = 2 and 1", ok)
@@ -240,7 +237,7 @@ def _recursion_laws():
         if all(v == 0 for v in coeffs):
             coeffs[0] = 2
         init = [rng.randint(1, 9) for _ in range(order)]
-        seq = RecurrenceModel(order, coeffs, 0).extend(init, 12)
+        seq = extend(RecurrenceModel(order, coeffs, 0), init, 12)
         if all(v == 0 for v in seq[-6:]):
             continue
         model = detect_recursion(seq, 3, 2)

@@ -216,6 +216,31 @@ def test_budget_bounds_the_jets(capsys):
     assert time.monotonic() - start < 30
 
 
+@pytest.mark.parametrize("argv, largest", [
+    (["verify", "bound", "--seq", "1", "--n", "{}"], 100),
+    (["verify", "functoriality", "--seq", "0110:(10)", "--n", "{}"], 404),
+    (["verify", "lemma", "--n", "{}"], 100),
+    (["curve", "coeffs", "--seq", ":(01)", "--n", "{}"], 99),
+    (["curve", "mult", "--a", "0", "--b", "0" * 9 + "1", "--coeff-horizon", "{}"], 100),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v))
+def test_budget_bounds_rows_and_ranges(capsys, argv, largest):
+    # --budget 100 admits a row (or lemma range) of 100 entries, and refuses
+    # one entry more before any work, however large --n is
+    def at(n):
+        return [a.replace("{}", str(n)) for a in argv] + ["--budget", "100"]
+
+    assert main(at(largest)) == 0
+    capsys.readouterr()
+    for n in (largest + 1, 10**5, 10**12):
+        start = time.monotonic()
+        assert main(at(n)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: ")
+        assert "exceeds the budget of 100" in captured.err
+        assert time.monotonic() - start < 1
+
+
 def test_mu_seq_on_each_arc_shape_and_the_fallback(capsys):
     # a y-graph, a coprime binomial, and a member with no parametrization
     for ideal, mu in [("y - x^2, x^3", ["3", "4", "8", "16", "32"]),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -27,6 +28,7 @@ from germdyn.curvefamily import (
 )
 from germdyn.dyadic import Dyadic
 from germdyn.series import AtLeast, USeries
+from test_series import compose_monomial
 
 
 def lemma_sum_direct(n: int) -> Fraction:
@@ -266,7 +268,7 @@ def functoriality_oracle(s, N, table):
     exponent < N compared."""
     g = curve(s, N, table)
     lhs = g * g
-    rhs = USeries.monomial(Dyadic(1), 4, N) - curve(s.shift(), N, table).compose_monomial(4)
+    rhs = USeries.monomial(Dyadic(1), 4, N) - compose_monomial(curve(s.shift(), N, table), 4)
     for k in range(N):
         if lhs.coeffs[k] != rhs.coeffs[k]:
             return False, (k, lhs.coeffs[k], rhs.coeffs[k])
@@ -376,3 +378,114 @@ def test_coeffwise_widening_matches_full_horizon():
     for N in (1, 8, 100, 341):
         assert mult_coeffwise(a, b, N, t) == AtLeast(2 + 4 * N)
         assert mult_coeffwise(a, a, N, t) == AtLeast(2 + 4 * N)
+
+
+# -- the row engine against the convolution it replaced ----------------------
+
+def convolution_irow(s, upto):
+    """A_0 .. A_(upto-1) by the folded convolution of g_s^2, one balanced
+    product per pair of indices; the oracle of CoeffTable's recurrence."""
+    if upto <= 0:
+        return []
+    row = [-1 if s.bit(0) else 1]
+    shift_row = convolution_irow(s.shift(), (upto - 2) // 4 + 1)
+    sign = -row[0]  # a_0 = +-1, so -X/(2 a_0) = sign * X / 2
+    while len(row) < upto:
+        n = len(row) - 1  # defining a_(n+1)
+        m = n // 2
+        acc = sum(map(mul, row[1:m + 1], row[n:n - m:-1]))
+        total = acc + acc
+        if n % 2:
+            total += row[m + 1] * row[m + 1]
+        if n % 4 == 0:
+            k = n // 4
+            total += shift_row[k] << (2 * (n + 1) - 2 * k)
+        assert total % 2 == 0
+        row.append(sign * (total // 2))
+    return row
+
+
+def fraction_row(s, upto):
+    """a_0 .. a_(upto-1) solved from g_s(y)^2 = y^4 - g_{sigma(s)}(y^4) in
+    Fractions: the coefficient of y^(4+4t) reads
+    sum_(i+j=t) a_i a_j = -b_((t-1)/4) when t = 1 mod 4, else 0."""
+    a0 = Fraction(-1 if s.bit(0) else 1)
+    if upto <= 1:
+        return [a0][:upto]
+    b = fraction_row(s.shift(), (upto - 2) // 4 + 1)
+    a = [a0]
+    for t in range(1, upto):
+        rhs = -b[(t - 1) // 4] if t % 4 == 1 else 0
+        a.append((rhs - sum(a[i] * a[t - i] for i in range(1, t))) / (2 * a0))
+    return a
+
+
+def random_specs(rng, count):
+    """Literals of seeded sequences: a prefix of at most 6 bits, then a tail
+    of zeros, of ones, or a cycle with both bits."""
+    specs = []
+    for i in range(count):
+        prefix = "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
+        if i % 3 < 2:
+            specs.append("%s:%d..." % (prefix, i % 3))
+            continue
+        cycle = "0"
+        while len(set(cycle)) < 2:
+            cycle = "".join(rng.choice("01") for _ in range(rng.randint(2, 4)))
+        specs.append("%s:(%s)" % (prefix, cycle))
+    return specs
+
+
+ROW_SPECS = ORACLE_SPECS + tuple(random_specs(random.Random(1212), 30))
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS)
+def test_rows_match_the_convolution_oracle(spec):
+    s = parse_bitseq(spec)
+    assert CoeffTable().irow(s, 300) == convolution_irow(s, 300)
+
+
+def test_rows_match_a_fraction_solution_of_the_identity():
+    for spec in ROW_SPECS:
+        s = parse_bitseq(spec)
+        row = CoeffTable().row(s, 61)
+        assert [a.as_fraction() for a in row] == fraction_row(s, 61), spec
+
+
+def test_self_shifting_rows_and_stepwise_extension():
+    for spec in ("0", ":1..."):  # all zeros, all ones
+        s = parse_bitseq(spec)
+        assert s.shift().canonical_key() == s.canonical_key()
+        assert CoeffTable().irow(s, 300) == convolution_irow(s, 300)
+    for spec in ("0", ":1...", "0110:(10)", "11:(01)"):
+        s = parse_bitseq(spec)
+        t = CoeffTable()
+        for upto in (7, 50, 300):
+            step = t.irow(s, upto)
+        assert step == CoeffTable().irow(s, 300), spec
+
+
+def recurrence_numerator(row, shift_row, n):
+    """2n A_n by the recurrence, read from A_0 .. A_(n-1) and the shift row."""
+    return sum((2 * n - 3 - 12 * k) * shift_row[k] * row[n - 1 - 4 * k] << (6 * k + 2)
+               for k in range((n - 1) // 4 + 1))
+
+
+def test_an_inexact_division_raises_instead_of_returning_a_row():
+    s = parse_bitseq("0110:(10)")
+    n = 40
+    t = CoeffTable()
+    t.irow(s, n)
+    row = t._irows[s.canonical_key()]
+    shift_row = t._irows[s.shift().canonical_key()]
+    exact = recurrence_numerator(row, shift_row, n)
+    assert exact == 2 * n * convolution_irow(s, n + 1)[n]
+    # search for a tampered entry that leaves 2n A_n indivisible by 2n
+    i, delta = next(
+        (i, delta) for i in range(n) for delta in (1, 2, 3)
+        if recurrence_numerator(row[:i] + [row[i] + delta] + row[i + 1:], shift_row, n)
+        % (2 * n))
+    row[i] += delta
+    with pytest.raises(AssertionError):
+        t.irow(s, n + 1)
+    assert len(row) == n

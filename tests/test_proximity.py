@@ -9,9 +9,24 @@ from germdyn.proximity import (
     NotNegativeDefinite,
     ProximityChart,
     intersection_matrix,
-    random_chart,
     skewness,
 )
+
+
+def free_chain(r: int, axis: str = "y") -> ProximityChart:
+    return ProximityChart(r, [(i, i - 1) for i in range(2, r + 1)], axis)
+
+
+def random_chart(rng, max_points: int = 6) -> ProximityChart:
+    """A seeded random well-formed chart: predecessor proximities always,
+    plus occasional satellite proximities one step further back."""
+    r = rng.randint(1, max_points)
+    prox = [(i, i - 1) for i in range(2, r + 1)]
+    for i in range(3, r + 1):
+        if rng.random() < 0.4:
+            prox.append((i, i - 2))
+    axis = rng.choice(["x", "y"])
+    return ProximityChart(r, prox, axis)
 
 
 def test_chart_validation():
@@ -23,7 +38,7 @@ def test_chart_validation():
 
 
 def test_two_point_chain_frozen_values():
-    chart = ProximityChart.free_chain(2)
+    chart = free_chain(2)
     lat = intersection_matrix(chart)
     assert lat.N == [[-2, 1], [1, -1]]
     assert lat.b == [1, 1]
@@ -38,7 +53,7 @@ def test_two_point_chain_frozen_values():
 
 
 def test_three_point_chain():
-    chart = ProximityChart.free_chain(3)
+    chart = free_chain(3)
     lat = intersection_matrix(chart)
     assert lat.b == [1, 1, 1]
     assert skewness(chart, 3, 3) == 3
@@ -55,12 +70,12 @@ def test_satellite_chart():
 
 
 def test_orders_follow_axis():
-    chart = ProximityChart.free_chain(3, axis="y")
+    chart = free_chain(3, axis="y")
     lat = intersection_matrix(chart)
     # y = 0 follows the whole free chain, x = 0 only the first point
     assert lat.ord_y == [1, 2, 3]
     assert lat.ord_x == [1, 1, 1]
-    flipped = ProximityChart.free_chain(3, axis="x")
+    flipped = free_chain(3, axis="x")
     lat2 = intersection_matrix(flipped)
     assert lat2.ord_x == [1, 2, 3] and lat2.ord_y == [1, 1, 1]
 

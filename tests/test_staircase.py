@@ -13,10 +13,24 @@ from germdyn.staircase import (
     minkowski_check,
     mixed,
     product,
-    random_primary_ideal,
     samuel,
-    staircase_covolume,
 )
+
+
+def staircase_covolume(I: MonomialIdeal2) -> Fraction:
+    """Area of the first-quadrant region outside the Newton polyhedron."""
+    return Fraction(samuel(I), 2)
+
+
+def random_primary_ideal(rng, max_power: int = 8, extra: int = 3) -> MonomialIdeal2:
+    """A seeded random origin-cutting monomial ideal, for consistency sweeps."""
+    p = rng.randint(1, max_power)
+    q = rng.randint(1, max_power)
+    gens = {(p, 0), (0, q)}
+    for _ in range(rng.randint(0, extra)):
+        if p > 1 and q > 1:
+            gens.add((rng.randint(1, p - 1), rng.randint(1, q - 1)))
+    return MonomialIdeal2(gens)
 
 M = MonomialIdeal2([(1, 0), (0, 1)])
 I23 = MonomialIdeal2([(2, 0), (0, 3)])
