@@ -171,7 +171,12 @@ class BiPoly:
     # -- composition --------------------------------------------------------
 
     def compose(self, fx: "BiPoly", fy: "BiPoly", budget: int | None = None) -> "BiPoly":
-        """Substitute x -> fx, y -> fy.  Exact; optional term budget."""
+        """Substitute x -> fx, y -> fy.  Exact; optional term budget, which
+        also caps the entries of each power table."""
+        top = max((max(ij) for ij in self.terms), default=0)
+        if budget is not None and top > budget:
+            raise BudgetExceeded("a power table of %d entries exceeds the budget of %d"
+                                 % (top, budget))
         # Horner in x over coefficient polys in y keeps the power table small
         by_i: dict[int, dict] = {}
         for (i, j), c in self.terms.items():

@@ -260,7 +260,10 @@ def cmd_c_seq(args):
     from .valuation import MonomialValuation, c_sequence
 
     F = MapGerm(*parse_map(args.map))
-    nu = MonomialValuation(Fraction(args.wx), Fraction(args.wy))
+    try:
+        nu = MonomialValuation(Fraction(args.wx), Fraction(args.wy))
+    except ZeroDivisionError:  # "1/0" parses as a Fraction with denominator 0
+        raise ValueError("a weight has a zero denominator") from None
     rates = c_sequence(F, nu, args.nmax, args.budget)
     payload = {"map": args.map, "weights": [str(nu.sx), str(nu.ty)],
                "rates": [str(r) for r in rates]}
@@ -357,7 +360,7 @@ GLOBALS = (
     ("--seed", {"type": int, "help": "sampler seed"}, 0),
     ("--format", {"choices": ["json", "csv", "text"]}, "json"),
     ("--out", {"help": "output path (default stdout)"}, None),
-    ("--budget", {"type": int, "help": "sparse term-count budget for compositions, "
+    ("--budget", {"type": int, "help": "term-count and power-table budget for compositions, "
                   "coefficient budget for the jets of mu-seq and pipeline and "
                   "for the coefficient rows of curve and verify, range budget "
                   "for verify lemma, and bit-size budget for arnold growth "

@@ -1,8 +1,9 @@
 """Local intersection multiplicities of exact plane curves at the origin.
 
-``local_mult`` is deterministic: each step of its decision order (a graph
-over either axis, the fiber certificate, Fulton's reduction capped by
-Bezout) is a proof, and none draws a random number or runs a gcd.
+``local_mult`` is deterministic: each step of its decision order (coprime
+tangent cones, a graph over either axis, the fiber certificate, Fulton's
+reduction capped by Bezout) is a proof, and none draws a random number or
+runs a gcd of curves.
 ``GenericSampler`` only draws the generic coefficients of ideal members.
 
 ``mu_sequence`` reads mu(n) = i_0((F^n)^* D_z, D_w) off the arc formula
@@ -104,6 +105,31 @@ def _fiber_certificate(P: BiPoly, Q: BiPoly) -> bool:
     return sum(1 for c in g if c != 0) == 1
 
 
+def _cone_mult(p: BiPoly, q: BiPoly):
+    """m(p) * m(q) when the tangent cones of p and q (their terms of lowest
+    total degree) share no line, else None: then i_0(p, q) = m(p) m(q), and
+    no component through the origin is shared (Fulton, *Algebraic Curves*,
+    section 3.3, property (5))."""
+    m, n = p.order(), q.order()
+    cp = [(i, c) for (i, j), c in p.terms.items() if i + j == m]
+    cq = [(i, c) for (i, j), c in q.terms.items() if i + j == n]
+    # x divides a cone when every term has i >= 1, y when every term has j >= 1
+    if all(i for i, _ in cp) and all(i for i, _ in cq):
+        return None
+    if all(i < m for i, _ in cp) and all(i < n for i, _ in cq):
+        return None
+    # a monomial cone's only lines are x and y, and neither divides both
+    if len(cp) > 1 and len(cq) > 1:
+        # y divides at most one cone, so setting y = 1 loses no shared line
+        a, b = [0] * (m + 1), [0] * (n + 1)
+        for row, cone in ((a, cp), (b, cq)):
+            for i, c in cone:
+                row[i] = c
+        if len(_ugcd(a, b)) > 1:
+            return None
+    return m * n
+
+
 def _ord_y(coeffs: list):
     """Index of the first nonzero entry; INFINITE for an all-zero list."""
     return next((k for k, c in enumerate(coeffs) if c), INFINITE)
@@ -174,6 +200,11 @@ def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler | None = No
     """i_0(P, Q): a nonnegative integer, or INFINITE for a shared component
     through the origin.  Deterministic: ``sampler`` is unused, and the first
     of these steps that decides gives the value, each by a proof:
+    0. tangent cones: when the cones (the terms of lowest degree) share no
+       line, i_0 = m(P) m(Q), the product of the orders (W. Fulton,
+       *Algebraic Curves*, section 3.3, property (5)); a monomial cone
+       shares none unless x or y divides both, and other cones are tested
+       by a gcd of the dehomogenized cones;
     1. graph: when a curve is c*x - h(y), ord_y of the resultant eliminating
        x (Horner's rule); failing that, the same for c*y - h(x) with x and y
        swapped;
@@ -194,7 +225,9 @@ def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve,
     if P.is_zero() or Q.is_zero():
         raise DegenerateInput("zero polynomial is not a curve")
     p, q = P.poly, Q.poly
-    value = _graph_mult(p, q)
+    value = _cone_mult(p, q)
+    if value is None:
+        value = _graph_mult(p, q)
     if value is not None:
         return value, False
     if _fiber_certificate(p, q):  # unit lc_x and p(0, 0) = 0: x-degrees >= 1

@@ -56,6 +56,18 @@ def test_compose_budget():
         p.compose(parse_poly("x + y^2"), parse_poly("y + x^2"), budget=3)
 
 
+@pytest.mark.parametrize("text", ["x^7", "x y^7", "y^7 + x"])
+def test_compose_budget_caps_the_power_tables(text):
+    # x^7 and y^7 compose under x -> x, y -> y with 7 powers, each one term
+    p, x, y = parse_poly(text), BiPoly.x(), BiPoly.y()
+    assert p.compose(x, y, budget=7) == p
+    with pytest.raises(BudgetExceeded, match="power table of 7 entries"):
+        p.compose(x, y, budget=6)
+    # a power table past the budget is refused before it is built
+    with pytest.raises(BudgetExceeded):
+        parse_poly("x^99999999999").compose(x, y, budget=10**6)
+
+
 def test_resultant_known_values():
     # Res_x(x^2 - y^3, x) = y^3 up to sign/scale
     r = resultant_x(parse_poly("x^2 - y^3"), parse_poly("x + y^5"))

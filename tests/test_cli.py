@@ -93,6 +93,40 @@ def test_large_y_degree_does_not_recurse(capsys):
     assert code2 == 0 and data2["rates"] == ["1", "1"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["c-seq", "--nmax", "3"], 3),
+    (["c-inf"], 3),
+    (["mu-seq", "--ideal", "x, y", "--nmax", "3"], 0),
+    (["mu-seq", "--ideal", "x^2, x y, y^2", "--nmax", "3"], 3),
+    (["pipeline", "--ideal", "x, y", "--nmax", "3"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_astronomical_map_degree_ends_within_seconds(argv, code):
+    # composing x^99999999999 would build 10^11 powers of x, each within the
+    # term budget; the power table is capped at --budget entries instead
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", *argv, "--map", "(x^99999999999, y)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 3:
+        assert proc.stdout == ""
+        assert proc.stderr == ("budget exceeded: a power table of 99999999999 "
+                               "entries exceeds the budget of 1000000\n")
+    assert time.monotonic() - start < 10
+
+
+@pytest.mark.parametrize("flag", ["--wx", "--wy"])
+def test_weight_with_a_zero_denominator_is_a_usage_error(capsys, flag):
+    code = main(["c-seq", "--map", "(x^2 - y^4, y^4)", "--nmax", "2", flag, "1/0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a weight has a zero denominator\n"
+
+
 def test_samuel_and_mixed(capsys):
     code, data = run_json(capsys, "samuel", "--ideal", "x^2, y^3, x y")
     assert code == 0 and data["samuel"] == "5"

@@ -47,8 +47,8 @@ VALUES = {
     "--b": st.sampled_from(SEQS),
     "--nu": st.sampled_from(["pow:2", "pow:0", "tower:2", "factorial", "table:TABLE",
                              "table:/nonexistent", "pow:x"]),
-    "--wx": st.sampled_from(["1", "2", "1/2", "3", "0", "x"]),
-    "--wy": st.sampled_from(["1", "3", "2/3", "2", "-1"]),
+    "--wx": st.sampled_from(["1", "2", "1/2", "3", "0", "x", "1/0"]),
+    "--wy": st.sampled_from(["1", "3", "2/3", "2", "-1", "1/0"]),
     "--terms": st.sampled_from(["1,2,4,8,16,32", "1,1,2,3,5,8,13,21", "1", "", "a,b"]),
     "--chart": st.sampled_from(["CHART", "/nonexistent/chart.json"]),
 }

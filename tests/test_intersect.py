@@ -14,6 +14,7 @@ from germdyn.intersect import (
     InfiniteMultiplicity,
     MapGerm,
     PlaneCurve,
+    _cone_mult,
     _fiber_certificate,
     _is_graph,
     _ord_y,
@@ -207,18 +208,24 @@ def shear_oracle(P: BiPoly, Q: BiPoly, sam: GenericSampler) -> int:
     raise AssertionError("no certified shear in 50 draws")
 
 
+def past_graph_and_fiber(p: BiPoly, q: BiPoly) -> bool:
+    """True when neither curve is a graph over either axis and the fiber
+    certificate fails: the pairs that only the cone step or Fulton's
+    reduction can decide."""
+    return (not any(_is_graph(t, axis) for t in (p, q) for axis in (0, 1))
+            and not _fiber_certificate(p, q))
+
+
 def test_fulton_matches_the_shear_oracle(monkeypatch):
-    """Fulton's reduction decides INFINITE on exactly the pairs reaching it
-    whose gcd is nonconstant and vanishes at the origin, and agrees with the
-    shear oracle on the others."""
+    """Fulton's reduction, called on every pair that is neither a graph nor
+    certified, decides INFINITE on exactly the pairs whose gcd is nonconstant
+    and vanishes at the origin, and agrees with the shear oracle on the
+    others.  local_mult agrees with it, and reaches it whenever the tangent
+    cones share a line."""
     reached = []
     fulton = intersect._fulton
-
-    def recording(p, q):
-        reached.append((p, q))
-        return fulton(p, q)
-
-    monkeypatch.setattr(intersect, "_fulton", recording)
+    monkeypatch.setattr(intersect, "_fulton",
+                        lambda p, q: reached.append(1) or fulton(p, q))
     rng = random.Random(5150)
     sam = GenericSampler(5150)
     values, infinite = {}, 0
@@ -228,12 +235,13 @@ def test_fulton_matches_the_shear_oracle(monkeypatch):
             U = BiPoly({(0, 0): 1, (1, 0): rng.randint(-2, 2),
                         (0, 1): rng.randint(-2, 2)})
             P, Q = P * U, Q * U
-        if P.is_zero() or Q.is_zero():
+        if P.is_zero() or Q.is_zero() or not past_graph_and_fiber(P, Q):
             continue
+        value = fulton(P, Q)
         before = len(reached)
-        value = local_mult(PlaneCurve(P), PlaneCurve(Q))
-        if len(reached) == before:
-            continue
+        assert local_mult(PlaneCurve(P), PlaneCurve(Q)) == value, (str(P), str(Q))
+        if _cone_mult(P, Q) is None:
+            assert len(reached) > before, (str(P), str(Q))
         g = bipoly_gcd(P, Q)
         shared = not g.is_constant() and g.constant_term() == 0
         assert (value is INFINITE) == shared, (str(P), str(Q), value)
@@ -291,9 +299,11 @@ def certified_pair_branch(p: BiPoly, q: BiPoly) -> str:
     return {0: "zero", 1: "free", 2: "linear"}.get(len(r), "sylvester")
 
 
-def test_pseudo_division_matches_the_full_resultant():
+def test_pseudo_division_matches_the_full_resultant(monkeypatch):
     """On certified pairs that are not graphs, every branch after the one
-    pseudo-division gives ord_y of the full Sylvester resultant."""
+    pseudo-division gives ord_y of the full Sylvester resultant.  Each pair
+    is decided once more with the cone step switched off, so that the
+    pseudo-division decides the pairs whose tangent cones are coprime too."""
     rng = random.Random(8086)
 
     def weierstrass(d):  # c x^d + y-terms: lc_x a unit, P(x, 0) = c x^d
@@ -318,8 +328,11 @@ def test_pseudo_division_matches_the_full_resultant():
         assert _fiber_certificate(p, q)
         branch = certified_pair_branch(p, q)
         want = _ord_y(resultant_x(p, q))
-        assert local_mult(PlaneCurve(p), PlaneCurve(q)) == want, (str(p), str(q))
-        assert local_mult(PlaneCurve(q), PlaneCurve(p)) == want, (str(p), str(q))
+        for a, b in ((p, q), (q, p)):
+            assert local_mult(PlaneCurve(a), PlaneCurve(b)) == want, (str(p), str(q))
+            with monkeypatch.context() as m:
+                m.setattr(intersect, "_cone_mult", lambda p, q: None)
+                assert local_mult(PlaneCurve(a), PlaneCurve(b)) == want, (str(p), str(q))
         counts[branch] += 1
         free_over_nonlinear += branch == "free" and min(p.degree_x(), q.degree_x()) >= 2
         if branch == "sylvester":
@@ -328,11 +341,12 @@ def test_pseudo_division_matches_the_full_resultant():
 
 
 def test_fulton_decides_infinite_by_the_bezout_cap(monkeypatch):
-    """Pairs that are neither graphs nor certified reach Fulton's reduction,
-    which decides INFINITE itself: y divides both, one curve divides the
-    other, or a shared component through the origin pushes its total past
-    deg P * deg Q.  A component shared only away from the origin is a unit
-    there and leaves i_0 finite."""
+    """Fulton's reduction decides INFINITE itself on pairs that are neither
+    graphs nor certified: y divides both, one curve divides the other, or a
+    shared component through the origin pushes its total past deg P * deg Q.
+    A component shared only away from the origin is a unit there and leaves
+    i_0 finite.  local_mult agrees, and reaches Fulton on each pair whose
+    tangent cones share a line."""
     reached = []
     fulton = intersect._fulton
     monkeypatch.setattr(intersect, "_fulton",
@@ -355,12 +369,159 @@ def test_fulton_decides_infinite_by_the_bezout_cap(monkeypatch):
     ]
     for p_text, q_text, want in cases:
         p, q = parse_poly(p_text), parse_poly(q_text)
-        assert not any(_is_graph(t, axis) for t in (p, q) for axis in (0, 1))
-        assert not _fiber_certificate(p, q), (p_text, q_text)
+        assert past_graph_and_fiber(p, q), (p_text, q_text)
         for a, b in ((p, q), (q, p)):
+            assert fulton(a, b) == want, (p_text, q_text)
             before = len(reached)
             assert local_mult(PlaneCurve(a), PlaneCurve(b)) == want, (p_text, q_text)
-            assert len(reached) > before
+            if _cone_mult(a, b) is None:
+                assert len(reached) > before, (p_text, q_text)
+
+
+CONE_IDEALS = [parse_poly_list(t) for t in
+               ("x^2, x y, y^2", "x^2, y^3", "x^3, x y, y^2", "x, y^2", "x^2, x y^2, y^3")]
+
+
+def cone_pairs(rng):
+    """Seeded pairs (P, Q) of every shape that reaches the cone step: conics
+    with linear parts, products, scaled copies, graphs, generic members of
+    monomial ideals, Fraction coefficients, higher-order cones, and singular
+    curves that often share a tangent."""
+    def tail(low):  # random terms of degrees low, low + 1
+        return BiPoly({(i, j): rng.randint(-2, 2) * (rng.random() < 0.4)
+                       for i in range(low + 2) for j in range(low + 2 - i) if i + j >= low})
+
+    def form(d):  # a homogeneous form of degree d, its lines often repeated
+        return BiPoly({(i, d - i): rng.randint(-2, 2) for i in range(d + 1)})
+
+    def member(gens):
+        return sum((BiPoly.const(rng.choice([-3, -1, 1, 2, 5])) * g for g in gens),
+                   BiPoly.zero())
+
+    def rational(P):
+        return BiPoly({ij: Fraction(c, rng.choice([1, 2, 3, 5]))
+                       for ij, c in P.terms.items()})
+
+    pairs = []
+    for k in range(600):
+        kind = k % 8
+        if kind == 0:
+            P, Q = rand_curve(rng).poly, rand_curve(rng).poly
+        elif kind == 1:
+            P, Q = rand_curve(rng).poly, rand_curve(rng).poly * rand_curve(rng).poly
+        elif kind == 2:  # a scaled copy, half of them perturbed past the cone
+            P = rand_curve(rng).poly
+            Q = P * rng.choice([-3, 2]) + tail(rng.randint(2, 4)) * rng.randint(0, 1)
+        elif kind == 3:  # c x - h(y) or c y - h(x) against a singular curve
+            P = BiPoly({(1, 0): rng.choice([1, -2]), (0, 4): 1,
+                        (0, rng.randint(1, 3)): rng.randint(-2, 2)})
+            if rng.random() < 0.5:
+                P = P.compose(BiPoly.y(), BiPoly.x())
+            Q = rand_singular(rng).poly
+        elif kind == 4:
+            gens = rng.choice(CONE_IDEALS)
+            P, Q = member(gens), member(gens)
+        elif kind == 5:
+            P, Q = rational(rand_singular(rng).poly), rational(rand_curve(rng).poly)
+        elif kind == 6:
+            P, Q = form(rng.randint(2, 3)) + tail(4), form(rng.randint(1, 3)) + tail(4)
+        else:
+            P, Q = rand_singular(rng).poly, rand_singular(rng).poly
+        if not P.is_zero() and not Q.is_zero():
+            pairs.append((P, Q))
+    return pairs
+
+
+@pytest.mark.parametrize("p_text, q_text, want", [
+    ("x^2 - y^2", "x y", 4),
+    ("x^2 - y^2 + x^3", "x^2 + y^2", 4),  # x = +-y against x = +-i y
+    ("1/2 x^2 - 1/3 y^2", "2/3 x y + y^3", 4),
+    ("x^2 y", "x^3 + y^3", 9),  # a monomial cone against one with no x or y
+    ("x^3 + y^4", "y^2 - x^5", 6),  # monomial cones x^3 and y^2
+    ("x^2 - y^2", "x^2 - x y + y^3", None),  # both contain x = y
+    ("x^2 + 2 x y + y^2 + x^3", "x^2 - y^2", None),  # (x + y)^2 against x^2 - y^2
+    ("x^2 y + x^4", "x y + y^3", None),  # x divides both cones
+    ("y^2 - x^3", "y^2 + x^5", None),  # y divides both cones
+    ("x y", "x y + x^3", None),
+])
+def test_cone_step_values(p_text, q_text, want):
+    p, q = parse_poly(p_text), parse_poly(q_text)
+    assert _cone_mult(p, q) == _cone_mult(q, p) == want
+    if want is not None:
+        assert intersect._fulton(p, q) == want
+
+
+def test_cone_step_reads_monomial_cones_off_the_terms():
+    # no dense list of 10^11 + 1 cone coefficients is built when one cone is
+    # a monomial or x divides both
+    assert _cone_mult(parse_poly("x^99999999999"), parse_poly("y")) == 99999999999
+    N = 99999999999
+    assert _cone_mult(parse_poly("x^%d + y^%d" % (N, N)), parse_poly("x y")) == 2 * N
+    assert _cone_mult(parse_poly("x^%d y" % N), parse_poly("x y^2")) is None
+
+
+def test_cone_step_matches_fulton_and_the_shear_oracle():
+    """Wherever the tangent cones decide, m(P) m(Q) equals Fulton's
+    reduction, the shear oracle, and local_mult in either order; a pair with
+    a shared component through the origin is never decided by its cones."""
+    sam = GenericSampler(1729)
+    decided = shared = 0
+    for P, Q in cone_pairs(random.Random(1729)):
+        value = _cone_mult(P, Q)
+        g = bipoly_gcd(P, Q)
+        if not g.is_constant() and g.constant_term() == 0:
+            assert value is None, (str(P), str(Q))
+            shared += 1
+        elif value is not None:
+            assert value == P.order() * Q.order() == _cone_mult(Q, P)
+            assert intersect._fulton(P, Q) == value, (str(P), str(Q))
+            assert shear_oracle(P, Q, sam) == value, (str(P), str(Q))
+            for a, b in ((P, Q), (Q, P)):
+                assert local_mult(PlaneCurve(a), PlaneCurve(b)) == value
+            decided += 1
+    assert decided >= 300 and shared >= 40, (decided, shared)
+
+
+def test_cone_step_never_decides_a_shared_component():
+    """S A against S B, S through the origin: the cone of S divides both
+    cones, so the pair goes on to a later step, which finds it INFINITE."""
+    rng = random.Random(1848)
+
+    def factor():  # a curve through the origin, or a unit there
+        k = rng.randint(0, 2)
+        if k == 2:
+            return BiPoly({(0, 0): rng.choice([1, -2]), (1, 0): rng.randint(-2, 2),
+                           (1, 1): rng.randint(-2, 2)})
+        return (rand_curve, rand_singular)[k](rng).poly
+
+    checked = 0
+    for _ in range(200):
+        S = (rand_curve(rng) if rng.random() < 0.5 else rand_singular(rng)).poly
+        P, Q = S * factor(), S * factor()
+        if S.is_zero() or P.is_zero() or Q.is_zero():
+            continue
+        assert _cone_mult(P, Q) is None, (str(P), str(Q))
+        assert local_mult(PlaneCurve(P), PlaneCurve(Q)) is INFINITE, (str(P), str(Q))
+        checked += 1
+    assert checked >= 150
+
+
+def test_each_step_decides_some_pairs(monkeypatch):
+    """The cone step shadows no later step: on the pairs of cone_pairs, the
+    cones, a graph, the fiber certificate and Fulton's reduction each decide
+    some pairs.  The deciding step is the last one that local_mult calls."""
+    steps = ("_cone_mult", "_graph_mult", "_fiber_certificate", "_fulton")
+    log = []
+    for name in steps:
+        def recording(p, q, name=name, step=getattr(intersect, name)):
+            log.append(name)
+            return step(p, q)
+        monkeypatch.setattr(intersect, name, recording)
+    counts = dict.fromkeys(steps, 0)
+    for P, Q in cone_pairs(random.Random(1729)):
+        local_mult(PlaneCurve(P), PlaneCurve(Q))
+        counts[log[-1]] += 1
+    assert counts["_cone_mult"] >= 300 and min(counts.values()) >= 30, counts
 
 
 def test_degenerate_input():
@@ -456,8 +617,8 @@ def test_mu_sequence_shared_component_raises():
 
 
 def test_detailed_is_exact_with_no_fallback():
-    # neither curve is a graph or certified, so Fulton's reduction decides:
-    # i_0(y^2 - x^3, x^4) = 4 i_0(y^2 - x^3, x) = 8
+    # both cones are y^2 and neither curve is a graph, so the fiber
+    # certificate decides: i_0(y^2 - x^3, x^4) = 4 i_0(y^2 - x^3, x) = 8
     assert local_mult_detailed(C("y^2 - x^3"), C("y^2 - x^3 + x^4")) == (8, False)
 
 
