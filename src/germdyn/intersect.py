@@ -1,9 +1,9 @@
 """Local intersection multiplicities of exact plane curves at the origin.
 
-``local_mult`` is deterministic: each step of its decision order (coprime
-tangent cones, a graph over either axis, the fiber certificate, Fulton's
-reduction capped by Bezout) is a proof, and none draws a random number or
-runs a gcd of curves.
+``local_mult`` is deterministic: each of its three steps (coprime tangent
+cones, a resultant under a one-sided fiber certificate, Fulton's reduction
+capped by Bezout) is a proof, and none draws a random number or runs a gcd
+of curves.
 ``GenericSampler`` only draws the generic coefficients of ideal members.
 
 ``mu_sequence`` reads mu(n) = i_0((F^n)^* D_z, D_w) off the arc formula
@@ -23,7 +23,7 @@ from operator import mul
 
 # MapGerm is re-exported: callers import it from here too
 from .bipoly import (BiPoly, MapGerm, _int_coeff_rows, _resultant_rows, _ugcd,
-                     _uprimitive, _wrap, _xprem)
+                     _uprimitive, _xprem)
 from .series import AtLeast, BudgetExceeded, USeries
 
 
@@ -93,18 +93,6 @@ class GenericSampler:
         return (1, b, a, a * b + 1)
 
 
-def _fiber_certificate(P: BiPoly, Q: BiPoly) -> bool:
-    """True when ord_y Res_x(P, Q) is provably the local multiplicity:
-    neither leading x-coefficient vanishes at y = 0, and the restrictions to
-    y = 0 have no common root but x = 0."""
-    # a leading x-coefficient is a unit at y = 0 iff it has a y^0 term
-    if (P.degree_x(), 0) not in P.terms or (Q.degree_x(), 0) not in Q.terms:
-        return False
-    g = _ugcd(P.eval_y0_in_x(), Q.eval_y0_in_x())
-    # common roots only at x = 0 means the gcd is a monomial c * x^k
-    return sum(1 for c in g if c != 0) == 1
-
-
 def _cone_mult(p: BiPoly, q: BiPoly):
     """m(p) * m(q) when the tangent cones of p and q (their terms of lowest
     total degree) share no line, else None: then i_0(p, q) = m(p) m(q), and
@@ -141,17 +129,27 @@ def _is_graph(P: BiPoly, k: int) -> bool:
     return lin in P.terms and all(ij[k] == 0 or ij == lin for ij in P.terms)
 
 
-def _graph_mult(p: BiPoly, q: BiPoly):
-    """i_0(p, q) when p or q is a graph over either axis, else None.  For
-    x = h(y)/c, i_0 = ord_y of the partner along the graph, which is
-    ord_y Res_x (zero exactly when the graph is a component of the partner)."""
-    for k in (0, 1):
-        for g, other in ((p, q), (q, p)):
-            if _is_graph(g, k):
-                if k:  # swap x and y
-                    g, other = (_wrap({(j, i): c for (i, j), c in t.terms.items()})
-                                for t in (g, other))
-                return _ord_y(_resultant_rows(*map(_int_coeff_rows, (other, g))))
+def _certified_pair(p: BiPoly, q: BiPoly):
+    """(a, b), p and q in an order with i_0 = ord_y Res_x(a, b), or None; the
+    curve of lower x-degree is tried as b first.  An order is certified when
+    lc_x(b) is a unit at y = 0 and a(x, 0), b(x, 0) share no root but x = 0:
+    Res_x(a, b) is then, up to a unit, the product of a(beta, y) over the
+    roots beta of b, and a root that meets a near y = 0 lies on a branch of
+    b at the origin (Fulton, *Algebraic Curves*, sections 1.6 and 3.3).
+    Unless a curve is free of x, x-degrees past the term budget would need
+    dense rows too long for a resultant, and are left to Fulton."""
+    dp, dq = p.degree_x(), q.degree_x()
+    if min(dp, dq) and max(dp, dq) > DEFAULT_TERM_BUDGET:
+        return None
+    for a, b in ((p, q), (q, p)) if dq <= dp else ((q, p), (p, q)):
+        # lc_x(b) is a unit at y = 0 iff it has a y^0 term (of x-degree >= 1)
+        if (b.degree_x(), 0) in b.terms:
+            # b(x, 0) = c x^d is read off the terms, with no dense list
+            if sum(1 for _, j in b.terms if not j) == 1:
+                return a, b
+            # else a monomial gcd c x^k; if not, no b(x, 0) is a monomial
+            g = _ugcd(a.eval_y0_in_x(), b.eval_y0_in_x())
+            return None if any(g[:-1]) else (a, b)
     return None
 
 
@@ -200,17 +198,15 @@ def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler | None = No
     """i_0(P, Q): a nonnegative integer, or INFINITE for a shared component
     through the origin.  Deterministic: ``sampler`` is unused, and the first
     of these steps that decides gives the value, each by a proof:
-    0. tangent cones: when the cones (the terms of lowest degree) share no
+    1. tangent cones: when the cones (the terms of lowest degree) share no
        line, i_0 = m(P) m(Q), the product of the orders (W. Fulton,
        *Algebraic Curves*, section 3.3, property (5)); a monomial cone
        shares none unless x or y divides both, and other cones are tested
        by a gcd of the dehomogenized cones;
-    1. graph: when a curve is c*x - h(y), ord_y of the resultant eliminating
-       x (Horner's rule); failing that, the same for c*y - h(x) with x and y
-       swapped;
-    2. fiber certificate: when both leading x-coefficients are units at
-       y = 0 and the curves meet the x-axis only at the origin, ord_y of
-       Res_x(Q, r), r the pseudo-remainder of P by Q (x-degrees dP >= dQ);
+    2. one certificate: in an order (a, b) of the pair with lc_x(b) a unit at
+       y = 0 and a(x, 0), b(x, 0) sharing no root but x = 0, ord_y Res_x(a, b),
+       read off the terms when a is free of x, else by Horner's rule, one
+       pseudo-division, or Bareiss;
     3. Fulton's reduction (W. Fulton, *Algebraic Curves*, section 3.3) over
        Z, capped by Bezout: INFINITE once its total passes deg P * deg Q.
     """
@@ -226,23 +222,26 @@ def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve,
         raise DegenerateInput("zero polynomial is not a curve")
     p, q = P.poly, Q.poly
     value = _cone_mult(p, q)
-    if value is None:
-        value = _graph_mult(p, q)
     if value is not None:
         return value, False
-    if _fiber_certificate(p, q):  # unit lc_x and p(0, 0) = 0: x-degrees >= 1
-        a, b = sorted((_int_coeff_rows(p), _int_coeff_rows(q)), key=len)[::-1]
-        # r = lc(b)^e a mod b, and lc(b) is a unit at y = 0, so
-        # ord_y Res_x(a, b) = ord_y Res_x(b, r); Res_x(b, r) = r^deg_x(b) when
-        # r is free of x.  A zero resultant is INFINITE: a common factor of
-        # positive x-degree has a leading x-coefficient dividing lc_x(P), a
-        # unit at y = 0, so its restriction to y = 0 has positive degree and
-        # divides the certified c x^k; the factor passes through the origin.
-        r = _xprem(a, b)
-        value = (_ord_y(_resultant_rows(b, r)) if len(r) > 1
-                 else (len(b) - 1) * _ord_y(r[0]) if r else INFINITE)
-        return value, False
-    return _fulton(p, q), False
+    pair = _certified_pair(p, q)
+    if pair is None:
+        return _fulton(p, q), False
+    a, b = pair
+    if not a.degree_x():  # Res_x(a, b) = a^deg_x(b)
+        return b.degree_x() * a.ord_y(), False
+    # A zero resultant is INFINITE: a common factor of positive x-degree has
+    # a leading x-coefficient dividing lc_x(b), a unit at y = 0, so its
+    # restriction to y = 0 has positive degree and divides the certified
+    # c x^k (or b(x, 0) = c x^d); the factor passes through the origin.
+    a, b = _int_coeff_rows(a), _int_coeff_rows(b)
+    # when x-degrees dA >= dB >= 2, r = lc(b)^e a mod b, and lc(b) is a unit
+    # at y = 0, so ord_y Res_x(a, b) = ord_y Res_x(b, r); Res_x(b, r) is
+    # r^deg_x(b) when r is free of x, else Horner's rule or Bareiss
+    r = _xprem(a, b) if len(a) >= len(b) > 2 else a
+    value = (_ord_y(_resultant_rows(b, r)) if len(r) > 1
+             else (len(b) - 1) * _ord_y(r[0]) if r else INFINITE)
+    return value, False
 
 
 def pullback(F: MapGerm, C: PlaneCurve, budget: int | None = None) -> PlaneCurve:

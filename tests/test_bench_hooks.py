@@ -1,0 +1,42 @@
+"""The traced benchmark wraps germdyn's entry points by name (``bench/spans.py``
+``install``).  This guard runs that installation in a fresh process, so that
+deleting or renaming a name it patches fails here and not only in a traced
+benchmark run."""
+
+import json
+import os
+import subprocess
+import sys
+
+import germdyn
+
+SRC = os.path.dirname(os.path.dirname(germdyn.__file__))
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+# installs the tracer as a traced benchmark child does, then makes one
+# local_mult call, whose wrapper unpacks local_mult_detailed's pair
+PROBE = """\
+import json
+import germdyn, germdyn.cli
+from spans import Tracer, install
+tracer = Tracer()
+install(tracer)
+from germdyn.intersect import PlaneCurve, local_mult
+from germdyn.polyparse import parse_poly
+value = local_mult(PlaneCurve(parse_poly("y^2 - x^3")),
+                   PlaneCurve(parse_poly("y^2 - x^3 + x^4")))
+summary = tracer.summary()
+print(json.dumps([str(value), sorted(summary["layers"]), summary["counters"]]))
+"""
+
+
+def test_benchmark_tracer_installs_on_the_current_names():
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, BENCH])}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, layers, counters = json.loads(proc.stdout)
+    assert value == "8"
+    assert "intersect.local_mult" in layers
+    assert sum(n for k, n in counters.items() if k.startswith("intersect.path.")) == 1

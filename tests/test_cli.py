@@ -119,6 +119,35 @@ def test_astronomical_map_degree_ends_within_seconds(argv, code):
     assert time.monotonic() - start < 10
 
 
+@pytest.mark.parametrize("command, map_text, code, mu", [
+    ("mu-seq", "(x^99999999999 + y^2, y)", 0, [1, 1, 1, 1]),
+    ("pipeline", "(x^99999999999 + y^2, y)", 3, None),
+    ("mu-seq", "(x^99999999999 + y^3, y^2 + x y)", 0, [1, 2, 4, 8]),
+    ("mu-seq", "(x^99999999999 + y^2, y^2 + x^2 y + x^3)", 0, [1, 2, 4, 8]),
+], ids=lambda v: str(v))
+def test_astronomical_x_degree_in_the_finiteness_check(command, map_text, code, mu):
+    # i_0(x^99999999999 + y^2, y) = 99999999999 is read off the terms, and
+    # the other two maps go to Fulton's sparse reduction: no finiteness check
+    # builds a dense row of 10^11 + 1 entries; pipeline's c_sequence stops
+    # at the budget
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", command, "--map", map_text,
+         "--ideal", "x, y", "--nmax", "3"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["mu"] == [str(v) for v in mu]
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("budget exceeded: a power table of 99999999999 ")
+    assert time.monotonic() - start < 10
+
+
 @pytest.mark.parametrize("flag", ["--wx", "--wy"])
 def test_weight_with_a_zero_denominator_is_a_usage_error(capsys, flag):
     code = main(["c-seq", "--map", "(x^2 - y^4, y^4)", "--nmax", "2", flag, "1/0"])

@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 
 from germdyn import intersect
-from germdyn.bipoly import BiPoly, _int_coeff_rows, _trim_z, _xprem, bipoly_gcd, resultant_x
+from germdyn.bipoly import (BiPoly, _int_coeff_rows, _trim_z, _ugcd, _xprem, bipoly_gcd,
+                            resultant_x)
 from germdyn.intersect import (
     INFINITE,
     DegenerateInput,
@@ -14,9 +15,8 @@ from germdyn.intersect import (
     InfiniteMultiplicity,
     MapGerm,
     PlaneCurve,
+    _certified_pair,
     _cone_mult,
-    _fiber_certificate,
-    _is_graph,
     _ord_y,
     _parametrization,
     generic_member,
@@ -50,7 +50,7 @@ def test_graph_curves():
     # y-graphs: y = x^2 against the cusp gives ord_x(x^4 - x^3) = 3
     assert local_mult(C("y - x^2"), C("y^2 - x^3")) == 3
     assert local_mult(C("y^2 - x^3"), C("3 y + x^2")) == 3
-    # a partner with no y (after the swap, no x): its own order along the graph
+    # a partner with no y: its own order along the graph
     assert local_mult(C("y - x^3"), C("x^2")) == 2
     assert local_mult(C("y - x^3"), C("(y - x^3) (x - y)")) is INFINITE
 
@@ -102,9 +102,9 @@ def test_common_factor_missing_the_origin_is_divided_out():
 
 
 def test_infinite_exactly_when_gcd_passes_through_origin():
-    """The decision order (graph over either axis, fiber certificate,
+    """The decision order (tangent cones, the one-sided fiber certificate,
     Fulton capped by Bezout) gives INFINITE on exactly the pairs whose gcd
-    is nonconstant and vanishes at the origin, whichever path the shared
+    is nonconstant and vanishes at the origin, whichever step the shared
     component reaches."""
     rng = random.Random(4242)
     sam = GenericSampler(4242)
@@ -128,9 +128,8 @@ def test_infinite_exactly_when_gcd_passes_through_origin():
         return BiPoly({(0, 0): 1, (1, 0): rng.randint(-2, 2),
                        (0, 1): rng.randint(-2, 2)})
 
-    # "fulton": neither a graph nor certified, so without the shared
-    # component the pair would reach Fulton's reduction
-    paths = {"graph": 0, "fiber": 0, "fulton": 0}
+    # the step that decides a shared component (never the cones)
+    paths = {"certified": 0, "fulton": 0}
     infinite = divided = 0
     for k in range(240):
         kind = k % 4
@@ -157,13 +156,7 @@ def test_infinite_exactly_when_gcd_passes_through_origin():
         assert (value is INFINITE) == shared, (str(P), str(Q), value)
         if shared:
             infinite += 1
-            if any(_is_graph(R, axis) for R in (P, Q) for axis in (0, 1)):
-                paths["graph"] += 1
-            elif (P.degree_x() >= 1 and Q.degree_x() >= 1
-                  and _fiber_certificate(P, Q)):
-                paths["fiber"] += 1
-            else:
-                paths["fulton"] += 1
+            paths["fulton" if past_the_certificate(P, Q) else "certified"] += 1
         else:
             assert isinstance(value, int) and value >= 1
             divided += not g.is_constant()
@@ -189,10 +182,23 @@ def bipoly_exact_div(P: BiPoly, D: BiPoly) -> BiPoly:
     return BiPoly(quot)
 
 
+def fiber_certificate(P: BiPoly, Q: BiPoly) -> bool:
+    """The shear oracle's own certificate, kept apart from the code it
+    checks: True when neither leading x-coefficient vanishes at y = 0 and
+    the restrictions to y = 0 have no common root but x = 0, so that
+    ord_y Res_x(P, Q) is the local multiplicity."""
+    # a leading x-coefficient is a unit at y = 0 iff it has a y^0 term
+    if (P.degree_x(), 0) not in P.terms or (Q.degree_x(), 0) not in Q.terms:
+        return False
+    g = _ugcd(P.eval_y0_in_x(), Q.eval_y0_in_x())
+    # common roots only at x = 0 means the gcd is a monomial c * x^k
+    return sum(1 for c in g if c != 0) == 1
+
+
 def shear_oracle(P: BiPoly, Q: BiPoly, sam: GenericSampler) -> int:
     """i_0 by an independent route: divide out the gcd (a unit at the
-    origin), then ord_y Res_x after a unimodular shear whose fiber
-    certificate holds."""
+    origin), then ord_y Res_x after a unimodular shear whose two-sided
+    fiber certificate holds."""
     g = bipoly_gcd(P, Q)
     if not g.is_constant():
         assert g.constant_term() != 0
@@ -201,24 +207,22 @@ def shear_oracle(P: BiPoly, Q: BiPoly, sam: GenericSampler) -> int:
         a, b, c, d = sam.unimodular()
         fx, fy = BiPoly({(1, 0): a, (0, 1): b}), BiPoly({(1, 0): c, (0, 1): d})
         pa, qa = P.compose(fx, fy), Q.compose(fx, fy)
-        if pa.degree_x() >= 1 and qa.degree_x() >= 1 and _fiber_certificate(pa, qa):
+        if pa.degree_x() >= 1 and qa.degree_x() >= 1 and fiber_certificate(pa, qa):
             r = _trim_z(resultant_x(pa, qa))
             assert r, "coprime curves with a zero resultant"
             return next(k for k, v in enumerate(r) if v)
     raise AssertionError("no certified shear in 50 draws")
 
 
-def past_graph_and_fiber(p: BiPoly, q: BiPoly) -> bool:
-    """True when neither curve is a graph over either axis and the fiber
-    certificate fails: the pairs that only the cone step or Fulton's
-    reduction can decide."""
-    return (not any(_is_graph(t, axis) for t in (p, q) for axis in (0, 1))
-            and not _fiber_certificate(p, q))
+def past_the_certificate(p: BiPoly, q: BiPoly) -> bool:
+    """True when the fiber certificate refuses both orders of the pair: the
+    pairs that only the cone step or Fulton's reduction can decide."""
+    return _certified_pair(p, q) is None
 
 
 def test_fulton_matches_the_shear_oracle(monkeypatch):
-    """Fulton's reduction, called on every pair that is neither a graph nor
-    certified, decides INFINITE on exactly the pairs whose gcd is nonconstant
+    """Fulton's reduction, called on every pair that is not certified,
+    decides INFINITE on exactly the pairs whose gcd is nonconstant
     and vanishes at the origin, and agrees with the shear oracle on the
     others.  local_mult agrees with it, and reaches it whenever the tangent
     cones share a line."""
@@ -229,13 +233,13 @@ def test_fulton_matches_the_shear_oracle(monkeypatch):
     rng = random.Random(5150)
     sam = GenericSampler(5150)
     values, infinite = {}, 0
-    for k in range(600):
+    for k in range(750):
         P, Q = rand_singular(rng).poly, rand_singular(rng).poly
         if k % 3 == 0:  # a common factor that is a unit at the origin
             U = BiPoly({(0, 0): 1, (1, 0): rng.randint(-2, 2),
                         (0, 1): rng.randint(-2, 2)})
             P, Q = P * U, Q * U
-        if P.is_zero() or Q.is_zero() or not past_graph_and_fiber(P, Q):
+        if P.is_zero() or Q.is_zero() or not past_the_certificate(P, Q):
             continue
         value = fulton(P, Q)
         before = len(reached)
@@ -275,7 +279,7 @@ def test_fulton_drops_terms_past_the_bezout_bound():
         else:
             P, Q = (T + BiPoly.y() * rand_poly(d - 1, 1) for T in (A, B))
         if (P.is_zero() or Q.is_zero() or P.constant_term() or Q.constant_term()
-                or _fiber_certificate(P, Q)):
+                or not past_the_certificate(P, Q)):
             continue
         value = local_mult(PlaneCurve(P), PlaneCurve(Q))
         g = bipoly_gcd(P, Q)
@@ -289,21 +293,28 @@ def test_fulton_drops_terms_past_the_bezout_bound():
 
 
 def certified_pair_branch(p: BiPoly, q: BiPoly) -> str:
-    """Which step of the pseudo-division order decides a certified pair:
-    the remainder r of the higher x-degree curve by the other is zero, free
-    of x, linear in x, or of x-degree >= 2 (a Sylvester matrix)."""
-    a, b = _int_coeff_rows(p), _int_coeff_rows(q)
+    """Which rule decides a certified pair (a, b): a free of x, Horner's
+    rule for a linear b, Bareiss on (b, a) when a has the lower x-degree,
+    or, after one pseudo-division, the remainder r of a by b: zero, free of
+    x, linear in x, or of x-degree >= 2 (a Sylvester matrix)."""
+    a, b = _certified_pair(p, q)
+    if not a.degree_x():
+        return "x-free"
+    a, b = _int_coeff_rows(a), _int_coeff_rows(b)
+    if len(b) == 2:
+        return "horner"
     if len(a) < len(b):
-        a, b = b, a
+        return "bareiss"
     r = _xprem(a, b)
     return {0: "zero", 1: "free", 2: "linear"}.get(len(r), "sylvester")
 
 
 def test_pseudo_division_matches_the_full_resultant(monkeypatch):
-    """On certified pairs that are not graphs, every branch after the one
-    pseudo-division gives ord_y of the full Sylvester resultant.  Each pair
-    is decided once more with the cone step switched off, so that the
-    pseudo-division decides the pairs whose tangent cones are coprime too."""
+    """On pairs with both leading x-coefficients units at y = 0, Horner's
+    rule and every branch after the one pseudo-division give ord_y of the
+    full Sylvester resultant.  Each pair is decided once more with the cone
+    step switched off, so that the certificate decides the pairs whose
+    tangent cones are coprime too."""
     rng = random.Random(8086)
 
     def weierstrass(d):  # c x^d + y-terms: lc_x a unit, P(x, 0) = c x^d
@@ -314,7 +325,7 @@ def test_pseudo_division_matches_the_full_resultant(monkeypatch):
         terms[0, 2] = rng.choice([1, -1])
         return BiPoly(terms)
 
-    counts = {"zero": 0, "free": 0, "linear": 0, "sylvester": 0}
+    counts = dict.fromkeys(("horner", "zero", "free", "linear", "sylvester"), 0)
     free_over_nonlinear = 0
     for k in range(400):
         dq = 1 + k % 4
@@ -323,9 +334,7 @@ def test_pseudo_division_matches_the_full_resultant(monkeypatch):
             p = q * weierstrass(rng.randint(1, 2))
         elif k % 5 == 1:  # the remainder is a power of y
             p = q * weierstrass(rng.randint(1, 2)) + BiPoly.monomial(1, 0, rng.randint(1, 9))
-        if any(_is_graph(t, axis) for t in (p, q) for axis in (0, 1)):
-            continue
-        assert _fiber_certificate(p, q)
+        assert fiber_certificate(p, q)
         branch = certified_pair_branch(p, q)
         want = _ord_y(resultant_x(p, q))
         for a, b in ((p, q), (q, p)):
@@ -340,9 +349,144 @@ def test_pseudo_division_matches_the_full_resultant(monkeypatch):
     assert min(counts.values()) >= 50 and free_over_nonlinear >= 40, counts
 
 
+def certificate_only(monkeypatch):
+    """Switch off the cone step and make Fulton's reduction fail loudly, so
+    that every local_mult call below is decided by the certificate."""
+    def refuse(p, q):
+        raise AssertionError("reached Fulton: %s, %s" % (p, q))
+    monkeypatch.setattr(intersect, "_cone_mult", lambda p, q: None)
+    monkeypatch.setattr(intersect, "_fulton", refuse)
+
+
+def check_certified(P: BiPoly, Q: BiPoly, fulton, sam) -> object:
+    """local_mult of a certified pair in both orders, checked against
+    Fulton's reduction and, off a shared component, the shear oracle."""
+    value = fulton(P, Q)
+    for a, b in ((P, Q), (Q, P)):
+        assert local_mult(PlaneCurve(a), PlaneCurve(b)) == value, (str(P), str(Q))
+    g = bipoly_gcd(P, Q)
+    if not g.is_constant() and g.constant_term() == 0:
+        assert value is INFINITE, (str(P), str(Q), value)
+    else:
+        assert value == shear_oracle(P, Q, sam), (str(P), str(Q), value)
+    return value
+
+
+def test_one_sided_certificate(monkeypatch):
+    """Pairs where only one leading x-coefficient is a unit at y = 0, which
+    the two-sided certificate refuses: the one-sided certificate decides
+    them, and its value equals Fulton's reduction and the shear oracle."""
+    fulton = intersect._fulton
+    certificate_only(monkeypatch)
+    rng = random.Random(7007)
+    sam = GenericSampler(7007)
+    values, by_gcd = [], 0
+    for k in range(300):
+        d, e = rng.randint(1 + k % 2, 3), rng.randint(1 + k % 2, 3)
+        # b = c x^d + ..., and a with a leading x-coefficient divisible by y;
+        # on odd k, b(x, 0) is no monomial and a(x, 0) is nonzero
+        b = {(d, 0): rng.choice([1, -1, 2])}
+        a = {(e, rng.randint(1, 2)): rng.choice([1, -2])}
+        for _ in range(rng.randint(1, 4)):
+            b[rng.randint(0, d), rng.randint(1, 3)] = rng.randint(-3, 3)
+            a[rng.randint(0, e - 1), rng.randint(0, 3)] = rng.randint(-3, 3)
+        if k % 2:
+            b[rng.randint(1, d - 1), 0] = rng.choice([-2, -1, 1, 2])
+            a[rng.randint(1, e - 1), 0] = rng.choice([-2, -1, 1, 2])
+        a.pop((0, 0), None)
+        P, Q = BiPoly(a), BiPoly(b)
+        pair = None if P.is_zero() or fiber_certificate(P, Q) else _certified_pair(P, Q)
+        if pair is None:
+            continue
+        values.append(check_certified(P, Q, fulton, sam))
+        by_gcd += sum(1 for _, j in pair[1].terms if not j) > 1
+    assert len(values) >= 250 and len(set(values)) >= 8, values
+    assert values.count(INFINITE) >= 40 and by_gcd >= 100, (values, by_gcd)
+
+
+def test_y_graphs_need_no_swap(monkeypatch):
+    """A graph c y - h(x) has a constant leading x-coefficient, so the
+    certificate takes it, as b or as a, with no swap of x and y; the values
+    equal Fulton's reduction and the shear oracle."""
+    fulton = intersect._fulton
+    certificate_only(monkeypatch)
+    rng = random.Random(9119)
+    sam = GenericSampler(9119)
+    values, as_b = [], 0
+    for k in range(300):
+        low = 1 + k % 3  # the graph meets the x-axis with contact low
+        h = {(i, 0): rng.randint(-3, 3) for i in range(low + 1, 5) if k % 5}
+        h[low, 0] = rng.choice([1, -1, 2])
+        G = BiPoly({(0, 1): rng.choice([1, -2, 3])}) - BiPoly(h)
+        # on k = 0 mod 5, G = c y - d x^low is a shared component
+        Q = G * rand_curve(rng).poly if k % 5 == 0 else rand_singular(rng).poly
+        pair = None if Q.is_zero() else _certified_pair(G, Q)
+        if pair is None:
+            continue
+        values.append(check_certified(G, Q, fulton, sam))
+        as_b += pair[1] is G
+    assert len(values) >= 200 and len(set(values)) >= 5, values
+    assert values.count(INFINITE) >= 40, values
+    assert 30 <= as_b <= len(values) - 30, (as_b, len(values))
+
+
+def test_shared_component_with_a_unit_leading_coefficient():
+    """S A against S B, S through the origin with lc_x(S) a unit at y = 0:
+    INFINITE by Fulton's reduction and by local_mult.  The certificate takes
+    many such pairs, and a zero resultant proves them INFINITE; it refuses
+    every pair whose S(x, 0) has a root off the origin."""
+    fulton = intersect._fulton
+    rng = random.Random(3113)
+
+    def weierstrass(low):  # c x^d + terms divisible by y
+        d = rng.randint(low, 2)
+        terms = {(d, 0): rng.choice([1, -1, 2])}
+        for _ in range(rng.randint(1, 3)):
+            terms[rng.randint(0, d), rng.randint(1, 2)] = rng.randint(-2, 2)
+        return BiPoly(terms)
+
+    certified = 0
+    for k in range(150):
+        S = weierstrass(1)
+        if k % 3 == 0:  # S(x, 0) has a root off the origin
+            S = S + BiPoly({(S.degree_x() + 1, 0): 1})
+        A = weierstrass(0) + BiPoly.const(rng.randint(0, 1))
+        B = weierstrass(0) + rand_curve(rng).poly * rng.randint(0, 1)
+        P, Q = S * A, S * B
+        if P.is_zero() or Q.is_zero():
+            continue
+        assert fulton(P, Q) is INFINITE, (str(P), str(Q))
+        for a, b in ((P, Q), (Q, P)):
+            assert local_mult(PlaneCurve(a), PlaneCurve(b)) is INFINITE, (str(P), str(Q))
+        pair = _certified_pair(P, Q)
+        assert pair is None or k % 3, (str(P), str(Q))
+        certified += _cone_mult(P, Q) is None and pair is not None
+    assert certified >= 80, certified
+
+
+def test_astronomical_x_degrees_build_no_dense_rows():
+    """An x-free curve is read off the terms whatever its partner's degree;
+    two curves with x whose x-degree passes the term budget go to Fulton's
+    sparse reduction instead of the resultant's dense rows."""
+    N = 99999999999
+    for p_text, q_text, want in [
+        ("x^%d + y^2" % N, "y", N),
+        ("x^%d + y^3" % N, "y^2 + x y", N + 3),  # only lc_x(x^N + y^3) is a unit
+        ("x^%d + y^2" % N, "y^2 + x^2 y + x^3", 6),  # both are
+    ]:
+        p, q = parse_poly(p_text), parse_poly(q_text)
+        assert (_certified_pair(p, q) is None) == bool(q.degree_x())
+        for a, b in ((p, q), (q, p)):
+            assert local_mult(PlaneCurve(a), PlaneCurve(b)) == want, (p_text, q_text)
+    # the same shapes below the budget are certified, with the same values
+    p, q = parse_poly("x^50 + y^2"), parse_poly("y^2 + x^2 y + x^3")
+    assert _certified_pair(p, q) is not None
+    assert local_mult(PlaneCurve(p), PlaneCurve(q)) == intersect._fulton(p, q) == 6
+
+
 def test_fulton_decides_infinite_by_the_bezout_cap(monkeypatch):
-    """Fulton's reduction decides INFINITE itself on pairs that are neither
-    graphs nor certified: y divides both, one curve divides the other, or a
+    """Fulton's reduction decides INFINITE itself on pairs that are not
+    certified: y divides both, one curve divides the other, or a
     shared component through the origin pushes its total past deg P * deg Q.
     A component shared only away from the origin is a unit there and leaves
     i_0 finite.  local_mult agrees, and reaches Fulton on each pair whose
@@ -369,7 +513,7 @@ def test_fulton_decides_infinite_by_the_bezout_cap(monkeypatch):
     ]
     for p_text, q_text, want in cases:
         p, q = parse_poly(p_text), parse_poly(q_text)
-        assert past_graph_and_fiber(p, q), (p_text, q_text)
+        assert past_the_certificate(p, q), (p_text, q_text)
         for a, b in ((p, q), (q, p)):
             assert fulton(a, b) == want, (p_text, q_text)
             before = len(reached)
@@ -508,9 +652,9 @@ def test_cone_step_never_decides_a_shared_component():
 
 def test_each_step_decides_some_pairs(monkeypatch):
     """The cone step shadows no later step: on the pairs of cone_pairs, the
-    cones, a graph, the fiber certificate and Fulton's reduction each decide
-    some pairs.  The deciding step is the last one that local_mult calls."""
-    steps = ("_cone_mult", "_graph_mult", "_fiber_certificate", "_fulton")
+    cones, the fiber certificate and Fulton's reduction each decide some
+    pairs.  The deciding step is the last one that local_mult calls."""
+    steps = ("_cone_mult", "_certified_pair", "_fulton")
     log = []
     for name in steps:
         def recording(p, q, name=name, step=getattr(intersect, name)):
@@ -617,8 +761,8 @@ def test_mu_sequence_shared_component_raises():
 
 
 def test_detailed_is_exact_with_no_fallback():
-    # both cones are y^2 and neither curve is a graph, so the fiber
-    # certificate decides: i_0(y^2 - x^3, x^4) = 4 i_0(y^2 - x^3, x) = 8
+    # both cones are y^2, so the fiber certificate decides, with b the cusp:
+    # i_0(y^2 - x^3, x^4) = 4 i_0(y^2 - x^3, x) = 8
     assert local_mult_detailed(C("y^2 - x^3"), C("y^2 - x^3 + x^4")) == (8, False)
 
 
