@@ -136,8 +136,7 @@ def _certified_pair(p: BiPoly, q: BiPoly):
     Res_x(a, b) is then, up to a unit, the product of a(beta, y) over the
     roots beta of b, and a root that meets a near y = 0 lies on a branch of
     b at the origin (Fulton, *Algebraic Curves*, sections 1.6 and 3.3).
-    Unless a curve is free of x, x-degrees past the term budget would need
-    dense rows too long for a resultant, and are left to Fulton."""
+    Fulton decides past the term budget (no dense rows) unless a is x-free."""
     dp, dq = p.degree_x(), q.degree_x()
     if min(dp, dq) and max(dp, dq) > DEFAULT_TERM_BUDGET:
         return None
@@ -147,9 +146,10 @@ def _certified_pair(p: BiPoly, q: BiPoly):
             # b(x, 0) = c x^d is read off the terms, with no dense list
             if sum(1 for _, j in b.terms if not j) == 1:
                 return a, b
-            # else a monomial gcd c x^k; if not, no b(x, 0) is a monomial
-            g = _ugcd(a.eval_y0_in_x(), b.eval_y0_in_x())
-            return None if any(g[:-1]) else (a, b)
+            # else a monomial gcd c x^k (if not, no order passes); an x-free a
+            # has a(x, 0) = 0, and its gcd b(x, 0) is no c x^d: no dense list
+            g = a.degree_x() and _ugcd(a.eval_y0_in_x(), b.eval_y0_in_x())
+            return (a, b) if g and not any(g[:-1]) else None
     return None
 
 

@@ -124,10 +124,11 @@ def test_astronomical_map_degree_ends_within_seconds(argv, code):
     ("pipeline", "(x^99999999999 + y^2, y)", 3, None),
     ("mu-seq", "(x^99999999999 + y^3, y^2 + x y)", 0, [1, 2, 4, 8]),
     ("mu-seq", "(x^99999999999 + y^2, y^2 + x^2 y + x^3)", 0, [1, 2, 4, 8]),
+    ("mu-seq", "(x^99999999999 + x^3 + y^2, y^2 + y^3)", 0, [1, 2, 4, 8]),
 ], ids=lambda v: str(v))
 def test_astronomical_x_degree_in_the_finiteness_check(command, map_text, code, mu):
     # i_0(x^99999999999 + y^2, y) = 99999999999 is read off the terms, and
-    # the other two maps go to Fulton's sparse reduction: no finiteness check
+    # the other three maps go to Fulton's sparse reduction: no finiteness check
     # builds a dense row of 10^11 + 1 entries; pipeline's c_sequence stops
     # at the budget
     src = os.path.dirname(os.path.dirname(germdyn.__file__))

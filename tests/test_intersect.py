@@ -156,7 +156,7 @@ def test_infinite_exactly_when_gcd_passes_through_origin():
         assert (value is INFINITE) == shared, (str(P), str(Q), value)
         if shared:
             infinite += 1
-            paths["fulton" if past_the_certificate(P, Q) else "certified"] += 1
+            paths["fulton" if _certified_pair(P, Q) is None else "certified"] += 1
         else:
             assert isinstance(value, int) and value >= 1
             divided += not g.is_constant()
@@ -214,12 +214,6 @@ def shear_oracle(P: BiPoly, Q: BiPoly, sam: GenericSampler) -> int:
     raise AssertionError("no certified shear in 50 draws")
 
 
-def past_the_certificate(p: BiPoly, q: BiPoly) -> bool:
-    """True when the fiber certificate refuses both orders of the pair: the
-    pairs that only the cone step or Fulton's reduction can decide."""
-    return _certified_pair(p, q) is None
-
-
 def test_fulton_matches_the_shear_oracle(monkeypatch):
     """Fulton's reduction, called on every pair that is not certified,
     decides INFINITE on exactly the pairs whose gcd is nonconstant
@@ -239,7 +233,7 @@ def test_fulton_matches_the_shear_oracle(monkeypatch):
             U = BiPoly({(0, 0): 1, (1, 0): rng.randint(-2, 2),
                         (0, 1): rng.randint(-2, 2)})
             P, Q = P * U, Q * U
-        if P.is_zero() or Q.is_zero() or not past_the_certificate(P, Q):
+        if P.is_zero() or Q.is_zero() or _certified_pair(P, Q) is not None:
             continue
         value = fulton(P, Q)
         before = len(reached)
@@ -279,7 +273,7 @@ def test_fulton_drops_terms_past_the_bezout_bound():
         else:
             P, Q = (T + BiPoly.y() * rand_poly(d - 1, 1) for T in (A, B))
         if (P.is_zero() or Q.is_zero() or P.constant_term() or Q.constant_term()
-                or not past_the_certificate(P, Q)):
+                or _certified_pair(P, Q) is not None):
             continue
         value = local_mult(PlaneCurve(P), PlaneCurve(Q))
         g = bipoly_gcd(P, Q)
@@ -469,13 +463,15 @@ def test_astronomical_x_degrees_build_no_dense_rows():
     two curves with x whose x-degree passes the term budget go to Fulton's
     sparse reduction instead of the resultant's dense rows."""
     N = 99999999999
-    for p_text, q_text, want in [
-        ("x^%d + y^2" % N, "y", N),
-        ("x^%d + y^3" % N, "y^2 + x y", N + 3),  # only lc_x(x^N + y^3) is a unit
-        ("x^%d + y^2" % N, "y^2 + x^2 y + x^3", 6),  # both are
+    for p_text, q_text, want, certified in [
+        ("x^%d + y^2" % N, "y", N, True),
+        ("x^%d + y^3" % N, "y^2 + x y", N + 3, False),  # only lc_x(x^N + y^3) is a unit
+        ("x^%d + y^2" % N, "y^2 + x^2 y + x^3", 6, False),  # both are
+        # y divides q, and p(x, 0) = x^N + x^3 is not c x^d: no gcd of it
+        ("x^%d + x^3 + y^2" % N, "y^2 + y^3", 6, False),
     ]:
         p, q = parse_poly(p_text), parse_poly(q_text)
-        assert (_certified_pair(p, q) is None) == bool(q.degree_x())
+        assert (_certified_pair(p, q) is not None) == certified, (p_text, q_text)
         for a, b in ((p, q), (q, p)):
             assert local_mult(PlaneCurve(a), PlaneCurve(b)) == want, (p_text, q_text)
     # the same shapes below the budget are certified, with the same values
@@ -513,7 +509,7 @@ def test_fulton_decides_infinite_by_the_bezout_cap(monkeypatch):
     ]
     for p_text, q_text, want in cases:
         p, q = parse_poly(p_text), parse_poly(q_text)
-        assert past_the_certificate(p, q), (p_text, q_text)
+        assert _certified_pair(p, q) is None, (p_text, q_text)
         for a, b in ((p, q), (q, p)):
             assert fulton(a, b) == want, (p_text, q_text)
             before = len(reached)
