@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bipoly": ("BiPoly", "MapGerm", "ZeroPolynomial", "bipoly_gcd", "resultant_x"),
     "bitseq": ("BitSeq", "first_difference", "parse_bitseq"),
+    "bounds": ("AtLeast", "BudgetExceeded"),
     "curvefamily": (
         "CoeffTable",
         "GrowthSpec",
@@ -44,7 +45,7 @@ _EXPORTS = {
     ),
     "proximity": ("ExceptionalLattice", "ProximityChart", "intersection_matrix", "skewness"),
     "recurrence": ("NoRecurrenceFound", "RecurrenceModel", "detect_recursion"),
-    "series": ("AtLeast", "BudgetExceeded", "USeries"),
+    "series": ("USeries",),
     "staircase": (
         "MonomialIdeal2",
         "colength_power",

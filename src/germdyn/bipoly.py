@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 from math import lcm as _ilcm
 
-from .series import BudgetExceeded
+from .bounds import BudgetExceeded
 
 
 class ZeroPolynomial(ValueError):

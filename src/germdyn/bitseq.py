@@ -9,7 +9,7 @@ first-difference queries are total operations.
 
 from __future__ import annotations
 
-from .series import AtLeast
+from .bounds import AtLeast
 
 ZEROS = "zeros"
 ONES = "ones"

@@ -1,0 +1,36 @@
+"""The two types every layer shares: a certified lower bound and the error of
+an exceeded budget.  They live apart from ``series`` so that code which only
+raises or returns them (``bipoly``, ``bitseq``, the CLI) does not load the
+series arithmetic; ``series`` re-exports both.
+"""
+
+from __future__ import annotations
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when a sparse term-count budget or a bit-size budget is
+    exceeded."""
+
+
+class AtLeast:
+    """Sentinel for a certified lower bound: the value is at least ``bound``.
+
+    Stands for an order of vanishing when every known coefficient vanishes,
+    a first-difference index or first one-bit when none lies below the
+    horizon, and a contact order past the compared range; deliberately not
+    an integer so it cannot silently enter arithmetic.
+    """
+
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int):
+        self.bound = bound
+
+    def __eq__(self, other):
+        return isinstance(other, AtLeast) and self.bound == other.bound
+
+    def __hash__(self):
+        return hash(("AtLeast", self.bound))
+
+    def __repr__(self):
+        return "AtLeast(%s)" % self.bound

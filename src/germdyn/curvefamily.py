@@ -20,7 +20,7 @@ from operator import mul
 
 from .bitseq import BitSeq, first_difference
 from .dyadic import Dyadic
-from .series import AtLeast, BudgetExceeded, USeries
+from .bounds import AtLeast, BudgetExceeded
 
 
 class UndeterminedDifference(ValueError):
@@ -121,6 +121,8 @@ def coeff(s: BitSeq, n: int, table: CoeffTable | None = None) -> Dyadic:
 
 def curve(s: BitSeq, N: int, table: CoeffTable | None = None) -> USeries:
     """g_s truncated to order N; support is contained in {2, 6, 10, ...}."""
+    from .series import USeries  # no CLI command builds a series here
+
     if N < 2:
         return USeries.zero(max(N, 0))
     nmax = (N - 3) // 4 + 1  # indices n with 2 + 4n < N

@@ -339,7 +339,21 @@ def test_pipeline_needs_two_terms(capsys, nmax):
     assert captured.err == "error: --nmax must be >= 2\n"
 
 
-LEAVES = {path: arguments for path, _, handler, arguments in cli.COMMANDS if handler}
+@pytest.mark.parametrize("argv", [
+    ["recursion", "--terms", "1,2,4,8,16,32", "--max-order", "-5"],
+    ["recursion", "--terms", "1,2,4,8,16,32", "--max-order", "0"],
+    ["pipeline", "--map", "(x^2 - y^4, y^4)", "--ideal", "x, y", "--nmax", "3",
+     "--max-order", "-2"],
+], ids=" ".join)
+def test_max_order_below_one_is_a_usage_error(capsys, argv):
+    # it once ran order 1 and passed
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-order must be >= 1\n"
+
+
+LEAVES ={path: arguments for path, _, handler, arguments in cli.COMMANDS if handler}
 
 
 @pytest.mark.parametrize("path", list(LEAVES), ids=" ".join)

@@ -1,6 +1,7 @@
 """In-process fuzzing of the CLI: every drawn argv ends in exit code 0-3 and
-never in an exception, a json result (code 0 or 1) is valid JSON, and the
-parser built for the leaf argv names answers as the full parser does."""
+never in an exception, a json result (code 0 or 1) is valid JSON, main
+answers as it does when argparse parses every argv, and the table parse
+accepts only what argparse accepts, into the namespace argparse gives."""
 
 import contextlib
 import io
@@ -17,6 +18,7 @@ from germdyn.cli import COMMANDS, GLOBALS, main
 LEAVES = [(path, arguments) for path, _, handler, arguments in COMMANDS
           if handler is not None]
 GROUPS = [path for path, _, handler, _ in COMMANDS if handler is None]
+LEAF_OF = {handler: path for path, _, handler, _ in COMMANDS if handler is not None}
 
 garbage = st.text(max_size=12)
 small = st.integers(-3, 3).map(str)
@@ -109,8 +111,19 @@ def outcome(argv):
 
 
 def full_parser_outcome(argv):
-    with mock.patch.object(cli, "_leaf_path", lambda argv: None):
+    """The outcome with the table parse switched off, so argparse parses."""
+    with mock.patch.object(cli, "_table_parse", lambda argv: None):
         return outcome(argv)
+
+
+def argparse_namespace(argv):
+    """vars of the full parser's namespace, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
 
 
 @settings(max_examples=300, deadline=None)
@@ -155,6 +168,11 @@ MAP_ARGS = ["--map", "(x^2 + y^3, x y)", "--nmax", "2"]
     ["--", "c-seq", *MAP_ARGS],
     ["c-seq", "--", *MAP_ARGS],
     ["c-seq", "--nmax"],
+    ["c-seq", *MAP_ARGS, "--nmax", "3"],  # a repeated flag
+    ["--seed", "1", "c-seq", *MAP_ARGS, "--seed", "2"],
+    ["c-seq", "--nmax", "2", "--map", "(x^2 + y^3, x y)", "--wx", ""],
+    ["--nmax", "2", "c-seq", "--map", "(x^2 + y^3, x y)"],  # a leaf flag too early
+    ["recursion", "--terms", "1,2,4,8,16,32", "--max-order", "-5"],
     ["c-seq"],
     ["curve"],
     ["curve", "coefs"],
@@ -163,3 +181,16 @@ MAP_ARGS = ["--map", "(x^2 + y^3, x y)", "--nmax", "2"]
 ], ids=" ".join)
 def test_the_leaf_parser_answers_as_the_full_parser_on_edge_cases(argv):
     assert outcome(argv) == full_parser_outcome(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=argvs())
+@example(drawn=(["curve", "--seed", "1", "coeffs", "--seq", "0", "--n", "2"], "json"))
+def test_the_table_parse_gives_the_argparse_namespace(drawn):
+    argv = drawn[0]
+    ns = cli._table_parse(argv)
+    if ns is None:
+        return
+    assert vars(ns) == argparse_namespace(argv), argv
+    # so the handler is the one of the COMMANDS row argparse dispatched to
+    assert LEAF_OF[ns.handler][-1] == ns.command

@@ -1,8 +1,8 @@
 """Golden replay: every CLI job recorded in bench/golden.json, run in
 process through the CLI, must reproduce the recorded stdout byte for byte
-(by sha256) and the recorded exit code.  The full parser, which main builds
-only for an argv that names no leaf, must answer every job alike, stderr
-included.
+(by sha256) and the recorded exit code.  Every job must reach main's table
+parse, and argparse, which main runs only for an argv the table parse
+declines, must answer every job alike, stderr included.
 
 The file is only read here; bench/record_golden.py writes it.
 """
@@ -36,12 +36,18 @@ def test_golden_covers_the_cli_commands():
     assert {argv[0] for argv, _, _ in JOBS} == set(COMMANDS)
 
 
+def test_every_golden_job_reaches_the_table_parse():
+    # the benchmark's jobs, --seed after the leaf included, skip argparse
+    declined = [argv for argv, _, _ in JOBS if cli._table_parse(argv) is None]
+    assert declined == []
+
+
 @pytest.mark.parametrize("argv,digest,code", JOBS,
                          ids=[" ".join(argv) for argv, _, _ in JOBS])
 def test_golden_output(capsys, argv, digest, code):
     assert main(list(argv)) == code
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    with mock.patch.object(cli, "_leaf_path", lambda argv: None):
+    with mock.patch.object(cli, "_table_parse", lambda argv: None):
         assert main(list(argv)) == code
     assert capsys.readouterr() == (out, err)

@@ -1,5 +1,6 @@
 """Start-up cost: importing the package loads no module, a CLI job loads only
-the modules its command runs, and the runtime needs nothing but the stdlib."""
+the modules its command runs and, when it succeeds, no argparse, and the
+runtime needs nothing but the stdlib."""
 
 import ast
 import json
@@ -15,24 +16,27 @@ from germdyn import cli
 
 SRC = os.path.dirname(os.path.dirname(germdyn.__file__))
 
-# runs one CLI job, then prints its exit code, the germdyn modules loaded and
-# every other module it loaded from outside the stdlib
+# runs one CLI job, then prints its exit code, the germdyn modules loaded,
+# every other module it loaded from outside the stdlib, and whether it loaded
+# argparse and gettext
 PROBE = """\
 import contextlib, io, json, sys
 before = set(sys.modules)
 from germdyn.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
 tops = {m.split(".")[0] for m in set(sys.modules) - before}
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "germdyn"),
-                  sorted(tops - {"germdyn"} - sys.stdlib_module_names)]))
+                  sorted(tops - {"germdyn"} - sys.stdlib_module_names),
+                  sorted({"argparse", "gettext"} & set(sys.modules))]))
 """
 
-FAMILY = {"bitseq", "curvefamily", "dyadic", "series"}
-RATES = {"bipoly", "polyparse", "series", "valuation"}
-ITERATE = RATES | {"intersect", "recurrence"}
-MU = {"bipoly", "intersect", "polyparse", "series"}
-IDEALS = {"bipoly", "polyparse", "series", "staircase"}
+# every job loads bounds, for BudgetExceeded, and the module of its handler
+FAMILY = {"bounds", "cli_family", "bitseq", "curvefamily", "dyadic"}
+RATES = {"bounds", "cli_maps", "bipoly", "polyparse", "valuation"}
+ITERATE = RATES | {"intersect", "recurrence", "series"}
+MU = {"bounds", "cli_maps", "bipoly", "intersect", "polyparse", "series"}
+IDEALS = {"bounds", "cli_ideals", "bipoly", "polyparse", "staircase"}
 MAP = "(x^2 - y^4, y^4)"
 
 # one cheap, successful job per COMMANDS leaf, and the modules it may load
@@ -50,8 +54,9 @@ JOBS = {
     ("mixed",): (["--ideal-a", "x^2, y^3", "--ideal-b", "x, y"], IDEALS),
     ("c-seq",): (["--map", MAP, "--nmax", "3"], RATES),
     ("c-inf",): (["--map", MAP, "--nmax", "3"], RATES | {"recurrence"}),
-    ("skewness",): (["--chart", "CHART", "--i", "1", "--j", "2"], {"proximity", "series"}),
-    ("recursion",): (["--terms", "1,2,4,8,16,32"], {"recurrence", "series"}),
+    ("skewness",): (["--chart", "CHART", "--i", "1", "--j", "2"],
+                    {"bounds", "cli_ideals", "proximity"}),
+    ("recursion",): (["--terms", "1,2,4,8,16,32"], {"bounds", "cli_maps", "recurrence"}),
     ("pipeline",): (["--map", MAP, "--ideal", "x, y", "--nmax", "3"], ITERATE),
 }
 
@@ -68,6 +73,7 @@ OLD_EXPORTS = {
     "proximity": ["ExceptionalLattice", "ProximityChart", "intersection_matrix", "skewness"],
     "recurrence": ["NoRecurrenceFound", "RecurrenceModel", "detect_recursion"],
     "series": ["AtLeast", "USeries"],
+    "bounds": ["AtLeast", "BudgetExceeded"],
     "staircase": ["MonomialIdeal2", "colength_power", "containment_index",
                   "hilbert_samuel_fit", "minkowski_check", "mixed", "product", "samuel"],
     "valuation": ["AsymptoticRate", "MonomialValuation", "attraction_rate", "c_infinity",
@@ -87,12 +93,31 @@ def test_every_leaf_has_a_job():
     assert leaves == set(JOBS)
 
 
-def test_importing_the_cli_loads_no_math_module():
+def loaded_by(code):
+    """The germdyn modules, and argparse if so, that running code loads."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import germdyn.cli, sys; print(' '.join(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'germdyn')))"],
+        [sys.executable, "-c", code + "; import sys; print(' '.join(sorted("
+         "m for m in sys.modules if m.split('.')[0] in ('germdyn', 'argparse'))))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert proc.stdout.split() == ["germdyn", "germdyn.cli", "germdyn.series"]
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_loads_no_math_module():
+    assert loaded_by("import germdyn.cli") == ["germdyn", "germdyn.cli"]
+
+
+def test_building_the_parser_loads_no_handler_and_no_math_module():
+    # the benchmark's set-up times this call
+    assert loaded_by("import germdyn.cli; germdyn.cli.build_parser()") == [
+        "argparse", "germdyn", "germdyn.cli"]
+
+
+@pytest.mark.parametrize("argv, code", [(["-h"], 0), (["c-seq", "-h"], 0),
+                                        (["c-seq"], 2), (["frobnicate"], 2)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    exit_code, _, _, parsers = probe(*argv)
+    assert exit_code == code and parsers == ["argparse", "gettext"]
 
 
 @pytest.mark.parametrize("path", sorted(JOBS), ids=" ".join)
@@ -101,10 +126,11 @@ def test_a_job_loads_only_what_its_command_runs(path, tmp_path):
     chart = tmp_path / "chart.json"
     chart.write_text(json.dumps({"points": 3, "proximate": [[2, 1], [3, 2], [3, 1]]}))
     args = [str(chart) if a == "CHART" else a for a in args]
-    code, modules, outside = probe(*path, *args)
+    code, modules, outside, parsers = probe(*path, *args)
     assert code == 0
     assert set(modules) == {"germdyn", "germdyn.cli"} | {"germdyn." + m for m in allowed}
     assert outside == []
+    assert parsers == []
 
 
 def test_the_package_imports_only_itself_and_the_stdlib():
@@ -134,6 +160,7 @@ def test_old_exports_resolve_lazily_to_the_defining_objects():
             assert name in names
             assert getattr(germdyn, name) is getattr(mod, name), name
     assert germdyn.bipoly.BudgetExceeded is germdyn.series.BudgetExceeded
+    assert germdyn.bitseq.AtLeast is germdyn.series.AtLeast
     assert germdyn.__version__ == "0.1.0"
 
 
