@@ -248,12 +248,6 @@ class BiPoly:
     def __repr__(self):
         return "BiPoly(%s)" % str(self)
 
-    def to_json(self) -> list:
-        return [
-            {"i": i, "j": j, "coefficient": str(c)}
-            for (i, j), c in sorted(self.terms.items())
-        ]
-
 
 class MapGerm:
     """A polynomial self-map fixing the origin, with a finiteness check."""

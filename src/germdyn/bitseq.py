@@ -93,24 +93,7 @@ class BitSeq:
     # -- shift --------------------------------------------------------------
 
     def shift(self) -> "BitSeq":
-        if self.prefix:
-            return BitSeq(self.prefix[1:], self.tail, self.param)
-        if self.tail == ZEROS or self.tail == ONES:
-            return self
-        if self.tail == PERIODIC:
-            c = self.param
-            return BitSeq((), PERIODIC, c[1:] + c[:1])
-        lengths = list(self.param)
-        if lengths[0] > 0:
-            if len(lengths) == 1:
-                # keep the repeating run length intact
-                return BitSeq((), BLOCKS, [lengths[0] - 1, lengths[0]])
-            lengths[0] -= 1
-            return BitSeq((), BLOCKS, lengths)
-        # current bit is the separating 1
-        if len(lengths) == 1:
-            return BitSeq((), BLOCKS, lengths)
-        return BitSeq((), BLOCKS, lengths[1:])
+        return self.shift_by(1)
 
     def shift_by(self, n: int) -> "BitSeq":
         """sigma**n, with jumps over long zero runs instead of n single steps."""
@@ -129,22 +112,17 @@ class BitSeq:
             c = s.param
             r = n % len(c)
             return BitSeq((), PERIODIC, c[r:] + c[:r])
-        lengths = list(s.param)
-        while n > 0:
-            L = lengths[0]
-            if len(lengths) == 1:
-                # periodic regime of period L + 1
-                r = n % (L + 1)
-                if r == 0:
-                    return BitSeq((), BLOCKS, [L])
-                if r <= L:
-                    return BitSeq((), BLOCKS, [L - r, L])
-            if n <= L:
-                lengths[0] = L - n
-                return BitSeq((), BLOCKS, lengths)
-            n -= L + 1
-            lengths = lengths[1:] if len(lengths) > 1 else lengths
-        return BitSeq((), BLOCKS, lengths)
+        # walk the runs by index and slice the remaining lengths once
+        lengths, i, last = s.param, 0, len(s.param) - 1
+        while i < last and n > lengths[i]:
+            n -= lengths[i] + 1
+            i += 1
+        L = lengths[i]
+        if i < last:
+            return BitSeq((), BLOCKS, (L - n,) + lengths[i + 1:])
+        # periodic regime of period L + 1
+        r = n % (L + 1)
+        return BitSeq((), BLOCKS, (L - r, L) if r else (L,))
 
     # -- structure queries --------------------------------------------------
 

@@ -67,8 +67,9 @@ GLOBALS = (
     ("--budget", {"type": int, "help": "term-count and power-table budget for compositions, "
                   "coefficient budget for the jets of mu-seq and pipeline and "
                   "for the coefficient rows of curve and verify, range budget "
-                  "for verify lemma, and bit-size budget for arnold growth "
-                  "values"}, 10**6),
+                  "for verify lemma, and, for arnold, bit-size budget for "
+                  "growth values and shift budget for the finite-contact "
+                  "certificate"}, 10**6),
 )
 
 # (path, help, handler, arguments).  The handler is "module.function" in this

@@ -124,6 +124,9 @@ def cmd_arnold(args):
 
         raise ParseError(str(exc), 0)
     horizon = witnesses[-1][0]
+    if horizon > args.budget:
+        raise BudgetExceeded("a certificate of %d shifts exceeds the budget of %d"
+                             % (horizon, args.budget))
     finite_ok = certify_finite_contacts(s, t, horizon)
     records = [
         {

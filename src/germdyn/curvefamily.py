@@ -167,14 +167,15 @@ def mult_coeffwise(s: BitSeq, t: BitSeq, N: int, table: CoeffTable | None = None
     else AtLeast(2 + 4*N) as a certified lower bound.
 
     The compared prefix widens 8 -> 32 -> 128 -> ... -> N, so a pair that
-    disagrees early never pays for rows up to N."""
+    disagrees early never pays for rows up to N.  The scaled rows A_n =
+    a_n 4^n are compared: both sides carry the same 4^n."""
     if N < 1:
         raise ValueError("N must be >= 1")
     tb = table or _DEFAULT_TABLE
     lo, width = 0, min(8, N)
     while True:
-        row_s = tb.row(s, width)
-        row_t = tb.row(t, width)
+        row_s = tb.irow(s, width)
+        row_t = tb.irow(t, width)
         for n in range(lo, width):
             if row_s[n] != row_t[n]:
                 return 2 + 4 * n
@@ -444,20 +445,6 @@ def mu_theoremA(s: BitSeq, t: BitSeq, n: int, horizon: int = 10**6,
     return mult_formula_from_m(m)
 
 
-def decimal_digits(n: int) -> int:
-    """Exact decimal digit count of a positive integer, without string
-    conversion (which interpreters may cap for big values)."""
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    # bit_length * log10(2) estimate, then exact adjustment by comparison
-    d = max(1, (n.bit_length() * 30103) // 100000)
-    while 10**d <= n:
-        d += 1
-    while d > 1 and 10 ** (d - 1) > n:
-        d -= 1
-    return d
-
-
 _LOG_GUARD_BITS = 64  # fractional bits of mu_digit_count beyond m's own size
 
 
@@ -478,18 +465,17 @@ def _atanh_inv(k: int, bits: int) -> tuple[int, int]:
     return total, terms + 2
 
 
-def mu_digit_count(m) -> int:
-    """Decimal digit count of (4^(m+1) + 2)/3: exact for m <= 10^5, and
-    floor((m+1) log10 4 - log10 3) + 1 from a certified interval above.
+def mu_digit_count(m: int) -> int:
+    """Decimal digit count of (4^(m+1) + 2)/3 for m >= 0, as
+    floor((m+1) log10 4 - log10 3) + 1 from a certified interval.
 
     The value is 2 mod 4, so it is no power of 10, and 4^(m+1) + 1 is not
     divisible by 3: no integer lies in (log10(4^(m+1)/3), log10 of the
-    value], so the two floors agree.  ln 2 = 2 atanh(1/3), ln 3 = ln 2 +
-    2 atanh(1/5) and ln 10 = 3 ln 2 + 2 atanh(1/9) are bracketed in fixed
-    point, and the precision doubles until both ends of the bracket of the
-    logarithm have the same floor (it is irrational, so this ends)."""
-    if m <= 10**5:
-        return decimal_digits(mult_formula_from_m(m))
+    value], so the two floors agree for every m >= 0.  ln 2 = 2 atanh(1/3),
+    ln 3 = ln 2 + 2 atanh(1/5) and ln 10 = 3 ln 2 + 2 atanh(1/9) are
+    bracketed in fixed point, and the precision doubles until both ends of
+    the bracket of the logarithm have the same floor (it is irrational, so
+    this ends)."""
     bits = m.bit_length() + _LOG_GUARD_BITS
     while True:
         a, ea = _atanh_inv(3, bits)

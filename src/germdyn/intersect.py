@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import random
 from math import gcd
-from operator import mul
 
 # MapGerm is re-exported: callers import it from here too
 from .bipoly import (BiPoly, MapGerm, _int_coeff_rows, _resultant_rows, _ugcd,
                      _uprimitive, _xprem)
-from .series import AtLeast, BudgetExceeded, USeries
+from .series import AtLeast, BudgetExceeded, USeries, truncated_product
 
 
 class DegenerateInput(ValueError):
@@ -288,41 +287,22 @@ def _parametrization(D: BiPoly):
 def _at_jets(P: BiPoly, X: USeries, Y: USeries) -> USeries:
     """P(X, Y) for a P with no constant term and jets X, Y exact below t^T
     (their truncation): a ring operation mod t^T, so exact below t^T as
-    well.  A product runs over the nonzero span of its factors only."""
+    well.  Products are series.truncated_product to T terms."""
     T = X.trunc
-
-    def times(a, b):
-        out = [0] * T
-        sa, sb = ([k for k, c in enumerate(v) if c] for v in (a, b))
-        if not sa or not sb:
-            return out
-        (oa, la), (ob, lb) = (sa[0], sa[-1]), (sb[0], sb[-1])
-        rb = b[::-1]
-        # out[k] sums a[i] b[k - i] over oa <= i <= la, ob <= k - i <= lb;
-        # a square takes each pair i < k - i once, doubled, and the middle
-        for k in range(oa + ob, min(T, la + lb + 1)):
-            lo, hi = max(oa, k - lb), min(la, k - ob)
-            if a is b:
-                hi = min(hi, (k - 1) // 2)
-            s = sum(map(mul, a[lo:hi + 1], rb[T - 1 - k + lo:T - k + hi]))
-            if a is b:
-                s = 2 * s + (a[k // 2] ** 2 if k % 2 == 0 else 0)
-            out[k] = s
-        return out
 
     def power(squares, e):  # by repeated squaring: exponents run to thousands
         acc = None
         for b in range(e.bit_length()):
             if b == len(squares):
-                squares.append(times(squares[-1], squares[-1]))
+                squares.append(truncated_product(squares[-1], squares[-1], T))
             if e >> b & 1:
-                acc = squares[b] if acc is None else times(acc, squares[b])
+                acc = squares[b] if acc is None else truncated_product(acc, squares[b], T)
         return acc
 
     xs, ys = [X.coeffs], [Y.coeffs]
     out = [0] * T
     for (i, j), c in P.terms.items():
-        m = (times(power(xs, i), power(ys, j)) if i and j
+        m = (truncated_product(power(xs, i), power(ys, j), T) if i and j
              else power(xs, i) if i else power(ys, j))
         for k, v in enumerate(m):
             if v:

@@ -5,11 +5,39 @@ truncation bookkeeping follows the rule that multiplying series with
 truncations N1, N2 and orders o1, o2 yields truncation min(N1 + o2, N2 + o1):
 every emitted coefficient is provably correct, nothing more is claimed.
 Coefficients may be Dyadic, Fraction, or int; they only need ring operators.
+``truncated_product`` is the one dense product, shared by USeries and the
+jets of intersect.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from .bounds import AtLeast, BudgetExceeded  # noqa: F401  (re-exported)
+
+
+def truncated_product(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of coefficient lists a, b.
+
+    Each is one dot product over the nonzero spans of a and b only, and a
+    square (``a is b``) takes each pair i < k - i once, doubled, and the
+    middle term."""
+    out = [0] * n
+    sa, sb = ([k for k, c in enumerate(v) if c] for v in (a, b))
+    if not sa or not sb:
+        return out
+    (oa, la), (ob, lb) = (sa[0], sa[-1]), (sb[0], sb[-1])
+    rb, top = b[::-1], len(b) - 1
+    # out[k] sums a[i] b[k - i] over oa <= i <= la, ob <= k - i <= lb
+    for k in range(oa + ob, min(n, la + lb + 1)):
+        lo, hi = max(oa, k - lb), min(la, k - ob)
+        if a is b:
+            hi = min(hi, (k - 1) // 2)
+        s = sum(map(mul, a[lo:hi + 1], rb[top - k + lo:top + 1 - k + hi]))
+        if a is b:
+            s = 2 * s + (a[k // 2] * a[k // 2] if k % 2 == 0 else 0)
+        out[k] = s
+    return out
 
 
 class USeries:
@@ -39,11 +67,6 @@ class USeries:
             s.coeffs[k] = coeff
         return s
 
-    def __getitem__(self, k: int):
-        if k >= self.trunc:
-            raise IndexError("coefficient %d beyond truncation %d" % (k, self.trunc))
-        return self.coeffs[k]
-
     def ord(self):
         """Index of the first nonzero coefficient, or AtLeast(trunc)."""
         for k, c in enumerate(self.coeffs):
@@ -63,56 +86,12 @@ class USeries:
             [self.coeffs[k] - other.coeffs[k] for k in range(n)], n
         )
 
-    def __neg__(self):
-        return USeries([-c for c in self.coeffs], self.trunc)
-
     def __mul__(self, other):
         o1, o2 = self.ord(), other.ord()
         b1 = o1.bound if isinstance(o1, AtLeast) else o1
         b2 = o2.bound if isinstance(o2, AtLeast) else o2
         n = min(self.trunc + b2, other.trunc + b1)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            jmax = min(other.trunc, n - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] = out[i + j] + a * b
-        return USeries(out, n)
-
-    def __eq__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        n = min(self.trunc, other.trunc)
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(n)) and (
-            self.trunc == other.trunc
-        )
+        return USeries(truncated_product(self.coeffs, other.coeffs, n), n)
 
     def __repr__(self):
         return "USeries(%r, trunc=%d)" % (self.coeffs, self.trunc)
-
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                parts.append("(%s)*y^%d" % (c, k))
-        body = " + ".join(parts) if parts else "0"
-        return "%s + O(y^%d)" % (body, self.trunc)
-
-    def to_json(self) -> list:
-        out = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if hasattr(c, "to_json"):
-                val = c.to_json()
-            else:
-                val = str(c)
-            out.append({"index": k, "coefficient": val})
-        return out

@@ -105,15 +105,6 @@ def samuel(I: MonomialIdeal2) -> int:
     return abs(area2)
 
 
-def colength(I: MonomialIdeal2) -> int:
-    """Number of monomials outside I (the vector-space codimension)."""
-    total = 0
-    for u in range(I.x_power):
-        v = min(b for a, b in I.gens if a <= u)
-        total += v
-    return total
-
-
 def colength_power(I: MonomialIdeal2, n: int) -> int:
     """Number of monomials outside the n-th power of I.
 
@@ -122,8 +113,6 @@ def colength_power(I: MonomialIdeal2, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return colength(I)
     U = n * I.x_power  # beyond this the pure-x generator power absorbs u
     INF = n * I.y_power + 1  # above every y-sum of n generators
     best = [0] + [INF] * U

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from germdyn.bitseq import (
+    BLOCKS,
     BitSeq,
     first_difference,
     parse_bitseq,
@@ -43,16 +44,18 @@ def test_shift_matches_bits():
         assert [t.bit(n) for n in range(20)] == [s.bit(n + 1) for n in range(20)]
 
 
-def test_shift_by_matches_iterated_shift():
+def test_shift_by_matches_bit_access():
     rng = random.Random(9899)
-    for _ in range(300):
-        s = rand_seq(rng)
-        k = rng.randint(0, 15)
-        t = s
-        for _ in range(k):
-            t = t.shift()
-        u = s.shift_by(k)
-        assert [u.bit(n) for n in range(20)] == [t.bit(n) for n in range(20)]
+    seqs = [rand_seq(rng) for _ in range(300)]
+    # 1 to 40 runs: jumps across several runs and into the repeating last run
+    seqs += [BitSeq.blocks([rng.randint(0, 6) for _ in range(rng.randint(1, 40))],
+                           [rng.randint(0, 1) for _ in range(rng.randint(0, 3))])
+             for _ in range(200)]
+    for s in seqs:
+        reach = len(s.prefix) + (sum(s.param) + len(s.param) if s.tail == BLOCKS else 4)
+        for k in [0, 1, reach] + [rng.randint(0, reach + 10) for _ in range(6)]:
+            u = s.shift_by(k)
+            assert [u.bit(n) for n in range(20)] == [s.bit(k + n) for n in range(20)], (s, k)
 
 
 def test_shift_by_huge_jump():

@@ -371,13 +371,17 @@ def test_negative_budget_is_a_usage_error(capsys, path, after):
     assert captured.err == "error: --budget must be >= 0\n"
 
 
-@pytest.mark.parametrize("nu, witnesses", [("tower:2", "3"), ("pow:10", "4")])
-def test_arnold_growth_values_are_bounded_by_budget(nu, witnesses):
+@pytest.mark.parametrize("argv", [
     # the last witness needs nu of a height-21 tower, resp. 10^(10^1005)
+    ["arnold", "--nu", "tower:2", "--witnesses", "3"],
+    ["arnold", "--nu", "pow:10", "--witnesses", "4"],
+    # 400 runs of length 2: the finite-contact certificate needs 1197 shifts
+    ["--budget", "1000", "arnold", "--nu", "pow:1", "--witnesses", "400"],
+], ids=["tower:2-3", "pow:10-4", "pow:1-400-shifts"])
+def test_arnold_growth_values_are_bounded_by_budget(argv):
     src = os.path.dirname(os.path.dirname(germdyn.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "germdyn.cli", "arnold", "--nu", nu,
-         "--witnesses", witnesses],
+        [sys.executable, "-m", "germdyn.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         timeout=20,
     )

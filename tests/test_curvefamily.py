@@ -13,7 +13,6 @@ from germdyn.curvefamily import (
     build_theoremA_pair,
     certify_finite_contacts,
     curve,
-    decimal_digits,
     lemma_sum_check,
     lemma_sum_check_range,
     mu_digit_count,
@@ -196,12 +195,29 @@ def test_mult_formula_exceeds_is_exact():
             assert mult_formula_exceeds(m, bound) == (v > bound), (m, bound)
 
 
+def decimal_digits(n: int) -> int:
+    """Exact decimal digit count of a positive integer, without string
+    conversion (which interpreters may cap for big values); test oracle
+    for mu_digit_count."""
+    if n <= 0:
+        raise ValueError("need a positive integer")
+    # bit_length * log10(2) estimate, then exact adjustment by comparison
+    d = max(1, (n.bit_length() * 30103) // 100000)
+    while 10**d <= n:
+        d += 1
+    while d > 1 and 10 ** (d - 1) > n:
+        d -= 1
+    return d
+
+
 def test_mu_digit_count():
     assert mu_digit_count(0) == 1      # value 2
     assert mu_digit_count(5) == 4      # value 1366
-    # the logarithm branch against exact arithmetic
+    # the logarithm path against exact arithmetic, for small m as well
     rng = random.Random(2026)
-    for m in [10**5 + 1] + [rng.randint(10**5 + 1, 3 * 10**5) for _ in range(29)]:
+    large = [10**5 + 1] + [rng.randint(10**5 + 1, 3 * 10**5) for _ in range(29)]
+    small = list(range(301)) + [rng.randint(301, 10**5) for _ in range(40)] + [10**5]
+    for m in small + large:
         assert mu_digit_count(m) == decimal_digits(mult_formula_from_m(m)), m
 
 

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from germdyn.series import AtLeast, USeries
+from germdyn.dyadic import Dyadic
+from germdyn.series import AtLeast, USeries, truncated_product
 
 
 def compose_monomial(f: USeries, k: int) -> USeries:
@@ -62,3 +63,34 @@ def test_ring_laws_seeded_sweep():
         n3 = min(f.trunc, g.trunc)
         assert (f + g).coeffs[:n3] == (g + f).coeffs[:n3]
         assert (f - f).ord() == AtLeast(f.trunc)
+
+
+def naive_product(a, b, n):
+    """Schoolbook convolution; test oracle for truncated_product."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+def test_truncated_product_matches_naive_convolution():
+    rng = random.Random(4455)
+    makers = (lambda: rng.randint(-9, 9),
+              lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+              lambda: Dyadic(rng.randint(-9, 9), rng.randint(0, 5)))
+    for _ in range(200):
+        make = rng.choice(makers)
+        a, b = ([make() if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 9))]
+                for _ in range(2))
+        # zero-padded spans, so n falls below, inside and past la + lb + 1
+        for v in (a, b):
+            v[:0] = [0] * rng.randint(0, 3)
+        for x, y in ((a, b), (a, a), (b, b)):
+            for n in range(len(x) + len(y) + 3):
+                assert truncated_product(x, y, n) == naive_product(x, y, n), (x, y, n)
+    dyadic = [0, 0, Dyadic(3, 1), Dyadic(-1, 2), 0, Dyadic(5)]
+    assert truncated_product(dyadic, dyadic, 12) == naive_product(dyadic, dyadic, 12)
+    assert truncated_product([0, 0, 0], [0, 0], 5) == [0] * 5
+    assert truncated_product([0, 0, 1], [0, 0, 0, 2], 4) == [0] * 4

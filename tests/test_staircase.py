@@ -6,7 +6,6 @@ import pytest
 from germdyn.staircase import (
     MonomialIdeal2,
     NotPrimary,
-    colength,
     colength_power,
     containment_index,
     hilbert_samuel_fit,
@@ -80,10 +79,10 @@ def test_frozen_multiplicities():
 
 
 def test_colength_values():
-    assert colength(M) == 1
-    assert colength(I23) == 6
+    assert colength_power(M, 1) == 1
+    assert colength_power(I23, 1) == 6
     # outside (x^2, x y, y^3): 1, y, y^2, x
-    assert colength(MonomialIdeal2([(2, 0), (1, 1), (0, 3)])) == 4
+    assert colength_power(MonomialIdeal2([(2, 0), (1, 1), (0, 3)]), 1) == 4
 
 
 def test_colength_power_matches_brute_force():
