@@ -11,15 +11,16 @@ a polynomial self-map of the plane fixing the origin, lives here beside
 ``BiPoly.compose``, so that iterating a map loads no intersection code.
 
 Eliminations run over Z on the integer-cleared x-coefficient rows, dense
-polynomials in y: the resultant by Horner's rule or fraction-free (Bareiss)
-elimination, and the gcd by primitive Euclid over Z[y][x].  ``local_mult``
-calls the row-level resultant core and pseudo-remainder directly; it runs no
-gcd, so ``bipoly_gcd`` is API and a test oracle.
+polynomials in y, on one exact pseudo-remainder: the resultant by the
+subresultant remainder sequence, and the gcd by primitive Euclid over
+Z[y][x].  ``local_mult`` calls the row-level pseudo-remainder and resultant
+directly; it runs no gcd, so ``bipoly_gcd`` is API and a test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _igcd
 from math import lcm as _ilcm
 
@@ -316,16 +317,6 @@ def _trim_z(p: list) -> list:
     return p
 
 
-def _uadd(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim_z(out)
-
-
 def _usub(a, b):
     n = max(len(a), len(b))
     out = [0] * n
@@ -348,17 +339,23 @@ def _umul(a, b):
     return _trim_z(out)
 
 
+def _upow(p, e):
+    return reduce(_umul, [p] * (e - 1), p) if e else [1]
+
+
 def _uexact_div(a, b):
-    """Exact division in Z[y]; the quotient must exist (Bareiss guarantee)."""
+    """Exact division in Z[y]; the quotient must exist."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
+    if b == [1]:
+        return list(a)
     a = list(a)
     q = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
     while len(a) >= len(b) and a:
         shift = len(a) - len(b)
         lead, div = a[-1], b[-1]
         if lead % div != 0:
-            raise ArithmeticError("inexact division in Bareiss step")
+            raise ArithmeticError("inexact division in Z[y]")
         coef = lead // div
         q[shift] = coef
         for i, cb in enumerate(b):
@@ -434,22 +431,22 @@ def resultant_x(P: BiPoly, Q: BiPoly) -> list[int]:
 
 def _resultant_rows(a, b) -> list[int]:
     """Res_x, up to sign, of two polynomials given as integer rows leading
-    first, b of positive x-degree: Horner's rule when one is linear in x,
-    else fraction-free (Bareiss) elimination of the Sylvester matrix."""
-    if len(b) != 2 and len(a) == 2:
+    first, b of positive x-degree: the subresultant remainder sequence over
+    Z[y], every division exact (G. E. Collins, JACM 14, 1967; H. Cohen, *A
+    Course in Computational Algebraic Number Theory*, Algorithm 3.3.7)."""
+    if len(a) < len(b):
         a, b = b, a
-    if len(b) == 2:
-        # Res_x(a, q1*x + q0) = sum_i a_i * (-q0)**i * q1**(dA - i)
-        q1, neg_q0 = b[0], [-c for c in b[1]]
-        acc, q1_pow = a[0], [1]
-        for a_i in a[1:]:
-            q1_pow = _umul(q1_pow, q1)
-            acc = _uadd(_umul(acc, neg_q0), _umul(a_i, q1_pow))
-        return acc
-    dA, dB = len(a) - 1, len(b) - 1
-    mat = [[[]] * k + a + [[]] * (dB - 1 - k) for k in range(dB)]
-    mat += [[[]] * k + b + [[]] * (dA - 1 - k) for k in range(dA)]
-    return _bareiss_poly_det(mat)
+    g = h = [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _xprem(a, b)
+        d = _umul(g, _upow(h, delta))
+        a, b = b, [_uexact_div(row, d) for row in r]
+        g = a[0]
+        if delta:
+            h = _uexact_div(_upow(g, delta), _upow(h, delta - 1))
+    # Res = lc(b)^deg a / h^(deg a - 1) for b free of x, 0 for b = 0
+    return b and _uexact_div(_upow(b[0], len(a) - 1), _upow(h, len(a) - 2))
 
 
 def _int_coeff_rows(P: BiPoly) -> list[list[int]]:
@@ -463,36 +460,7 @@ def _int_coeff_rows(P: BiPoly) -> list[list[int]]:
     rows = [[0] * w for w in width]
     for (i, j), c in P.terms.items():
         rows[i][j] = c if denom == 1 else c.numerator * (denom // c.denominator)
-    return list(reversed(rows))  # leading coefficient first, Sylvester layout
-
-
-def _bareiss_poly_det(mat) -> list[int]:
-    """Fraction-free determinant of a matrix with entries in Z[y]."""
-    n = len(mat)
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not mat[k][k]:
-            pivot_row = None
-            for r in range(k + 1, n):
-                if mat[r][k]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return []
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-            sign = -sign
-        pkk = mat[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _usub(_umul(pkk, mat[i][j]), _umul(mat[i][k], mat[k][j]))
-                mat[i][j] = _uexact_div(num, prev) if num else []
-            mat[i][k] = []
-        prev = pkk
-    det = mat[n - 1][n - 1]
-    if sign < 0:
-        det = [-c for c in det]
-    return det
+    return list(reversed(rows))  # leading coefficient first
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +506,25 @@ def _split_content(rows):
 
 
 def _xprem(a, b):
-    """A nonzero multiple in Z[y] of the remainder of a by b over Q(y)[x]
-    (rows leading first): each step cancels the leading row over Z[y]."""
-    lb, n = b[0], len(b)
-    while len(a) >= n:
-        la = a[0]
-        a = [_usub(_umul(r, lb), _umul(la, b[i]) if i < n else [])
-             for i, r in enumerate(a)]
-        while a and not a[0]:
-            del a[0]
-    return a
+    """lc(b)^(deg a - deg b + 1) (a mod b) for rows leading first, deg a >=
+    deg b >= 1, leading zero rows stripped: Horner's rule over a running
+    remainder of deg b rows.  A zero top row only scales, so its power of
+    lc(b) is applied once at the end."""
+    lb, tail = b[0], b[1:]
+    # lb_k: lc(b) to the number of steps so far that cancelled a top row
+    r, lb_k, skipped = a[:len(tail)], [1], 0
+    for row in a[len(tail):]:
+        top, r = r[0], r[1:] + [row if lb_k == [1] else _umul(lb_k, row)]
+        if not top:
+            skipped += 1
+        elif lb == [1]:
+            r = [_usub(c, _umul(top, t)) for c, t in zip(r, tail)]
+        else:
+            r = [_usub(_umul(lb, c), _umul(top, t)) for c, t in zip(r, tail)]
+            lb_k = _umul(lb_k, lb)
+    if skipped and lb != [1]:
+        scale = _upow(lb, skipped)
+        r = [_umul(scale, c) for c in r]
+    while r and not r[0]:
+        del r[0]
+    return r

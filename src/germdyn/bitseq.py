@@ -102,7 +102,7 @@ class BitSeq:
         s = self
         if n and s.prefix:
             drop = min(n, len(s.prefix))
-            s = BitSeq(s.prefix[drop:], s.tail, s.param)
+            s = _bitseq(s.prefix[drop:], s.tail, s.param)
             n -= drop
         if n == 0:
             return s
@@ -111,7 +111,7 @@ class BitSeq:
         if s.tail == PERIODIC:
             c = s.param
             r = n % len(c)
-            return BitSeq((), PERIODIC, c[r:] + c[:r])
+            return _bitseq((), PERIODIC, c[r:] + c[:r])
         # walk the runs by index and slice the remaining lengths once
         lengths, i, last = s.param, 0, len(s.param) - 1
         while i < last and n > lengths[i]:
@@ -119,10 +119,10 @@ class BitSeq:
             i += 1
         L = lengths[i]
         if i < last:
-            return BitSeq((), BLOCKS, (L - n,) + lengths[i + 1:])
+            return _bitseq((), BLOCKS, (L - n,) + lengths[i + 1:])
         # periodic regime of period L + 1
         r = n % (L + 1)
-        return BitSeq((), BLOCKS, (L - r, L) if r else (L,))
+        return _bitseq((), BLOCKS, (L - r, L) if r else (L,))
 
     # -- structure queries --------------------------------------------------
 
@@ -188,6 +188,13 @@ class BitSeq:
         if self.tail == PERIODIC:
             return "%s:(%s)" % (p, "".join(str(b) for b in self.param))
         return "%s:blocks%r" % (p, list(self.param))
+
+
+def _bitseq(prefix: tuple, tail: str, param) -> BitSeq:
+    """A BitSeq over parts that ``BitSeq.__init__`` has already checked."""
+    s = BitSeq.__new__(BitSeq)
+    s.prefix, s.tail, s.param = prefix, tail, param
+    return s
 
 
 def _primitive_cycle(c):

@@ -204,8 +204,8 @@ def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler | None = No
        by a gcd of the dehomogenized cones;
     2. one certificate: in an order (a, b) of the pair with lc_x(b) a unit at
        y = 0 and a(x, 0), b(x, 0) sharing no root but x = 0, ord_y Res_x(a, b),
-       read off the terms when a is free of x, else by Horner's rule, one
-       pseudo-division, or Bareiss;
+       read off the terms when a is free of x, else after one
+       pseudo-division by the subresultant sequence;
     3. Fulton's reduction (W. Fulton, *Algebraic Curves*, section 3.3) over
        Z, capped by Bezout: INFINITE once its total passes deg P * deg Q.
     """
@@ -234,10 +234,10 @@ def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve,
     # restriction to y = 0 has positive degree and divides the certified
     # c x^k (or b(x, 0) = c x^d); the factor passes through the origin.
     a, b = _int_coeff_rows(a), _int_coeff_rows(b)
-    # when x-degrees dA >= dB >= 2, r = lc(b)^e a mod b, and lc(b) is a unit
-    # at y = 0, so ord_y Res_x(a, b) = ord_y Res_x(b, r); Res_x(b, r) is
-    # r^deg_x(b) when r is free of x, else Horner's rule or Bareiss
-    r = _xprem(a, b) if len(a) >= len(b) > 2 else a
+    # when x-degrees dA >= dB, r = lc(b)^e a mod b (Horner's rule for a
+    # linear b), and lc(b) is a unit at y = 0, so ord_y Res_x(a, b) =
+    # ord_y Res_x(b, r); Res_x(b, r) is r^deg_x(b) when r is free of x
+    r = _xprem(a, b) if len(a) >= len(b) else a
     value = (_ord_y(_resultant_rows(b, r)) if len(r) > 1
              else (len(b) - 1) * _ord_y(r[0]) if r else INFINITE)
     return value, False

@@ -117,7 +117,10 @@ class _Parser:
 
 def parse_poly(text: str) -> BiPoly:
     p = _Parser(text)
-    result = p.parse_expr()
+    try:
+        result = p.parse_expr()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", p.pos) from None
     if not p.at_end():
         p.error("trailing input")
     return result

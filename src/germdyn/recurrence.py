@@ -90,13 +90,9 @@ def detect_recursion(seq: list[int], max_order: int, holdout: int) -> Recurrence
     fit_end = len(seq) - holdout  # equations use indices < fit_end
     for k in range(1, max_order + 1):
         model = _fit_order(seq, k, fit_end)
-        if model is None:
-            continue
-        # validate on everything from the onset, holdout included
-        ok = all(
-            model.predicts(seq, n) for n in range(model.onset, len(seq) - k)
-        )
-        if ok and model.onset + k <= fit_end:
+        # the onset follows the last index, holdout included, that the model
+        # fails to predict; it must leave the holdout terms predicted
+        if model is not None and model.onset + k <= fit_end:
             return model
     raise NoRecurrenceFound(
         "no integral recursion of order <= %d fits" % max_order

@@ -8,11 +8,13 @@ from germdyn.bipoly import (
     BiPoly,
     BudgetExceeded,
     ZeroPolynomial,
+    _int_coeff_rows,
+    _xprem,
     bipoly_gcd,
     resultant_x,
 )
 from germdyn.polyparse import parse_poly
-from test_intersect import bipoly_exact_div
+from test_intersect import bipoly_exact_div, sylvester_resultant
 
 
 def degree_y(p):
@@ -84,7 +86,7 @@ def test_resultant_vanishing_iff_common_factor():
     assert any(c != 0 for c in resultant_x(p, q2))
 
 
-def test_resultant_linear_path_matches_bareiss():
+def test_resultant_of_a_square_doubles_the_order():
     rng = random.Random(5150)
     for _ in range(60):
         p = rand_poly(rng)
@@ -92,7 +94,7 @@ def test_resultant_linear_path_matches_bareiss():
             continue
         h = BiPoly({(0, j): rng.randint(-3, 3) for j in range(3)})
         q = BiPoly.x() * rng.choice([1, 2, -1]) + h
-        # force the general path by multiplying q with itself (degree 2)
+        # a linear q against its square, of x-degree 2
         r_lin = resultant_x(p, q)
         r_gen = resultant_x(p, q * q) if p.degree_x() >= 2 else None
         if r_gen is not None:
@@ -104,6 +106,98 @@ def test_resultant_linear_path_matches_bareiss():
                 (k for k, c in enumerate(r_gen) if c), default=None
             ) if any(r_gen) else None
             assert lin_sq_ord == gen_ord
+
+
+def rand_x_poly(rng, dx, step=1, rational=False):
+    """A polynomial of x-degree exactly dx * step in x^step, y-degree <= 3;
+    with ``rational``, coefficients over small denominators."""
+    def coef():
+        c = rng.randint(-5, 5)
+        return Fraction(c, rng.choice([1, 2, 3, 6])) if rational else c
+    terms = {(step * i, j): coef() for i in range(dx + 1) for j in range(4)
+             if rng.random() < 0.5}
+    terms[step * dx, rng.randint(0, 3)] = rng.choice([1, -1, 2, -3])
+    return BiPoly(terms)
+
+
+def test_resultant_matches_the_sylvester_oracle():
+    """resultant_x equals the determinant of the Sylvester matrix exactly,
+    up to sign, on pairs of every shape the subresultant sequence meets:
+    a linear factor, equal x-degrees, polynomials in x^2 and x^3 (whose
+    steps drop the x-degree by 2 or 3), a common factor (a zero
+    resultant), rational coefficients, and an x-free remainder."""
+    rng = random.Random(1729)
+    x = BiPoly.x()
+    kinds = ("linear", "equal", "x^2", "x^3", "common", "rational", "x-free")
+    zero = 0
+    for k in range(210):
+        kind = kinds[k % len(kinds)]
+        da, db = rng.randint(1, 5), rng.randint(1, 5)
+        if kind == "linear":
+            P, Q = rand_x_poly(rng, da), rand_x_poly(rng, 1)
+        elif kind == "equal":
+            P, Q = rand_x_poly(rng, da), rand_x_poly(rng, da)
+        elif kind in ("x^2", "x^3"):
+            step = int(kind[-1])  # x-degrees up to 7: the oracle is cubic
+            da, db = 1 + da % (5 - step), 1 + db % (5 - step)
+            P, Q = rand_x_poly(rng, da, step), rand_x_poly(rng, db, step)
+            if k % 2:  # a remainder x-free only after a drop of step
+                P = P * x
+        elif kind == "common":
+            C = rand_x_poly(rng, 1)
+            P, Q = rand_x_poly(rng, da - 1) * C, rand_x_poly(rng, db - 1) * C
+        elif kind == "rational":
+            P, Q = rand_x_poly(rng, da, rational=True), rand_x_poly(rng, db, rational=True)
+        else:  # P = Q S + y^e: the remainder of P by Q is free of x
+            Q = rand_x_poly(rng, db)
+            P = Q * rand_x_poly(rng, da) + BiPoly.monomial(1, 0, rng.randint(0, 4))
+        want = sylvester_resultant(_int_coeff_rows(P), _int_coeff_rows(Q))
+        got = resultant_x(P, Q)
+        assert got in (want, [-c for c in want]), (kind, str(P), str(Q))
+        assert resultant_x(Q, P) in (want, [-c for c in want]), (kind, str(P), str(Q))
+        zero += not want
+    assert zero >= 30
+
+
+def textbook_prem(A: BiPoly, B: BiPoly) -> BiPoly:
+    """lc_x(B)^(deg A - deg B + 1) (A mod B) by the textbook loop: one step
+    per x-degree of A from the top down to deg B, each multiplying by
+    lc_x(B) and cancelling the coefficient of that degree."""
+    dA, dB = A.degree_x(), B.degree_x()
+
+    def coeff(P, d):
+        return BiPoly({(0, j): c for (i, j), c in P.terms.items() if i == d})
+
+    R = A
+    for d in range(dA, dB - 1, -1):
+        R = coeff(B, dB) * R - coeff(R, d) * BiPoly.monomial(1, d - dB, 0) * B
+    return R
+
+
+def test_pseudo_remainder_matches_the_textbook_loop():
+    """_xprem is the exact pseudo-remainder: on rows with zero rows inside
+    (x-degrees missing from A, so some steps find a zero top row), on
+    linear divisors and on divisors whose leading coefficient is 1, a
+    constant or a polynomial in y, it equals the textbook loop's."""
+    rng = random.Random(4242)
+    zero_tops = linear = 0
+    for k in range(150):
+        dB = 1 + k % 4
+        B = rand_x_poly(rng, dB)
+        if k % 3 == 0:  # a monic divisor
+            B = BiPoly({ij: c for ij, c in B.terms.items() if ij[0] < dB}) + BiPoly.monomial(1, dB, 0)
+        A = rand_x_poly(rng, dB + rng.randint(0, 5))
+        # drop whole x-degrees from A below its top
+        gaps = {i for i in range(A.degree_x()) if rng.random() < 0.4}
+        A = BiPoly({ij: c for ij, c in A.terms.items() if ij[0] not in gaps})
+        r = _xprem(_int_coeff_rows(A), _int_coeff_rows(B))
+        got = BiPoly({(len(r) - 1 - i, j): c for i, row in enumerate(r)
+                      for j, c in enumerate(row)})
+        assert got == textbook_prem(A, B), (str(A), str(B))
+        assert not r or r[0], "a leading zero row was kept"
+        zero_tops += any(i >= dB for i in gaps)
+        linear += dB == 1
+    assert zero_tops >= 50 and linear >= 30
 
 
 def test_resultant_rejects_degenerate():

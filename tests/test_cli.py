@@ -217,6 +217,23 @@ def test_curve_coeffs_negative_n_is_a_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["c-seq", "samuel"])
+def test_deeply_nested_parentheses_are_a_usage_error(command):
+    # past the interpreter's recursion limit the parser raises ParseError
+    deep = "(" * 3000 + "x" + ")" * 3000
+    argv = (["c-seq", "--map", "(%s, y)" % deep, "--nmax", "2"]
+            if command == "c-seq" else ["samuel", "--ideal", deep])
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: parentheses nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["mu-seq", "pipeline"])
 def test_shared_component_is_a_json_failure(command):
     # D_z and D_w both lie on x = 0, so mu(0) is infinite
