@@ -372,10 +372,12 @@ def _uprimitive(p) -> list[int]:
     p = _trim_z(list(p))
     if not p:
         return p
-    den = _ilcm(*(c.denominator for c in p))
-    if den != 1:
+    try:
+        g = _igcd(*p)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        den = _ilcm(*(c.denominator for c in p))
         p = [c.numerator * (den // c.denominator) for c in p]
-    g = _igcd(*p)
+        g = _igcd(*p)
     if p[-1] < 0:
         g = -g
     return p if g == 1 else [c // g for c in p]

@@ -15,7 +15,6 @@ fast-growth witness pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .bitseq import BitSeq, first_difference
@@ -233,6 +232,8 @@ def verify_bound(s: BitSeq, N: int, table: CoeffTable | None = None,
     for n in range(1, N):
         power *= base
         if 20 * n * n * abs(row[n]) > power:
+            from fractions import Fraction  # only a failure witness needs it
+
             return False, (n, Dyadic(row[n], 2 * n), Fraction(R**n, 20 * n * n))
     return True, None
 
@@ -246,6 +247,8 @@ def lemma_sum_check(n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    from fractions import Fraction  # imported here: no other family job needs it
+
     h1 = sum(Fraction(1, k) for k in range(1, n + 1))
     h2 = sum(Fraction(1, k * k) for k in range(1, n + 1))
     return 2 * h2 + 4 * h1 / (n + 1) <= 20

@@ -7,8 +7,6 @@ the arithmetic we need and equality is a cheap integer comparison.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class Dyadic:
     """An exact rational of the form num / 2**exp, kept normalized.
@@ -96,6 +94,8 @@ class Dyadic:
         return self.num == other.num and self.exp == other.exp
 
     def __hash__(self):
+        from fractions import Fraction  # equal numbers hash alike
+
         return hash(Fraction(self.num, 1 << self.exp))
 
     def __bool__(self):
@@ -114,16 +114,16 @@ class Dyadic:
         return self._cmp(other) >= 0
 
     def _cmp(self, other):
-        if isinstance(other, Fraction):
+        d = _coerce(other)
+        if d is not NotImplemented:
+            k = max(self.exp, d.exp)
+            lhs = self.num << (k - self.exp)
+            rhs = d.num << (k - d.exp)
+        elif hasattr(other, "denominator"):  # a rational, such as a Fraction
             lhs = self.num * other.denominator
             rhs = other.numerator << self.exp
         else:
-            other = _coerce(other)
-            if other is NotImplemented:
-                raise TypeError("cannot compare Dyadic with %r" % (other,))
-            k = max(self.exp, other.exp)
-            lhs = self.num << (k - self.exp)
-            rhs = other.num << (k - other.exp)
+            raise TypeError("cannot compare Dyadic with %r" % (other,))
         return (lhs > rhs) - (lhs < rhs)
 
     def abs_leq(self, q: Fraction) -> bool:
@@ -135,6 +135,8 @@ class Dyadic:
     # -- conversions --------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num, 1 << self.exp)
 
     def to_json(self) -> dict:

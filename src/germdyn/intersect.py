@@ -96,7 +96,9 @@ def _cone_mult(p: BiPoly, q: BiPoly):
     """m(p) * m(q) when the tangent cones of p and q (their terms of lowest
     total degree) share no line, else None: then i_0(p, q) = m(p) m(q), and
     no component through the origin is shared (Fulton, *Algebraic Curves*,
-    section 3.3, property (5))."""
+    section 3.3, property (5)).  A linear cone u x + v y is tested by one
+    evaluation of the other cone, other cones by a gcd; two cones with more
+    than one term past the term budget raise BudgetExceeded."""
     m, n = p.order(), q.order()
     cp = [(i, c) for (i, j), c in p.terms.items() if i + j == m]
     cq = [(i, c) for (i, j), c in q.terms.items() if i + j == n]
@@ -107,13 +109,25 @@ def _cone_mult(p: BiPoly, q: BiPoly):
         return None
     # a monomial cone's only lines are x and y, and neither divides both
     if len(cp) > 1 and len(cq) > 1:
-        # y divides at most one cone, so setting y = 1 loses no shared line
-        a, b = [0] * (m + 1), [0] * (n + 1)
-        for row, cone in ((a, cp), (b, cq)):
-            for i, c in cone:
-                row[i] = c
-        if len(_ugcd(a, b)) > 1:
-            return None
+        if max(m, n) > DEFAULT_TERM_BUDGET:
+            raise BudgetExceeded("a tangent cone of degree %d exceeds the term budget of %d"
+                                 % (max(m, n), DEFAULT_TERM_BUDGET))
+        if n == 1:
+            cp, cq, m, n = cq, cp, n, m
+        if m == 1:
+            # the line u x + v y (u v != 0) divides the cone iff it vanishes
+            # at (v, -u)
+            (_, v), (_, u) = sorted(cp)
+            if not sum(c * v**i * (-u)**(n - i) for i, c in cq):
+                return None
+        else:
+            # y divides at most one cone, so setting y = 1 loses no shared line
+            a, b = [0] * (m + 1), [0] * (n + 1)
+            for row, cone in ((a, cp), (b, cq)):
+                for i, c in cone:
+                    row[i] = c
+            if len(_ugcd(a, b)) > 1:
+                return None
     return m * n
 
 
@@ -200,8 +214,9 @@ def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler | None = No
     1. tangent cones: when the cones (the terms of lowest degree) share no
        line, i_0 = m(P) m(Q), the product of the orders (W. Fulton,
        *Algebraic Curves*, section 3.3, property (5)); a monomial cone
-       shares none unless x or y divides both, and other cones are tested
-       by a gcd of the dehomogenized cones;
+       shares none unless x or y divides both, a linear cone u x + v y
+       shares one iff the other cone vanishes at (v, -u), and other cones
+       are tested by a gcd of the dehomogenized cones;
     2. one certificate: in an order (a, b) of the pair with lc_x(b) a unit at
        y = 0 and a(x, 0), b(x, 0) sharing no root but x = 0, ord_y Res_x(a, b),
        read off the terms when a is free of x, else after one
@@ -251,10 +266,12 @@ DEFAULT_TERM_BUDGET = 10**6
 
 
 def generic_member(generators: list[BiPoly], coeffs: list[int]) -> PlaneCurve:
-    acc = BiPoly.zero()
+    """The curve sum_i coeffs[i] * generators[i], summed in one dict."""
+    acc: dict = {}
     for c, g in zip(coeffs, generators):
-        acc = acc + BiPoly.const(c) * g
-    return PlaneCurve(acc)
+        for ij, e in g.terms.items():
+            acc[ij] = acc.get(ij, 0) + c * e
+    return PlaneCurve(BiPoly(acc))
 
 
 def _parametrization(D: BiPoly):

@@ -1,12 +1,17 @@
 """The traced benchmark wraps germdyn's entry points by name (``bench/spans.py``
 ``install``).  This guard runs that installation in a fresh process, so that
 deleting or renaming a name it patches fails here and not only in a traced
-benchmark run."""
+benchmark run.  The benchmark's own ``multiplicity`` checks run here too, in
+process, so that a broken law or a changed golden mu fails the test suite and
+not only a benchmark run."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import germdyn
 
@@ -40,3 +45,25 @@ def test_benchmark_tracer_installs_on_the_current_names():
     assert value == "8"
     assert "intersect.local_mult" in layers
     assert sum(n for k, n in counters.items() if k.startswith("intersect.path.")) == 1
+
+
+def bench_module(name):
+    """A module of the benchmark directory, loaded under a private name so
+    that the import path is left alone; the files are only read."""
+    spec = importlib.util.spec_from_file_location("bench_" + name,
+                                                  os.path.join(BENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_benchmark_multiplicity_checks_fail_no_operation(seed):
+    workloads, job = bench_module("workloads"), bench_module("job")
+    with open(os.path.join(BENCH, "golden.json")) as fh:
+        golden = json.load(fh)
+    # the benchmark hands its child the spec as JSON
+    spec = json.loads(json.dumps(workloads.multiplicity_spec(seed)))
+    results = [job._encode(fn(*args)) for fn, args in job.build_lib_ops(spec)]
+    assert len(results) > 1800
+    assert workloads.check_multiplicity(spec, results, golden) == set()

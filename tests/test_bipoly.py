@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -9,6 +9,7 @@ from germdyn.bipoly import (
     BudgetExceeded,
     ZeroPolynomial,
     _int_coeff_rows,
+    _uprimitive,
     _xprem,
     bipoly_gcd,
     resultant_x,
@@ -198,6 +199,39 @@ def test_pseudo_remainder_matches_the_textbook_loop():
         zero_tops += any(i >= dB for i in gaps)
         linear += dB == 1
     assert zero_tops >= 50 and linear >= 30
+
+
+def uprimitive_by_lcm(p):
+    """The reference integer content: clear denominators by their lcm, then
+    divide by the gcd, with a positive leading entry."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return p
+    den = lcm(*(c.denominator for c in p))
+    p = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*p) * (1 if p[-1] > 0 else -1)
+    return [c // g for c in p]
+
+
+def test_integer_content_matches_the_lcm_path():
+    """_uprimitive equals the lcm-of-denominators path on int lists, mixed
+    int/Fraction lists and all-zero lists, and returns ints."""
+    rng = random.Random(1618)
+    kinds = [0, 0, 0]
+    for k in range(600):
+        n = rng.randint(0, 6)
+        p = [rng.choice([0, 1, -1]) * rng.randint(0, 60) * rng.choice([1, 6, 35]) for _ in range(n)]
+        if k % 3 == 1:
+            p = [Fraction(c, rng.choice([1, 2, 9, 10])) if rng.random() < 0.5 else c for c in p]
+        elif k % 3 == 2:
+            p = [0] * n
+        got = _uprimitive(p)
+        assert got == uprimitive_by_lcm(p) and all(type(c) is int for c in got), p
+        kinds[k % 3] += bool(got)
+    assert _uprimitive([]) == [] and _uprimitive([0, 0]) == []
+    assert kinds[0] >= 100 and kinds[1] >= 100 and kinds[2] == 0, kinds
 
 
 def test_resultant_rejects_degenerate():

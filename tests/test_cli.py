@@ -149,6 +149,23 @@ def test_astronomical_x_degree_in_the_finiteness_check(command, map_text, code, 
     assert time.monotonic() - start < 10
 
 
+def test_huge_tangent_cone_in_the_finiteness_check_is_a_budget_failure():
+    # the cones x + 2 y and x^N + y^N have more than one term each, and N is
+    # past the term budget: no dense cone list, and no 2^N in the evaluation
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", "mu-seq",
+         "--map", "(x + 2 y, x^99999999999 + y^99999999999)",
+         "--ideal", "x, y", "--nmax", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("budget exceeded: a tangent cone of degree 99999999999 "
+                           "exceeds the term budget of 1000000\n")
+
+
 @pytest.mark.parametrize("flag", ["--wx", "--wy"])
 def test_weight_with_a_zero_denominator_is_a_usage_error(capsys, flag):
     code = main(["c-seq", "--map", "(x^2 - y^4, y^4)", "--nmax", "2", flag, "1/0"])

@@ -627,6 +627,77 @@ def test_cone_step_reads_monomial_cones_off_the_terms():
     assert _cone_mult(parse_poly("x^%d y" % N), parse_poly("x y^2")) is None
 
 
+def test_huge_cones_with_two_terms_each_exceed_the_budget():
+    # no dense cone list and no 2^N: the evaluation at (2, -1) is never made
+    N = 99999999999
+    for p_text, q_text in [("x + 2 y", "x^%d + y^%d" % (N, N)),
+                           ("x^2 - y^2", "x^%d + x y^%d" % (N, N - 1))]:
+        p, q = parse_poly(p_text), parse_poly(q_text)
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(BudgetExceeded):
+                _cone_mult(a, b)
+    # at the budget the linear cone is still decided by its evaluation
+    M = intersect.DEFAULT_TERM_BUDGET
+    assert _cone_mult(parse_poly("x + 2 y"), parse_poly("x^%d + y^%d" % (M, M))) == M
+
+
+def cone_mult_by_gcd(p: BiPoly, q: BiPoly):
+    """The reference cone step: every pair of cones with more than one term
+    each is compared by the gcd of their dense dehomogenizations at y = 1."""
+    m, n = p.order(), q.order()
+    cp = [(i, c) for (i, j), c in p.terms.items() if i + j == m]
+    cq = [(i, c) for (i, j), c in q.terms.items() if i + j == n]
+    if all(i for i, _ in cp) and all(i for i, _ in cq):
+        return None
+    if all(i < m for i, _ in cp) and all(i < n for i, _ in cq):
+        return None
+    if len(cp) > 1 and len(cq) > 1:
+        a, b = [0] * (m + 1), [0] * (n + 1)
+        for row, cone in ((a, cp), (b, cq)):
+            for i, c in cone:
+                row[i] = c
+        if len(_ugcd(a, b)) > 1:
+            return None
+    return m * n
+
+
+def linear_cone_pairs(rng):
+    """Seeded pairs (P, Q): P has the cone u x + v y, u v != 0, often with
+    Fraction coefficients; Q has a cone of degree 1 to 5, in half of the
+    pairs a multiple of that line.  Both get random terms of higher degree."""
+    def coeff():
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        return Fraction(c, rng.choice([2, 3, 5])) if rng.random() < 0.3 else c
+
+    def form(d):
+        return BiPoly({(i, d - i): rng.randint(-3, 3) for i in range(d + 1)})
+
+    def tail(low):
+        return BiPoly({(i, j): rng.randint(-2, 2) * (rng.random() < 0.4)
+                       for i in range(low + 2) for j in range(low + 2 - i) if i + j >= low})
+
+    pairs = []
+    for k in range(400):
+        line = BiPoly({(1, 0): coeff(), (0, 1): coeff()})
+        d = rng.randint(1, 5)
+        cone = line * form(d - 1) if k % 2 else form(d)
+        P, Q = line + tail(2), cone + tail(d + 1)
+        if not Q.is_zero() and Q.order() == d:
+            pairs.append((P, Q))
+    return pairs
+
+
+def test_linear_cones_match_the_gcd_reference():
+    """The one evaluation at (v, -u) agrees with the gcd of the dense cones
+    in both orders, on linear cones and on every pair of cone_pairs."""
+    pairs = linear_cone_pairs(random.Random(2718))
+    shared = sum(cone_mult_by_gcd(P, Q) is None for P, Q in pairs)
+    assert len(pairs) >= 350 and shared >= 150, (len(pairs), shared)
+    for P, Q in pairs + cone_pairs(random.Random(1729)):
+        for a, b in ((P, Q), (Q, P)):
+            assert _cone_mult(a, b) == cone_mult_by_gcd(a, b), (str(a), str(b))
+
+
 def test_cone_step_matches_fulton_and_the_shear_oracle():
     """Wherever the tangent cones decide, m(P) m(Q) equals Fulton's
     reduction, the shear oracle, and local_mult in either order; a pair with
@@ -781,6 +852,40 @@ def test_mu_sequence_shared_component_raises():
     gens = [parse_poly("x")]
     with pytest.raises(InfiniteMultiplicity):
         mu_sequence(F, gens, [1], [2], 2, sam)
+
+
+def test_generic_member_matches_the_sum_of_products():
+    """The one-dict sum equals the BiPoly sum of c_i g_i on seeded generator
+    lists with int and Fraction coefficients, a member that cancels to zero
+    included."""
+    rng = random.Random(4242)
+
+    def coeff():
+        c = rng.randint(-4, 4)
+        return Fraction(c, rng.choice([2, 3, 7])) if rng.random() < 0.3 else c
+
+    monomials = [(i, j) for i in range(4) for j in range(4) if i + j]
+    zero = 0
+    for k in range(300):
+        gens = [BiPoly({rng.choice(monomials): coeff() for _ in range(rng.randint(1, 4))})
+                for _ in range(rng.randint(1, 4))]
+        coeffs = [coeff() for _ in gens]
+        if k % 10 == 0:  # 2 g_0 - 2 g_0: a member that cancels to zero
+            gens, coeffs = [gens[0], gens[0]], [2, -2]
+        want = sum((BiPoly.const(c) * g for c, g in zip(coeffs, gens)), BiPoly.zero())
+        got = generic_member(gens, coeffs).poly
+        assert got == want and all(type(c) is int or c.denominator > 1
+                                   for c in got.terms.values()), (gens, coeffs)
+        zero += got.is_zero()
+    assert zero >= 30
+
+
+def test_a_zero_member_is_degenerate():
+    gens = [parse_poly("x + y"), parse_poly("2 x + 2 y"), parse_poly("y^2")]
+    F = MapGerm(*parse_map("(x^2 - y^4, y^4)"))
+    for z, w in (([2, -1, 0], [1, 1, 1]), ([1, 1, 1], [4, -2, 0])):
+        with pytest.raises(DegenerateInput):
+            mu_sequence(F, gens, z, w, 2, GenericSampler(0))
 
 
 def test_detailed_is_exact_with_no_fallback():

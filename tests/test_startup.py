@@ -17,8 +17,8 @@ from germdyn import cli
 SRC = os.path.dirname(os.path.dirname(germdyn.__file__))
 
 # runs one CLI job, then prints its exit code, the germdyn modules loaded,
-# every other module it loaded from outside the stdlib, and whether it loaded
-# argparse and gettext
+# every other module it loaded from outside the stdlib, whether it loaded
+# argparse and gettext, and whether it loaded fractions and decimal
 PROBE = """\
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -28,7 +28,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 tops = {m.split(".")[0] for m in set(sys.modules) - before}
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "germdyn"),
                   sorted(tops - {"germdyn"} - sys.stdlib_module_names),
-                  sorted({"argparse", "gettext"} & set(sys.modules))]))
+                  sorted({"argparse", "gettext"} & set(sys.modules)),
+                  sorted({"fractions", "decimal"} & set(sys.modules))]))
 """
 
 # every job loads bounds, for BudgetExceeded, and the module of its handler
@@ -116,7 +117,7 @@ def test_building_the_parser_loads_no_handler_and_no_math_module():
 @pytest.mark.parametrize("argv, code", [(["-h"], 0), (["c-seq", "-h"], 0),
                                         (["c-seq"], 2), (["frobnicate"], 2)])
 def test_help_and_usage_errors_load_argparse(argv, code):
-    exit_code, _, _, parsers = probe(*argv)
+    exit_code, _, _, parsers, _ = probe(*argv)
     assert exit_code == code and parsers == ["argparse", "gettext"]
 
 
@@ -126,11 +127,14 @@ def test_a_job_loads_only_what_its_command_runs(path, tmp_path):
     chart = tmp_path / "chart.json"
     chart.write_text(json.dumps({"points": 3, "proximate": [[2, 1], [3, 2], [3, 1]]}))
     args = [str(chart) if a == "CHART" else a for a in args]
-    code, modules, outside, parsers = probe(*path, *args)
+    code, modules, outside, parsers, rationals = probe(*path, *args)
     assert code == 0
     assert set(modules) == {"germdyn", "germdyn.cli"} | {"germdyn." + m for m in allowed}
     assert outside == []
     assert parsers == []
+    # curve-family jobs build no Fraction, so they import neither module
+    if allowed == FAMILY:
+        assert rationals == []
 
 
 def test_the_package_imports_only_itself_and_the_stdlib():
