@@ -421,11 +421,12 @@ def certify_finite_contacts(s: BitSeq, t: BitSeq, horizon: int) -> bool:
     an unbounded structural horizon rather than a bit scan."""
     import math
 
-    for n in range(horizon + 1):
-        shifted = t.shift_by(n)
+    shifted = t  # sigma^n(t), shifted once more on each pass
+    for _ in range(horizon + 1):
         m = first_difference(s, shifted, math.inf)
         if isinstance(m, AtLeast):
             return False
+        shifted = shifted.shift_by(1)
     return True
 
 

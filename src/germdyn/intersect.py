@@ -1,9 +1,9 @@
 """Local intersection multiplicities of exact plane curves at the origin.
 
-``local_mult`` is deterministic: each of its three steps (coprime tangent
-cones, a resultant under a one-sided fiber certificate, Fulton's reduction
-capped by Bezout) is a proof, and none draws a random number or runs a gcd
-of curves.
+``local_mult`` is deterministic: each of its four steps (coprime tangent
+cones, the order of one curve along the branch of a smooth one, a resultant
+under a one-sided fiber certificate, Fulton's reduction capped by Bezout)
+is a proof, and none draws a random number or runs a gcd of curves.
 ``GenericSampler`` only draws the generic coefficients of ideal members.
 
 ``mu_sequence`` reads mu(n) = i_0((F^n)^* D_z, D_w) off the arc formula
@@ -131,6 +131,66 @@ def _cone_mult(p: BiPoly, q: BiPoly):
     return m * n
 
 
+def _branch_mult(p: BiPoly, q: BiPoly):
+    """i_0(p, q) when p or q, curves through the origin, is smooth there (has
+    a linear term), else None: the order ord_t g(gamma(t)) of the other
+    curve g along the branch gamma of the smooth one f (Fulton, *Algebraic
+    Curves*, section 3.3: at a simple point, I(P, F n G) = ord_P^F(G)).
+    The denominators of f are cleared, and x and y are exchanged in both
+    curves when f has no y term, so f = u x + v y + h with v != 0 and h of
+    order >= 2.  Then gamma = (v^2 t, Y(t)) with v Y_k = -[t^k] (u x +
+    h)(gamma); by induction every Y_k is a multiple of v, so each division
+    is exact.  A finite i_0 is at most cap = deg p * deg q (Bezout, after
+    dividing out a common unit factor), so the value is INFINITE once the
+    coefficients of t^1..t^cap all vanish.  None, too, when cap passes the
+    term budget."""
+    if (1, 0) not in p.terms and (0, 1) not in p.terms:
+        p, q = q, p
+        if (1, 0) not in p.terms and (0, 1) not in p.terms:
+            return None
+    cap = p.degree() * q.degree()
+    if cap > DEFAULT_TERM_BUDGET:
+        return None
+    # g(gamma) is exact over Q, so only f needs integer coefficients
+    f, g = _primitive(p.terms), q.terms
+    if (0, 1) not in f:
+        f = {(j, i): c for (i, j), c in f.items()}
+        g = {(j, i): c for (i, j), c in g.items()}
+    v = f.pop((0, 1))
+    # c x^i y^j at gamma is c v^(2i) t^i Y(t)^j
+    h = [(i, j, c * v ** (2 * i)) for (i, j), c in f.items()]
+    g = [(i, j, c * v ** (2 * i)) for (i, j), c in g.items()]
+    # powers[j][m] = [t^m] Y^j, extended one coefficient m at a time
+    powers = [[1]] + [[0] for _ in range(max([j for _, j, _ in h + g] + [1]))]
+    Y, e = powers[1], 0  # e = ord_t Y once a nonzero Y_k is known
+    for k in range(1, cap + 1):
+        powers[0].append(0)
+        for j in range(2, len(powers)):
+            # Y^j = Y^(j-1) Y, whose terms below t^(j e) vanish
+            prev, acc = powers[j - 1], 0
+            if e:
+                for i in range(e, k - (j - 1) * e + 1):
+                    acc += Y[i] * prev[k - i]
+            powers[j].append(acc)
+        acc = 0
+        for i, j, c in h:
+            if i <= k:
+                acc -= c * powers[j][k - i]
+        Yk, rest = divmod(acc, v)
+        if rest:
+            raise AssertionError("the branch left a remainder at t^%d" % k)
+        Y.append(Yk)
+        if Yk and not e:
+            e = k
+        acc = 0
+        for i, j, c in g:
+            if i <= k:
+                acc += c * powers[j][k - i]
+        if acc:
+            return k
+    return INFINITE
+
+
 def _ord_y(coeffs: list):
     """Index of the first nonzero entry; INFINITE for an all-zero list."""
     return next((k for k, c in enumerate(coeffs) if c), INFINITE)
@@ -149,9 +209,10 @@ def _certified_pair(p: BiPoly, q: BiPoly):
     Res_x(a, b) is then, up to a unit, the product of a(beta, y) over the
     roots beta of b, and a root that meets a near y = 0 lies on a branch of
     b at the origin (Fulton, *Algebraic Curves*, sections 1.6 and 3.3).
-    Fulton decides past the term budget (no dense rows) unless a is x-free."""
+    Fulton decides past the term budget (no dense rows, whose lengths are
+    the x- and y-degrees) unless a is x-free."""
     dp, dq = p.degree_x(), q.degree_x()
-    if min(dp, dq) and max(dp, dq) > DEFAULT_TERM_BUDGET:
+    if min(dp, dq) and max(p.degree(), q.degree()) > DEFAULT_TERM_BUDGET:
         return None
     for a, b in ((p, q), (q, p)) if dq <= dp else ((q, p), (p, q)):
         # lc_x(b) is a unit at y = 0 iff it has a y^0 term (of x-degree >= 1)
@@ -176,11 +237,17 @@ def _fulton(p: BiPoly, q: BiPoly):
     i_0 of the current pair stays i_0(p, q), and each split adds >= 1; a
     finite i_0(p, q) is at most cap = deg p * deg q (Bezout, after dividing
     out a common unit factor).  As m^n lies in an ideal of finite i_0 = n,
-    terms of degree > cap - total change no verdict and are dropped."""
-    cap, total = p.degree() * q.degree(), 0
+    terms of degree > cap - total change no verdict and are dropped.  The
+    passes may number about cap, so a pass past the term budget raises
+    BudgetExceeded."""
+    cap, total, passes = p.degree() * q.degree(), 0, 0
     f, g = _primitive(p.terms), _primitive(q.terms)
     # a curve that misses the origin meets nothing there
     while (0, 0) not in f and (0, 0) not in g:
+        passes += 1
+        if passes > DEFAULT_TERM_BUDGET:
+            raise BudgetExceeded("Fulton's reduction takes more passes than the term "
+                                 "budget of %d" % DEFAULT_TERM_BUDGET)
         # degrees of the restrictions to y = 0; -1 when one vanishes
         r, s = (max((i for i, j in t if not j), default=-1) for t in (f, g))
         if r > s:
@@ -217,12 +284,19 @@ def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler | None = No
        shares none unless x or y divides both, a linear cone u x + v y
        shares one iff the other cone vanishes at (v, -u), and other cones
        are tested by a gcd of the dehomogenized cones;
-    2. one certificate: in an order (a, b) of the pair with lc_x(b) a unit at
+    2. a smooth branch: when P or Q has order 1 at the origin, ord_t of the
+       other curve along its integer branch (v^2 t, Y(t)), one coefficient
+       at a time (Fulton, section 3.3: I(P, F n G) = ord_P^F(G) at a simple
+       point of F); INFINITE once the first deg P * deg Q coefficients
+       vanish;
+    3. one certificate: in an order (a, b) of the pair with lc_x(b) a unit at
        y = 0 and a(x, 0), b(x, 0) sharing no root but x = 0, ord_y Res_x(a, b),
        read off the terms when a is free of x, else after one
        pseudo-division by the subresultant sequence;
-    3. Fulton's reduction (W. Fulton, *Algebraic Curves*, section 3.3) over
+    4. Fulton's reduction (W. Fulton, *Algebraic Curves*, section 3.3) over
        Z, capped by Bezout: INFINITE once its total passes deg P * deg Q.
+    Steps 2 and 3 leave the pair to the next step past the term budget, and
+    Fulton's reduction raises BudgetExceeded on a pass past it.
     """
     value, _ = local_mult_detailed(P, Q, sampler)
     return value
@@ -236,6 +310,8 @@ def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve,
         raise DegenerateInput("zero polynomial is not a curve")
     p, q = P.poly, Q.poly
     value = _cone_mult(p, q)
+    if value is None:
+        value = _branch_mult(p, q)
     if value is not None:
         return value, False
     pair = _certified_pair(p, q)

@@ -166,6 +166,32 @@ def test_huge_tangent_cone_in_the_finiteness_check_is_a_budget_failure():
                            "exceeds the term budget of 1000000\n")
 
 
+@pytest.mark.parametrize("map_text", [
+    "(x^2 + y^99999999999, x^2)",
+    "(x + y^99999999999, x)",
+    "(x^2 + y^3, x^99999999999 + x y^99999999998)",
+])
+def test_astronomical_y_degree_in_the_finiteness_check_ends_within_seconds(map_text):
+    # the certificate builds no dense row of 10^11 + 1 entries in y, and
+    # Fulton's reduction, which would take about 7 10^10 passes on the last
+    # map, stops at a pass past the term budget (10^6 passes, about 5 s on
+    # one core of a 2-core VM)
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", "mu-seq", "--map", map_text,
+         "--ideal", "x, y", "--nmax", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 3:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("budget exceeded: ")
+    assert time.monotonic() - start < 40
+
+
 @pytest.mark.parametrize("flag", ["--wx", "--wy"])
 def test_weight_with_a_zero_denominator_is_a_usage_error(capsys, flag):
     code = main(["c-seq", "--map", "(x^2 - y^4, y^4)", "--nmax", "2", flag, "1/0"])

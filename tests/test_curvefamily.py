@@ -6,7 +6,7 @@ import pytest
 
 from germdyn import curvefamily
 from germdyn.bipoly import BudgetExceeded
-from germdyn.bitseq import BitSeq, parse_bitseq
+from germdyn.bitseq import BitSeq, first_difference, parse_bitseq
 from germdyn.curvefamily import (
     CoeffTable,
     GrowthSpec,
@@ -27,6 +27,7 @@ from germdyn.curvefamily import (
 )
 from germdyn.dyadic import Dyadic
 from germdyn.series import AtLeast, USeries
+from test_bitseq import rand_seq
 from test_series import compose_monomial
 
 
@@ -173,6 +174,21 @@ def test_theoremA_pair_structure():
     n0, M0, nu0 = wit[0]
     mu0 = mu_theoremA(s, t, n0)
     assert isinstance(mu0, int) and mu0 > nu0
+
+
+def test_finite_contacts_match_shifts_from_the_start():
+    """certify_finite_contacts shifts its previous shift once per n; it
+    agrees with shifting t from the start by each n <= horizon (s all
+    zeros, as in build_theoremA_pair, so each query is structural)."""
+    rng = random.Random(2207)
+    s, verdicts = BitSeq.zeros(), []
+    for _ in range(300):
+        t, horizon = rand_seq(rng), rng.randint(0, 12)
+        want = not any(isinstance(first_difference(s, t.shift_by(n), float("inf")), AtLeast)
+                       for n in range(horizon + 1))
+        assert certify_finite_contacts(s, t, horizon) == want, (s, t, horizon)
+        verdicts.append(want)
+    assert 30 <= sum(verdicts) <= len(verdicts) - 30, sum(verdicts)
 
 
 def test_mult_formula_exceeds_regimes():

@@ -245,7 +245,7 @@ def test_fulton_matches_the_shear_oracle(monkeypatch):
     decides INFINITE on exactly the pairs whose gcd is nonconstant
     and vanishes at the origin, and agrees with the shear oracle on the
     others.  local_mult agrees with it, and reaches it whenever the tangent
-    cones share a line."""
+    cones share a line and neither curve is smooth at the origin."""
     reached = []
     fulton = intersect._fulton
     monkeypatch.setattr(intersect, "_fulton",
@@ -264,7 +264,7 @@ def test_fulton_matches_the_shear_oracle(monkeypatch):
         value = fulton(P, Q)
         before = len(reached)
         assert local_mult(PlaneCurve(P), PlaneCurve(Q)) == value, (str(P), str(Q))
-        if _cone_mult(P, Q) is None:
+        if _cone_mult(P, Q) is None and P.order() > 1 and Q.order() > 1:
             assert len(reached) > before, (str(P), str(Q))
         g = bipoly_gcd(P, Q)
         shared = not g.is_constant() and g.constant_term() == 0
@@ -371,11 +371,13 @@ def test_pseudo_division_matches_the_full_resultant(monkeypatch):
 
 
 def certificate_only(monkeypatch):
-    """Switch off the cone step and make Fulton's reduction fail loudly, so
-    that every local_mult call below is decided by the certificate."""
+    """Switch off the cone and branch steps and make Fulton's reduction fail
+    loudly, so that every local_mult call below is decided by the
+    certificate."""
     def refuse(p, q):
         raise AssertionError("reached Fulton: %s, %s" % (p, q))
     monkeypatch.setattr(intersect, "_cone_mult", lambda p, q: None)
+    monkeypatch.setattr(intersect, "_branch_mult", lambda p, q: None)
     monkeypatch.setattr(intersect, "_fulton", refuse)
 
 
@@ -507,6 +509,32 @@ def test_astronomical_x_degrees_build_no_dense_rows():
     assert local_mult(PlaneCurve(p), PlaneCurve(q)) == intersect._fulton(p, q) == 6
 
 
+def test_astronomical_y_degrees_build_no_dense_rows():
+    """The certificate declines a y-degree past the term budget too, and
+    Fulton's reduction decides these pairs in a few passes."""
+    N = 99999999999
+    for p_text, q_text, want in [("x^2 + y^%d" % N, "x^2", 2 * N),
+                                 ("x + y^%d" % N, "x", N)]:
+        p, q = parse_poly(p_text), parse_poly(q_text)
+        assert _certified_pair(p, q) is None and _certified_pair(q, p) is None
+        for a, b in ((p, q), (q, p)):
+            assert local_mult(PlaneCurve(a), PlaneCurve(b)) == want, (p_text, q_text)
+
+
+def test_fulton_raises_on_a_pass_past_the_term_budget(monkeypatch):
+    """x^N + x y^(N-1) against x^2 + y^3 takes about 2 N/3 passes, so at
+    astronomical N the term budget, not the Bezout cap, ends the reduction.
+    i_0 = i_0(x^2 + y^3, x) + i_0(x^2 + y^3, x^(N-1) + y^(N-1)) = 3 + 2 (N - 1)."""
+    p, q = parse_poly("x^2 + y^3"), parse_poly("x^201 + x y^200")
+    assert intersect._fulton(p, q) == local_mult(PlaneCurve(p), PlaneCurve(q)) == 403
+    monkeypatch.setattr(intersect, "DEFAULT_TERM_BUDGET", 139)
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(BudgetExceeded):
+            intersect._fulton(a, b)
+    monkeypatch.setattr(intersect, "DEFAULT_TERM_BUDGET", 140)
+    assert intersect._fulton(p, q) == intersect._fulton(q, p) == 403
+
+
 def test_fulton_decides_infinite_by_the_bezout_cap(monkeypatch):
     """Fulton's reduction decides INFINITE itself on pairs that are not
     certified: y divides both, one curve divides the other, or a
@@ -552,8 +580,8 @@ CONE_IDEALS = [parse_poly_list(t) for t in
 def cone_pairs(rng):
     """Seeded pairs (P, Q) of every shape that reaches the cone step: conics
     with linear parts, products, scaled copies, graphs, generic members of
-    monomial ideals, Fraction coefficients, higher-order cones, and singular
-    curves that often share a tangent."""
+    monomial ideals, Fraction coefficients, higher-order cones, singular
+    curves that often share a tangent, and pairs of curves of order >= 2."""
     def tail(low):  # random terms of degrees low, low + 1
         return BiPoly({(i, j): rng.randint(-2, 2) * (rng.random() < 0.4)
                        for i in range(low + 2) for j in range(low + 2 - i) if i + j >= low})
@@ -594,6 +622,11 @@ def cone_pairs(rng):
             P, Q = form(rng.randint(2, 3)) + tail(4), form(rng.randint(1, 3)) + tail(4)
         else:
             P, Q = rand_singular(rng).poly, rand_singular(rng).poly
+        if not P.is_zero() and not Q.is_zero():
+            pairs.append((P, Q))
+    for _ in range(200):  # no curve smooth at the origin: past the branch step
+        P, Q = (BiPoly({ij: c for ij, c in rand_singular(rng).poly.terms.items()
+                        if sum(ij) > 1}) for _ in range(2))
         if not P.is_zero() and not Q.is_zero():
             pairs.append((P, Q))
     return pairs
@@ -745,10 +778,11 @@ def test_cone_step_never_decides_a_shared_component():
 
 
 def test_each_step_decides_some_pairs(monkeypatch):
-    """The cone step shadows no later step: on the pairs of cone_pairs, the
-    cones, the fiber certificate and Fulton's reduction each decide some
-    pairs.  The deciding step is the last one that local_mult calls."""
-    steps = ("_cone_mult", "_certified_pair", "_fulton")
+    """No step shadows a later one: on the pairs of cone_pairs, the cones,
+    the smooth branch, the fiber certificate and Fulton's reduction each
+    decide some pairs.  The deciding step is the last one that local_mult
+    calls."""
+    steps = ("_cone_mult", "_branch_mult", "_certified_pair", "_fulton")
     log = []
     for name in steps:
         def recording(p, q, name=name, step=getattr(intersect, name)):
@@ -760,6 +794,106 @@ def test_each_step_decides_some_pairs(monkeypatch):
         local_mult(PlaneCurve(P), PlaneCurve(Q))
         counts[log[-1]] += 1
     assert counts["_cone_mult"] >= 300 and min(counts.values()) >= 30, counts
+
+
+def smooth_pairs(rng):
+    """Seeded (kind, S, Q, want) with S smooth at the origin and want the
+    known value or None: transversal pairs, tangencies of order 2 up to the
+    Bezout cap deg S * deg Q, a smooth S with no y term, a partner with no
+    y term, two smooth curves, shared smooth factors, and Fraction
+    coefficients."""
+    def poly(low, high):
+        return BiPoly({(i, j): rng.randint(-2, 2) * (rng.random() < 0.5)
+                       for i in range(high + 1) for j in range(high + 1 - i)
+                       if low <= i + j})
+
+    def smooth(tangent_x=False):
+        # v y + h with v != 0; on tangent_x, S(x, 0) = c x^2 + ...
+        S = BiPoly({(0, 1): rng.choice([1, -1, 2, -3]), (2, 0): rng.choice([1, -2])})
+        if not tangent_x:
+            S = S + BiPoly({(1, 0): rng.randint(-3, 3)})
+        return S + BiPoly.y() * poly(1, 1) + poly(3, 3) * rng.randint(0, 1)
+
+    def rational(P):
+        return BiPoly({ij: Fraction(c, rng.choice([1, 2, 3, 7]))
+                       for ij, c in P.terms.items()})
+
+    out = []
+    for k in range(360):
+        kind = ("transversal", "tangent x^m", "tangent y^m", "x-free partner",
+                "both smooth", "shared")[k % 6]
+        S, want = smooth(kind == "tangent y^m"), None
+        if k % 4 == 1:
+            S = rational(S)
+        if kind == "transversal":
+            Q = poly(1, 3)
+        elif kind == "tangent x^m":  # i_0(S, S A + c x^m) = m
+            want = rng.randint(2, 6)
+            Q = S * poly(0, want - 2) + BiPoly.monomial(rng.choice([1, -1, 3]), want, 0)
+        elif kind == "tangent y^m":
+            # S(x, 0) = a x^2 and deg S A <= m, so i_0(S, S A + c y^m) = 2 m,
+            # which Bezout bounds by deg S * deg Q <= 2 m: the cap itself
+            S = S - BiPoly({ij: c for ij, c in S.terms.items() if sum(ij) > 2})
+            m = rng.randint(1, 4)
+            Q = S * poly(0, m - 2) + BiPoly.monomial(rng.choice([1, -2]), 0, m)
+            want = 2 * m
+        elif kind == "x-free partner":  # i_0(S, c x^m + ...) = m, as S has a y term
+            want = rng.randint(1, 5)
+            Q = BiPoly({(want, 0): rng.choice([1, -1, 2]), (want + 1, 0): rng.randint(-2, 2)})
+        elif kind == "both smooth":
+            Q = smooth(rng.random() < 0.5) * rng.choice([1, -2])
+        else:  # S divides Q, or S U divides both, U a unit at the origin
+            Q = S * poly(0, 2)
+            if rng.random() < 0.5:
+                U = BiPoly.const(1) + poly(1, 1)
+                S, Q = S * U, Q * U
+        if k % 4 == 1:
+            Q = Q * BiPoly.const(Fraction(rng.choice([1, -2, 5]), 3))
+        if k % 3 == 2:  # exchange the axes: an S with no x term gets no y term
+            S, Q = (P.compose(BiPoly.y(), BiPoly.x()) for P in (S, Q))
+        if not Q.is_zero():
+            out.append((kind, S, Q, want))
+    return out
+
+
+def test_branch_step_matches_fulton_and_the_shear_oracle():
+    """On pairs with a curve smooth at the origin, the branch step decides,
+    in either argument order, and its value equals the known one, Fulton's
+    reduction, local_mult, and off a shared component the shear oracle;
+    INFINITE comes exactly with a gcd through the origin."""
+    sam = GenericSampler(4711)
+    pairs = smooth_pairs(random.Random(4711))
+    values: dict = {}
+    exchanged = fractions = 0
+    for kind, S, Q, want in pairs:
+        value = intersect._branch_mult(S, Q)
+        assert value is not None and intersect._branch_mult(Q, S) == value, (kind, str(S), str(Q))
+        assert want is None or value == want, (kind, str(S), str(Q), value)
+        assert intersect._fulton(S, Q) == value, (kind, str(S), str(Q), value)
+        for a, b in ((S, Q), (Q, S)):
+            assert local_mult(PlaneCurve(a), PlaneCurve(b)) == value
+        g = bipoly_gcd(S, Q)
+        shared = not g.is_constant() and g.constant_term() == 0
+        assert (value is INFINITE) == shared, (kind, str(S), str(Q), value)
+        if not shared:
+            assert value == shear_oracle(S, Q, sam), (kind, str(S), str(Q), value)
+        if kind == "tangent y^m":
+            assert value == S.degree() * Q.degree(), (str(S), str(Q), value)
+        values.setdefault(kind, set()).add(value)
+        exchanged += (0, 1) not in S.terms
+        fractions += any(type(c) is Fraction for c in S.terms.values())
+    assert len(pairs) >= 300 and exchanged >= 50 and fractions >= 60, (exchanged, fractions)
+    assert values["shared"] == {INFINITE}, values
+    assert {2, 3, 4, 5, 6} <= values["tangent x^m"] and {2, 4, 6, 8} <= values["tangent y^m"]
+    assert all(len(v) >= 2 for k, v in values.items() if k != "shared"), values
+
+
+def test_branch_step_declines_without_a_smooth_curve_or_past_the_budget():
+    N = 99999999999
+    for p_text, q_text in [("x^2 + y^3", "y^2 + x^3"), ("x y", "x^2 - y^3"),
+                           ("x + y^%d" % N, "x"), ("y - x^2", "y^%d + x^3" % N)]:
+        p, q = parse_poly(p_text), parse_poly(q_text)
+        assert intersect._branch_mult(p, q) is None and intersect._branch_mult(q, p) is None
 
 
 def test_degenerate_input():
