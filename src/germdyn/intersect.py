@@ -18,6 +18,7 @@ w-member goes through the exact pullback and ``local_mult``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from math import gcd
 
 # MapGerm is re-exported: callers import it from here too
@@ -143,7 +144,11 @@ def _branch_mult(p: BiPoly, q: BiPoly):
     is exact.  A finite i_0 is at most cap = deg p * deg q (Bezout, after
     dividing out a common unit factor), so the value is INFINITE once the
     coefficients of t^1..t^cap all vanish.  None, too, when cap passes the
-    term budget."""
+    term budget, or when the products spent so far (over the terms of f and
+    g and the power table, per coefficient) pass it: the later steps decide
+    then.  The table holds Y^j only from t^(j e) on, e = ord_t Y, and skips
+    the zero coefficients of Y, so a partner's y-degree past k / e costs
+    nothing at t^k."""
     if (1, 0) not in p.terms and (0, 1) not in p.terms:
         p, q = q, p
         if (1, 0) not in p.terms and (0, 1) not in p.terms:
@@ -157,34 +162,49 @@ def _branch_mult(p: BiPoly, q: BiPoly):
         f = {(j, i): c for (i, j), c in f.items()}
         g = {(j, i): c for (i, j), c in g.items()}
     v = f.pop((0, 1))
-    # c x^i y^j at gamma is c v^(2i) t^i Y(t)^j
-    h = [(i, j, c * v ** (2 * i)) for (i, j), c in f.items()]
-    g = [(i, j, c * v ** (2 * i)) for (i, j), c in g.items()]
-    # powers[j][m] = [t^m] Y^j, extended one coefficient m at a time
-    powers = [[1]] + [[0] for _ in range(max([j for _, j, _ in h + g] + [1]))]
-    Y, e = powers[1], 0  # e = ord_t Y once a nonzero Y_k is known
+    # c x^i y^j at gamma is c v^(2i) t^i Y(t)^j; (j, i, c v^(2i)) in order
+    h = sorted([(j, i, c * v ** (2 * i)) for (i, j), c in f.items()])
+    g = sorted([(j, i, c * v ** (2 * i)) for (i, j), c in g.items()])
+    # powers[j][m] = [t^m] Y^j, extended one coefficient m at a time; Y^j
+    # vanishes below t^(j e), e = ord_t Y, so it joins the table at t^(j e).
+    # nz lists the k with Y_k != 0, and the first hn, gn terms have j < n.
+    top = max(h[-1][0] if h else 0, g[-1][0])
+    powers, e, work, nz, n = [[1], [0]], 0, 0, [], 0
+    Y = powers[1]
     for k in range(1, cap + 1):
         powers[0].append(0)
-        for j in range(2, len(powers)):
-            # Y^j = Y^(j-1) Y, whose terms below t^(j e) vanish
-            prev, acc = powers[j - 1], 0
-            if e:
-                for i in range(e, k - (j - 1) * e + 1):
-                    acc += Y[i] * prev[k - i]
+        while e and len(powers) <= top and len(powers) * e <= k:
+            powers.append([0] * k)
+        if n < len(powers):
+            n = len(powers)
+            hn, gn = bisect_left(h, (n,)), bisect_left(g, (n,))
+        for j in range(2, n):
+            # Y^j = Y^(j-1) Y
+            prev, acc, lim = powers[j - 1], 0, k - (j - 1) * e
+            for i in nz:
+                if i > lim:
+                    break
+                acc += Y[i] * prev[k - i]
             powers[j].append(acc)
+        # past the term budget in products, the later steps decide
+        work += hn + gn + (n - 2) * len(nz)
+        if work > DEFAULT_TERM_BUDGET:
+            return None
         acc = 0
-        for i, j, c in h:
-            if i <= k:
+        for j, i, c in h[:hn]:
+            if i <= k - j * e:
                 acc -= c * powers[j][k - i]
         Yk, rest = divmod(acc, v)
         if rest:
             raise AssertionError("the branch left a remainder at t^%d" % k)
         Y.append(Yk)
-        if Yk and not e:
-            e = k
+        if Yk:
+            nz.append(k)
+            if not e:
+                e = k
         acc = 0
-        for i, j, c in g:
-            if i <= k:
+        for j, i, c in g[:gn]:
+            if i <= k - j * e:
                 acc += c * powers[j][k - i]
         if acc:
             return k

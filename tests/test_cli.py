@@ -175,9 +175,9 @@ def test_astronomical_y_degree_in_the_finiteness_check_ends_within_seconds(map_t
     # the certificate builds no dense row of 10^11 + 1 entries in y, and
     # Fulton's reduction, which would take about 7 10^10 passes on the last
     # map, stops at a pass past the term budget (10^6 passes, about 5 s on
-    # one core of a 2-core VM)
+    # one core of a 2-core VM); the timeout is the bound, with room for a
+    # loaded host
     src = os.path.dirname(os.path.dirname(germdyn.__file__))
-    start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "germdyn.cli", "mu-seq", "--map", map_text,
          "--ideal", "x, y", "--nmax", "1"],
@@ -189,7 +189,6 @@ def test_astronomical_y_degree_in_the_finiteness_check_ends_within_seconds(map_t
     if proc.returncode == 3:
         assert proc.stdout == ""
         assert proc.stderr.startswith("budget exceeded: ")
-    assert time.monotonic() - start < 40
 
 
 @pytest.mark.parametrize("flag", ["--wx", "--wy"])

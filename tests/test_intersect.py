@@ -896,6 +896,31 @@ def test_branch_step_declines_without_a_smooth_curve_or_past_the_budget():
         assert intersect._branch_mult(p, q) is None and intersect._branch_mult(q, p) is None
 
 
+def test_branch_step_work_does_not_grow_with_the_partner():
+    """Y^j joins the power table only at t^(j e), e = ord_t Y, and the
+    table skips the zero coefficients of Y, so these pairs take about J and
+    N coefficients of a few products each: i_0(y, y^J + x^(J+1)) = J + 1
+    along Y = 0, and i_0(y - x^2, (y - x^2)^2 + x^N) = N along Y = t^2."""
+    J = N = 10**5
+    for p_text, q_text, want in [("y", "y^%d + x^%d" % (J, J + 1), J + 1),
+                                 ("y - x^2", "(y - x^2)^2 + x^%d" % N, N)]:
+        p, q = parse_poly(p_text), parse_poly(q_text)
+        assert intersect._branch_mult(p, q) == intersect._branch_mult(q, p) == want
+        assert local_mult(PlaneCurve(q), PlaneCurve(p)) == want
+
+
+def test_branch_step_leaves_a_pair_past_the_term_budget_in_products(monkeypatch):
+    """The step counts its products, the terms of both curves and the
+    power table per coefficient, and leaves the pair to the later steps
+    once they pass the term budget; the value does not change."""
+    p, q = parse_poly("y - x + x^2"), parse_poly("(y - x)^30 + x^61")  # 2 * 30
+    assert intersect._branch_mult(p, q) == intersect._branch_mult(q, p) == 60
+    monkeypatch.setattr(intersect, "DEFAULT_TERM_BUDGET", 1000)
+    assert intersect._branch_mult(p, q) is None and intersect._branch_mult(q, p) is None
+    for a, b in ((p, q), (q, p)):
+        assert local_mult(PlaneCurve(a), PlaneCurve(b)) == 60
+
+
 def test_degenerate_input():
     sam = GenericSampler(3)
     with pytest.raises(DegenerateInput):
