@@ -146,9 +146,10 @@ def _branch_mult(p: BiPoly, q: BiPoly):
     coefficients of t^1..t^cap all vanish.  None, too, when cap passes the
     term budget, or when the products spent so far (over the terms of f and
     g and the power table, per coefficient) pass it: the later steps decide
-    then.  The table holds Y^j only from t^(j e) on, e = ord_t Y, and skips
-    the zero coefficients of Y, so a partner's y-degree past k / e costs
-    nothing at t^k."""
+    then.  The table holds only the powers Y^j that a term reads, each from
+    t^(j e) on, e = ord_t Y, by Miller's recurrence over the nonzero
+    coefficients of Y, so a partner's y-degree past k / e costs nothing at
+    t^k."""
     if (1, 0) not in p.terms and (0, 1) not in p.terms:
         p, q = q, p
         if (1, 0) not in p.terms and (0, 1) not in p.terms:
@@ -165,29 +166,39 @@ def _branch_mult(p: BiPoly, q: BiPoly):
     # c x^i y^j at gamma is c v^(2i) t^i Y(t)^j; (j, i, c v^(2i)) in order
     h = sorted([(j, i, c * v ** (2 * i)) for (i, j), c in f.items()])
     g = sorted([(j, i, c * v ** (2 * i)) for (i, j), c in g.items()])
-    # powers[j][m] = [t^m] Y^j, extended one coefficient m at a time; Y^j
-    # vanishes below t^(j e), e = ord_t Y, so it joins the table at t^(j e).
-    # nz lists the k with Y_k != 0, and the first hn, gn terms have j < n.
-    top = max(h[-1][0] if h else 0, g[-1][0])
-    powers, e, work, nz, n = [[1], [0]], 0, 0, [], 0
+    # powers[j][m] = [t^m] Y^j, extended one coefficient m at a time, for
+    # j = 0, 1 and the j >= 2 that a term reads.  With Y = t^e Z, Y^j joins
+    # at t^(j e) as Y_e^j, and then m Z_0 W_m = sum_(i=1..m) ((j + 1) i - m)
+    # Z_i W_(m-i) for W = Z^j (J. C. P. Miller), over the nonzero Z_i; W is
+    # integral, so the division is exact.  nz lists the k with Y_k != 0,
+    # and the first hn, gn terms read a power in the table.
+    used = sorted({j for j, _, _ in h + g if j > 1})
+    powers, e, work, nz, joined = {0: [1], 1: [0]}, 0, 0, [], []
+    hn, gn = bisect_left(h, (2,)), bisect_left(g, (2,))
     Y = powers[1]
     for k in range(1, cap + 1):
         powers[0].append(0)
-        while e and len(powers) <= top and len(powers) * e <= k:
-            powers.append([0] * k)
-        if n < len(powers):
-            n = len(powers)
-            hn, gn = bisect_left(h, (n,)), bisect_left(g, (n,))
-        for j in range(2, n):
-            # Y^j = Y^(j-1) Y
-            prev, acc, lim = powers[j - 1], 0, k - (j - 1) * e
-            for i in nz:
-                if i > lim:
+        while e and len(joined) < len(used) and used[len(joined)] * e <= k:
+            j = used[len(joined)]
+            powers[j] = [0] * k
+            joined.append(j)
+            hn, gn = bisect_left(h, (j + 1,)), bisect_left(g, (j + 1,))
+        for j in joined:
+            P, m, acc = powers[j], k - j * e, 0
+            if not m:
+                P.append(Y[e] ** j)
+                continue
+            P.append(0)  # the i = 0 term reads it
+            for s in nz:
+                i = s - e
+                if i > m:
                     break
-                acc += Y[i] * prev[k - i]
-            powers[j].append(acc)
+                acc += ((j + 1) * i - m) * Y[s] * P[k - i]
+            P[k], rest = divmod(acc, m * Y[e])
+            if rest:
+                raise AssertionError("Y^%d left a remainder at t^%d" % (j, k))
         # past the term budget in products, the later steps decide
-        work += hn + gn + (n - 2) * len(nz)
+        work += hn + gn + len(joined) * len(nz)
         if work > DEFAULT_TERM_BUDGET:
             return None
         acc = 0

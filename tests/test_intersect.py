@@ -897,13 +897,16 @@ def test_branch_step_declines_without_a_smooth_curve_or_past_the_budget():
 
 
 def test_branch_step_work_does_not_grow_with_the_partner():
-    """Y^j joins the power table only at t^(j e), e = ord_t Y, and the
-    table skips the zero coefficients of Y, so these pairs take about J and
-    N coefficients of a few products each: i_0(y, y^J + x^(J+1)) = J + 1
-    along Y = 0, and i_0(y - x^2, (y - x^2)^2 + x^N) = N along Y = t^2."""
+    """The power table holds only the Y^j that a term reads, each from
+    t^(j e) on, e = ord_t Y, and skips the zero coefficients of Y, so these
+    pairs take about J and N coefficients of a few products each:
+    i_0(y, y^J + x^(J+1)) = J + 1 along Y = 0, i_0(y - x^2, (y - x^2)^2 +
+    x^N) = N along Y = t^2, and i_0(y - x^2, y^J + x^(2J-1)) = 2 J - 1,
+    where Y^J would join at t^(2J)."""
     J = N = 10**5
     for p_text, q_text, want in [("y", "y^%d + x^%d" % (J, J + 1), J + 1),
-                                 ("y - x^2", "(y - x^2)^2 + x^%d" % N, N)]:
+                                 ("y - x^2", "(y - x^2)^2 + x^%d" % N, N),
+                                 ("y - x^2", "y^%d + x^%d" % (J, 2 * J - 1), 2 * J - 1)]:
         p, q = parse_poly(p_text), parse_poly(q_text)
         assert intersect._branch_mult(p, q) == intersect._branch_mult(q, p) == want
         assert local_mult(PlaneCurve(q), PlaneCurve(p)) == want
