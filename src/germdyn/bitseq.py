@@ -209,13 +209,14 @@ def first_difference(s: BitSeq, t: BitSeq, horizon):
     """Least index m < horizon with s_m != t_m, else AtLeast(horizon)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if s.same_sequence(t):
+    s_key, t_key = s.canonical_key(), t.canonical_key()
+    if s_key == t_key:
         return AtLeast(horizon)
     # an all-zeros side reduces to a structural first-one query, which
     # handles astronomically long zero runs
-    if s.canonical_key() == ((), ZEROS, None):
+    if s_key == ((), ZEROS, None):
         return t.first_one(horizon)
-    if t.canonical_key() == ((), ZEROS, None):
+    if t_key == ((), ZEROS, None):
         return s.first_one(horizon)
     cap = min(horizon, _SCAN_CAP)
     for m in range(cap):

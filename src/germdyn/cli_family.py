@@ -59,31 +59,28 @@ def cmd_curve_mult(args):
 
 
 def cmd_verify_functoriality(args):
-    from .bitseq import parse_bitseq
-    from .curvefamily import CoeffTable, verify_functoriality
-
-    s = parse_bitseq(args.seq)
-    ok, witness = verify_functoriality(s, args.n, CoeffTable(args.budget))
-    payload = {"check": "functoriality", "sequence": str(s), "n": args.n,
-               "result": _result(ok)}
-    if witness:
-        exponent, lhs, rhs = witness
-        payload["witness"] = {"exponent": exponent, "lhs": str(lhs), "rhs": str(rhs)}
-    return payload, ok, None
+    return _verify_row(args, "functoriality", ("exponent", "lhs", "rhs"))
 
 
 def cmd_verify_bound(args):
+    return _verify_row(args, "bound", ("n", "coefficient", "bound"))
+
+
+def _verify_row(args, check, witness_keys):
+    """The body of both row checks: run ``verify_<check>`` on one
+    coefficient row and name a witness's index and two values."""
+    from . import curvefamily
     from .bitseq import parse_bitseq
-    from .curvefamily import CoeffTable, verify_bound
 
     s = parse_bitseq(args.seq)
-    ok, witness = verify_bound(s, args.n, CoeffTable(args.budget))
-    payload = {"check": "bound", "sequence": str(s), "n": args.n,
+    verify = getattr(curvefamily, "verify_" + check)
+    ok, witness = verify(s, args.n, curvefamily.CoeffTable(args.budget))
+    payload = {"check": check, "sequence": str(s), "n": args.n,
                "result": _result(ok)}
     if witness:
-        n, coefficient, bound = witness
-        payload["witness"] = {"n": n, "coefficient": str(coefficient),
-                              "bound": str(bound)}
+        index, lhs, rhs = witness
+        key, lhs_key, rhs_key = witness_keys
+        payload["witness"] = {key: index, lhs_key: str(lhs), rhs_key: str(rhs)}
     return payload, ok, None
 
 

@@ -404,12 +404,13 @@ def build_theoremA_pair(nu: GrowthSpec, K: int, budget: int | None = None):
         pos += L + 1
     t = BitSeq.blocks(lengths)
     witnesses = []
-    for k in range(K):
-        shifted = t.shift_by(starts[k])
-        M = shifted.first_one(lengths[k] + 2)
-        if isinstance(M, AtLeast) or M != lengths[k]:
+    shifted = t  # sigma^start(t), moved on by one run on each pass
+    for start, L in zip(starts, lengths):
+        M = shifted.first_one(L + 2)
+        if isinstance(M, AtLeast) or M != L:
             raise AssertionError("witness construction out of sync")
-        witnesses.append((starts[k], M, lengths[k] - 1))
+        witnesses.append((start, M, L - 1))
+        shifted = shifted.shift_by(L + 1)
     return s, t, witnesses
 
 
@@ -430,22 +431,20 @@ def certify_finite_contacts(s: BitSeq, t: BitSeq, horizon: int) -> bool:
     return True
 
 
-def mu_theoremA(s: BitSeq, t: BitSeq, n: int, horizon: int = 10**6,
-                materialize_limit: int = 2 * 10**6):
+_MU_HORIZON = 10**6  # bits mu_theoremA compares before it answers AtLeast
+
+
+def mu_theoremA(s: BitSeq, t: BitSeq, n: int):
     """Contact order of the curve of s with the curve of sigma^n(t).
 
-    Exact integer when the disagreement index is modest; raises when the
-    result would have more than ~materialize_limit digits (use
-    mult_formula_exceeds for inequality certificates in that regime).
+    Exact when the two sequences first differ at an index m below
+    ``_MU_HORIZON`` = 10^6, so the value has at most 602060 digits;
+    else AtLeast the order at m = 10^6 (use mult_formula_exceeds for
+    inequality certificates past it).
     """
-    shifted = t.shift_by(n)
-    m = first_difference(s, shifted, horizon)
+    m = first_difference(s, t.shift_by(n), _MU_HORIZON)
     if isinstance(m, AtLeast):
-        return AtLeast(mult_formula_from_m(horizon))
-    if m > materialize_limit:
-        raise OverflowError(
-            "contact order has ~%s digits; compare symbolically instead" % m
-        )
+        return AtLeast(mult_formula_from_m(_MU_HORIZON))
     return mult_formula_from_m(m)
 
 

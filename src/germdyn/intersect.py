@@ -67,18 +67,21 @@ class PlaneCurve:
         return "PlaneCurve(%s)" % self.poly
 
 
-class GenericSampler:
-    """Reproducible source of generic integer coefficients."""
+_DRAW_BOUND = 10**4  # GenericSampler draws nonzero integers in [-B, B]
 
-    def __init__(self, seed: int, bound: int = 10**4):
+
+class GenericSampler:
+    """Reproducible source of generic integer coefficients: nonzero
+    integers of absolute value at most ``_DRAW_BOUND`` = 10^4."""
+
+    def __init__(self, seed: int):
         self.seed = seed
-        self.bound = bound
         self._rng = random.Random(seed)
 
     def draw(self) -> int:
         v = 0
         while v == 0:
-            v = self._rng.randint(-self.bound, self.bound)
+            v = self._rng.randint(-_DRAW_BOUND, _DRAW_BOUND)
         return v
 
     def draw_vector(self, n: int) -> list[int]:
@@ -500,11 +503,14 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
     return out
 
 
-def samuel_via_generic(generators: list[BiPoly], sampler: GenericSampler,
-                       trials: int = 3) -> int:
-    """Common intersection number of independent generic member pairs."""
+_TRIALS = 3  # generic member pairs samuel_via_generic compares
+
+
+def samuel_via_generic(generators: list[BiPoly], sampler: GenericSampler) -> int:
+    """Common intersection number of ``_TRIALS`` = 3 independent generic
+    member pairs."""
     values = []
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         z = sampler.draw_vector(len(generators))
         w = sampler.draw_vector(len(generators))
         D1 = generic_member(generators, z)

@@ -5,8 +5,9 @@ as the minimal weighted degree over its support.  Pulling back along a map
 germ and renormalizing gives the attraction rate; its growth along iterates
 is summarized either by an exact rational asymptotic rate (when a detected
 recursion has a rational dominant root) or by an algebraic certificate.
-Only ``c_infinity`` and ``growth_envelope_check`` detect a recursion; they
-import ``recurrence`` themselves, so ``c_sequence`` alone does not load it.
+Only ``c_infinity`` detects a recursion, and it imports ``recurrence``
+itself, so ``c_sequence`` alone does not load it; ``growth_envelope_check``
+reads a recursion its caller has already detected.
 """
 
 from __future__ import annotations
@@ -114,29 +115,33 @@ class AsymptoticRate:
         return "AsymptoticRate(certificate=%r)" % (self.certificate,)
 
 
-def c_infinity(F: MapGerm, n_max: int, budget: int | None = 10**6,
-               max_order: int = 3, holdout: int = 1) -> AsymptoticRate:
+_RATE_MAX_ORDER = 3  # highest recursion order c_infinity fits
+_RATE_HOLDOUT = 1  # terms c_infinity holds out to test the fit
+
+
+def c_infinity(F: MapGerm, n_max: int,
+               budget: int | None = 10**6) -> AsymptoticRate:
     """Asymptotic attraction rate from the rate sequence of the iterates.
 
-    Detects an eventual integral recursion in c(F^n, ord); its dominant
-    root is the rate.  A monic integer characteristic polynomial has only
-    integer rational roots, so either the dominant root is an exact integer
-    or an algebraic certificate with an integer bracket is returned.
+    Detects an eventual integral recursion in c(F^n, ord), of order at most
+    ``_RATE_MAX_ORDER`` = 3 with ``_RATE_HOLDOUT`` = 1 term held out; its
+    dominant root is the rate.  A monic integer characteristic polynomial
+    has only integer rational roots, so either the dominant root is an
+    exact integer or an algebraic certificate with an integer bracket is
+    returned.
     """
     from .recurrence import detect_recursion
 
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    max_order = min(max_order, (n_max - holdout) // 2)
-    if max_order < 1:
-        raise ValueError("n_max too small for any recursion order")
+    max_order = min(_RATE_MAX_ORDER, (n_max - _RATE_HOLDOUT) // 2)
     rates = c_sequence(F, MonomialValuation.order(), n_max, budget)
     ints = []
     for r in rates:
         if r.denominator != 1:
             raise AssertionError("order valuation rates must be integers")
         ints.append(int(r))
-    model = detect_recursion(ints, max_order, holdout)  # may raise
+    model = detect_recursion(ints, max_order, _RATE_HOLDOUT)  # may raise
     cp = model.char_poly()
     lo, hi = _dominant_root_bracket(cp)
     if lo == hi:
@@ -151,41 +156,16 @@ def c_infinity(F: MapGerm, n_max: int, budget: int | None = 10**6,
     )
 
 
-def growth_envelope_check(mu: list[int], c_inf: Fraction, max_order: int = 3,
-                          holdout: int = 1) -> dict:
-    """Check a computed multiplicity sequence against its asymptotic rate:
-    detect the recursion and report exact min/max of mu(n) / c_inf^n.
-
-    Returns {"pass": bool, "model": ..., "ratio_min": ..., "ratio_max": ...,
-    "onset": int}; ratios are taken from the recursion onset onward.
-    """
-    from .recurrence import NoRecurrenceFound, detect_recursion
-
-    if not mu:
-        raise ValueError("empty sequence")
+def growth_envelope_check(mu: list[int], model, c_inf: Fraction):
+    """Exact (min, max) of mu(n) / c_inf^n over n from the onset of
+    ``model``, a recursion the caller has detected on mu."""
     c_inf = Fraction(c_inf)
     if c_inf <= 1:
         raise ValueError("asymptotic rate must exceed 1")
-    report = {"pass": False, "model": None, "ratio_min": None,
-              "ratio_max": None, "onset": None}
-    try:
-        model = detect_recursion(mu, max_order, holdout)
-    except (NoRecurrenceFound, ValueError) as exc:
-        report["error"] = str(exc)
-        return report
     ratios = [
         Fraction(mu[n]) / c_inf**n for n in range(model.onset, len(mu))
     ]
-    report.update(
-        {
-            "pass": True,
-            "model": model,
-            "ratio_min": min(ratios),
-            "ratio_max": max(ratios),
-            "onset": model.onset,
-        }
-    )
-    return report
+    return min(ratios), max(ratios)
 
 
 def _eval_int_poly(p: list[int], x: int) -> int:

@@ -117,9 +117,8 @@ def test_acceptance_6_pipeline_mu_recursion_rate():
     ok = ok and model.order == 1 and model.coeffs == [2]
     rate = c_infinity(F, 5)
     ok = ok and rate.is_exact and rate.value == 2
-    envelope = growth_envelope_check(mu, rate.value, max_order=2)
-    ok = ok and envelope["pass"]
-    ok = ok and envelope["ratio_min"] == 1 and envelope["ratio_max"] == 1
+    ok = ok and model.onset == 0
+    ok = ok and growth_envelope_check(mu, model, rate.value) == (1, 1)
     report("6 pipeline: mu=1,2,4,8,16,32, ratio-2 recursion, c_inf=2, A1=A2=1", ok)
 
 

@@ -52,6 +52,22 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert code3 == 0
 
 
+@pytest.mark.parametrize("check, keys", [("functoriality", ("exponent", "lhs", "rhs")),
+                                         ("bound", ("n", "coefficient", "bound"))])
+def test_verify_failure_names_its_witness_in_order(capsys, monkeypatch, check, keys):
+    # no row fails either check, so a failing check is put in its place
+    from germdyn import curvefamily
+
+    monkeypatch.setattr(curvefamily, "verify_" + check,
+                        lambda s, n, table: (False, (9, "3/2^5", "-1/2^7")))
+    code, out = run(capsys, "--format", "text", "verify", check, "--seq", "0:1...",
+                    "--n", "12")
+    assert code == 1
+    assert out.splitlines() == [
+        "check: " + check, "sequence: 0:1...", "n: 12", "result: FAIL", "witness:",
+        "  %s: 9" % keys[0], "  %s: 3/2^5" % keys[1], "  %s: -1/2^7" % keys[2]]
+
+
 def test_arnold(capsys):
     code, data = run_json(capsys, "arnold", "--nu", "pow:2", "--witnesses", "2")
     assert code == 0 and data["result"] == "PASS"
@@ -69,6 +85,24 @@ def test_mu_seq_and_pipeline(capsys):
     assert data2["asymptotic_rate"]["value"] == "2"
     assert data2["envelope"]["ratio_min"] == "1"
     assert data2["envelope"]["ratio_max"] == "1"
+
+
+def test_pipeline_detects_the_recursion_on_mu_once(capsys, monkeypatch):
+    from germdyn import recurrence
+
+    seqs, detect = [], recurrence.detect_recursion
+
+    def counting(seq, *rest):
+        seqs.append(list(seq))
+        return detect(seq, *rest)
+
+    monkeypatch.setattr(recurrence, "detect_recursion", counting)
+    code, data = run_json(capsys, "pipeline", "--map", "(x^2 - y^4, y^4)",
+                          "--ideal", "x, y", "--nmax", "5")
+    assert code == 0 and data["envelope"]["pass"] is True
+    mu = [int(v) for v in data["mu"]]
+    assert seqs.count(mu) == 1, seqs
+    assert len(seqs) == 2  # and once on the rates, inside c_infinity
 
 
 def test_map_validation_is_a_finite_multiplicity(capsys):

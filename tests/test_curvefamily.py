@@ -191,6 +191,25 @@ def test_finite_contacts_match_shifts_from_the_start():
     assert 30 <= sum(verdicts) <= len(verdicts) - 30, sum(verdicts)
 
 
+def test_theoremA_witnesses_match_shifts_from_the_start():
+    """build_theoremA_pair moves its shift of t on by one run per witness;
+    each witness agrees with shifting t from the start to the start of its
+    run and reading the first one there."""
+    rng = random.Random(2603)
+    specs = [(GrowthSpec("pow", 1), rng.randint(1, 40)), (GrowthSpec("pow", 2), 4),
+             (GrowthSpec("pow", 3), 3), (GrowthSpec("factorial"), 3)]
+    specs += [(GrowthSpec("table", [rng.randint(0, 5) for _ in range(200)]),
+               rng.randint(1, 25)) for _ in range(6)]
+    for nu, K in specs:
+        s, t, witnesses = build_theoremA_pair(nu, K)
+        want, start = [], 0
+        for L in t.param:
+            want.append((start, t.shift_by(start).first_one(L + 2), L - 1))
+            start += L + 1
+        assert len(witnesses) == K and witnesses == want, (nu, K)
+        assert all(nu_val == nu(n) for n, _, nu_val in witnesses)
+
+
 def test_mult_formula_exceeds_regimes():
     assert mult_formula_exceeds(5, 1000)
     assert not mult_formula_exceeds(5, 10**6)

@@ -5,6 +5,7 @@ import pytest
 
 from germdyn.intersect import MapGerm
 from germdyn.polyparse import parse_map, parse_poly
+from germdyn.recurrence import RecurrenceModel, detect_recursion
 from germdyn.valuation import (
     MonomialValuation,
     _dominant_root_bracket,
@@ -61,13 +62,22 @@ def test_c_infinity_algebraic_certificate():
 
 def test_growth_envelope():
     mu = [1, 2, 4, 8, 16, 32]
-    report = growth_envelope_check(mu, 2, max_order=2)
-    assert report["pass"]
-    assert report["ratio_min"] == 1 and report["ratio_max"] == 1
-    report2 = growth_envelope_check([3, 6, 12, 24, 48, 96, 192], 2, max_order=2)
-    assert report2["pass"] and report2["ratio_min"] == 3
-    with pytest.raises(ValueError):
-        growth_envelope_check(mu, 1)
+    model = detect_recursion(mu, 2, 1)
+    assert growth_envelope_check(mu, model, 2) == (1, 1)
+    mu2 = [3, 6, 12, 24, 48, 96, 192]
+    assert growth_envelope_check(mu2, detect_recursion(mu2, 2, 1), 2) == (3, 3)
+    # the ratios start at the given model's onset: mu3[0] / 2^0 = 7 is left
+    # out, and a later onset given by hand leaves out more terms
+    mu3 = [7, 1, 2, 4, 8, 16, 32]
+    model3 = detect_recursion(mu3, 2, 1)
+    assert model3.onset == 1
+    assert growth_envelope_check(mu3, model3, 2) == (Fraction(1, 2), Fraction(1, 2))
+    mu4 = [1, 5, 4, 8, 16, 32]
+    assert growth_envelope_check(mu4, RecurrenceModel(1, [2], 2), 2) == (1, 1)
+    assert growth_envelope_check(mu4, RecurrenceModel(1, [2], 0), 2) == (1, Fraction(5, 2))
+    for c_inf in (1, Fraction(1, 2), 0, -3):
+        with pytest.raises(ValueError):
+            growth_envelope_check(mu, model, c_inf)
 
 
 def test_dominant_root_bracket_counts_roots_exactly():
