@@ -228,12 +228,7 @@ class BiPoly:
         parts = []
         for (i, j) in sorted(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0])):
             c = self.terms[(i, j)]
-            mono = []
-            if i:
-                mono.append("x" if i == 1 else "x^%d" % i)
-            if j:
-                mono.append("y" if j == 1 else "y^%d" % j)
-            body = "*".join(mono)
+            body = _mono_str(i, j)
             if body:
                 if c == 1:
                     parts.append(body)
@@ -248,6 +243,16 @@ class BiPoly:
 
     def __repr__(self):
         return "BiPoly(%s)" % str(self)
+
+
+def _mono_str(i: int, j: int) -> str:
+    """x^i*y^j as text, with exponents 1 left out; "" for (0, 0)."""
+    mono = []
+    if i:
+        mono.append("x" if i == 1 else "x^%d" % i)
+    if j:
+        mono.append("y" if j == 1 else "y^%d" % j)
+    return "*".join(mono)
 
 
 class MapGerm:

@@ -74,21 +74,8 @@ class BitSeq:
             return 1
         if self.tail == PERIODIC:
             return self.param[k % len(self.param)]
-        return self._blocks_bit(k)
-
-    def _blocks_bit(self, k: int) -> int:
-        lengths = self.param
-        for i, L in enumerate(lengths):
-            if k < L:
-                return 0
-            if k == L:
-                return 1
-            k -= L + 1
-            if i == len(lengths) - 1:
-                # last length repeats forever
-                k %= L + 1
-                return 1 if k == L else 0
-        raise AssertionError("unreachable")
+        i, r = _run_at(self.param, k)
+        return 1 if r == self.param[i] else 0
 
     # -- shift --------------------------------------------------------------
 
@@ -96,7 +83,8 @@ class BitSeq:
         return self.shift_by(1)
 
     def shift_by(self, n: int) -> "BitSeq":
-        """sigma**n, with jumps over long zero runs instead of n single steps."""
+        """sigma**n, with jumps over long zero runs instead of n single steps:
+        a blocks tail restarts inside the run that ``_run_at`` places n in."""
         if n < 0:
             raise ValueError("negative shift")
         s = self
@@ -112,16 +100,12 @@ class BitSeq:
             c = s.param
             r = n % len(c)
             return _bitseq((), PERIODIC, c[r:] + c[:r])
-        # walk the runs by index and slice the remaining lengths once
-        lengths, i, last = s.param, 0, len(s.param) - 1
-        while i < last and n > lengths[i]:
-            n -= lengths[i] + 1
-            i += 1
+        lengths = s.param
+        i, r = _run_at(lengths, n)
         L = lengths[i]
-        if i < last:
-            return _bitseq((), BLOCKS, (L - n,) + lengths[i + 1:])
+        if i < len(lengths) - 1:
+            return _bitseq((), BLOCKS, (L - r,) + lengths[i + 1:])
         # periodic regime of period L + 1
-        r = n % (L + 1)
         return _bitseq((), BLOCKS, (L - r, L) if r else (L,))
 
     # -- structure queries --------------------------------------------------
@@ -195,6 +179,18 @@ def _bitseq(prefix: tuple, tail: str, param) -> BitSeq:
     s = BitSeq.__new__(BitSeq)
     s.prefix, s.tail, s.param = prefix, tail, param
     return s
+
+
+def _run_at(lengths: tuple, k: int) -> tuple[int, int]:
+    """(i, r): bit k of the blocks tail ``lengths`` is at offset r of run i,
+    the L_i zeros and one 1 at offsets 0..L_i; the last run repeats, so
+    there r is taken mod L + 1."""
+    last = len(lengths) - 1
+    i = 0
+    while i < last and k > lengths[i]:
+        k -= lengths[i] + 1
+        i += 1
+    return i, k if i < last else k % (lengths[i] + 1)
 
 
 def _primitive_cycle(c):

@@ -105,7 +105,7 @@ def cmd_pipeline(args):
     max_order = max(1, min(args.max_order, (len(mu) - 1) // 2))
     try:
         model = detect_recursion(mu, max_order, 1)
-    except (NoRecurrenceFound, ValueError) as exc:
+    except NoRecurrenceFound as exc:
         payload["recursion"] = {"error": str(exc)}
         payload["result"] = "FAIL"
         return payload, False, None

@@ -213,28 +213,25 @@ def verify_functoriality(s: BitSeq, N: int, table: CoeffTable | None = None):
     return True, None
 
 
-_BOUND_R = 10
+_BOUND_R = 10  # the growth radius R of verify_bound
 
 
-def verify_bound(s: BitSeq, N: int, table: CoeffTable | None = None,
-                 R: int = _BOUND_R):
-    """Exact check |a_n| <= (1/20) R^n / n^2 for 1 <= n < N, tested on the
-    scaled rows as 20 n^2 |A_n| <= (4R)^n.
+def verify_bound(s: BitSeq, N: int, table: CoeffTable | None = None):
+    """Exact check |a_n| <= (1/20) R^n / n^2 for 1 <= n < N, with R =
+    ``_BOUND_R`` = 10, tested on the scaled rows as 20 n^2 |A_n| <= (4R)^n.
 
     Returns (True, None) or (False, (n, a_n, bound)).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if R < 0:
-        raise ValueError("R must be >= 0")
     row = (table or _DEFAULT_TABLE).irow(s, N)
-    base, power = 4 * R, 1
+    base, power = 4 * _BOUND_R, 1
     for n in range(1, N):
         power *= base
         if 20 * n * n * abs(row[n]) > power:
             from fractions import Fraction  # only a failure witness needs it
 
-            return False, (n, Dyadic(row[n], 2 * n), Fraction(R**n, 20 * n * n))
+            return False, (n, Dyadic(row[n], 2 * n), Fraction(_BOUND_R**n, 20 * n * n))
     return True, None
 
 
@@ -281,12 +278,11 @@ def lemma_sum_check_range(n_max: int):
 def section3_recursion_check(s: BitSeq, t: BitSeq, horizon: int) -> bool:
     """Check the contact orders satisfy: value 2 when the first bits differ,
     else 4 * (value of the shifted pair) - 2."""
-    m = first_difference(s, t, horizon)
-    if isinstance(m, AtLeast):
+    value = mult_formula(s, t, horizon)
+    if isinstance(value, AtLeast):
         raise UndeterminedDifference(
             "no bit disagreement below horizon %d" % horizon
         )
-    value = mult_formula_from_m(m)
     if s.bit(0) != t.bit(0):
         return value == 2
     shifted = mult_formula(s.shift(), t.shift(), horizon)
@@ -305,16 +301,13 @@ class GrowthSpec:
     def __init__(self, kind: str, arg=None):
         self.kind = kind
         self.arg = arg
-        if kind == "pow":
-            if arg is None or int(arg) < 1:
-                raise ValueError("pow base must be >= 1")
+        if kind in ("pow", "tower"):
+            least = 1 if kind == "pow" else 2
+            if arg is None or int(arg) < least:
+                raise ValueError("%s base must be >= %d" % (kind, least))
             self.arg = int(arg)
         elif kind == "factorial":
             pass
-        elif kind == "tower":
-            if arg is None or int(arg) < 2:
-                raise ValueError("tower base must be >= 2")
-            self.arg = int(arg)
         elif kind == "table":
             self.arg = [int(v) for v in arg]
             if not self.arg:
@@ -362,13 +355,11 @@ class GrowthSpec:
         text = text.strip()
         if text == "factorial":
             return cls("factorial")
-        if text.startswith("pow:"):
-            return cls("pow", int(text[4:]))
-        if text.startswith("tower:"):
-            return cls("tower", int(text[6:]))
-        if text.startswith("table:"):
-            path = text[6:]
-            with open(path) as fh:
+        kind, colon, arg = text.partition(":")
+        if colon and kind in ("pow", "tower"):
+            return cls(kind, int(arg))
+        if colon and kind == "table":
+            with open(arg) as fh:
                 vals = [int(line) for line in fh if line.strip()]
             return cls("table", vals)
         raise ValueError("unrecognized growth spec %r" % text)
@@ -435,17 +426,15 @@ _MU_HORIZON = 10**6  # bits mu_theoremA compares before it answers AtLeast
 
 
 def mu_theoremA(s: BitSeq, t: BitSeq, n: int):
-    """Contact order of the curve of s with the curve of sigma^n(t).
+    """Contact order of the curve of s with the curve of sigma^n(t):
+    mult_formula(s, sigma^n(t), ``_MU_HORIZON``).
 
     Exact when the two sequences first differ at an index m below
     ``_MU_HORIZON`` = 10^6, so the value has at most 602060 digits;
     else AtLeast the order at m = 10^6 (use mult_formula_exceeds for
     inequality certificates past it).
     """
-    m = first_difference(s, t.shift_by(n), _MU_HORIZON)
-    if isinstance(m, AtLeast):
-        return AtLeast(mult_formula_from_m(_MU_HORIZON))
-    return mult_formula_from_m(m)
+    return mult_formula(s, t.shift_by(n), _MU_HORIZON)
 
 
 _LOG_GUARD_BITS = 64  # fractional bits of mu_digit_count beyond m's own size

@@ -230,12 +230,6 @@ def _ord_y(coeffs: list):
     return next((k for k, c in enumerate(coeffs) if c), INFINITE)
 
 
-def _is_graph(P: BiPoly, k: int) -> bool:
-    """True when P = c*x - h(y) (k = 0) or P = c*y - h(x) (k = 1), c constant."""
-    lin = (1, 0) if k == 0 else (0, 1)
-    return lin in P.terms and all(ij[k] == 0 or ij == lin for ij in P.terms)
-
-
 def _certified_pair(p: BiPoly, q: BiPoly):
     """(a, b), p and q in an order with i_0 = ord_y Res_x(a, b), or None; the
     curve of lower x-degree is tried as b first.  An order is certified when
@@ -386,13 +380,15 @@ def generic_member(generators: list[BiPoly], coeffs: list[int]) -> PlaneCurve:
 
 def _parametrization(D: BiPoly):
     """An integer primitive parametrization (x(t), y(t)) of the germ D = 0,
-    as two coefficient lists in t, when D is a graph or a coprime binomial;
-    else None.  The shape is read after clearing denominators."""
+    as two coefficient lists in t, when D is a graph c x - h(y) or
+    c y - h(x) (c constant) or a coprime binomial c x^p + e y^q; else None.
+    The shape is read after clearing denominators.  Either way
+    max(deg_t x, deg_t y) = deg D."""
     d = _primitive(D.terms)
-    for k in (0, 1):
-        if _is_graph(D, k):
+    for k, lin in ((0, (1, 0)), (1, (0, 1))):
+        if lin in d and all(ij[k] == 0 or ij == lin for ij in d):
             # c u = h(v): v = c t and u = h(c t) / c, integral since h(0) = 0
-            c = d.pop((1, 0) if k == 0 else (0, 1))
+            c = d.pop(lin)
             u = [0] * (max(map(sum, d), default=1) + 1)
             for ij, e in d.items():
                 u[sum(ij)] = -e * c ** (sum(ij) - 1)
@@ -446,8 +442,8 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
     graph c x - h(y) or c y - h(x), or a coprime binomial c x^p + d y^q),
     mu(n) = ord_t D_z(F^n(gamma(t))), read off the arc iterated as jets
     below t^T; no F^n, pullback or resultant is built.  A nonzero jet gives
-    mu(n); a zero jet doubles T, up to ``budget``.  Past the degree bound
-    deg(D_z) deg(F)^n deg_t(gamma) a zero jet proves D_z(F^n(gamma)) = 0.
+    mu(n); a zero jet doubles T, up to ``budget``.  Past Bezout's bound
+    deg(D_z) deg(F)^n deg(D_w) a zero jet proves D_z(F^n(gamma)) = 0.
     Any other D_w goes through the exact pullback and ``local_mult``, under
     the same term ``budget`` as compositions.
 
@@ -480,7 +476,6 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
                 Fn = F.compose(Fn, budget)
         return out
     deg_f = max(F.fx.degree(), F.fy.degree())
-    deg_gamma = max(map(len, gamma)) - 1
     T, arc = min(8, budget), None
     while len(out) <= n_max:
         n = len(out)
@@ -493,7 +488,7 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
             out.append(val)
             if n < n_max:
                 arc = [_at_jets(f, *arc) for f in (F.fx, F.fy)]
-        elif T > Dz.poly.degree() * deg_f ** n * deg_gamma:
+        elif T > Dz.poly.degree() * deg_f ** n * Dw.poly.degree():
             raise shared(n)
         elif T >= budget:
             raise BudgetExceeded(

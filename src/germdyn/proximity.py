@@ -115,11 +115,8 @@ def intersection_matrix(chart: ProximityChart) -> ExceptionalLattice:
     from the chain membership of the followed axis."""
     r = chart.r
     P = chart.proximity_matrix()
-    Pt = [[P[j][i] for j in range(r)] for i in range(r)]
-    N = [
-        [-sum(Pt[i][k] * P[k][j] for k in range(r)) for j in range(r)]
-        for i in range(r)
-    ]
+    cols = list(zip(*P))
+    N = [[-sum(map(mul, u, v)) for v in cols] for u in cols]
     _check_negative_definite(N)
     Pinv = _invert_unit_lower(P)
     dual = [[-sum(map(mul, u, v)) for v in Pinv] for u in Pinv]

@@ -9,6 +9,8 @@ or rational computation.
 
 from __future__ import annotations
 
+from .bipoly import _mono_str
+
 
 class NotPrimary(ValueError):
     """The generators do not cut out the origin (no pure power of each
@@ -65,16 +67,7 @@ class MonomialIdeal2:
         return "MonomialIdeal2(%r)" % (list(self.gens),)
 
     def __str__(self):
-        return ", ".join(_mono_str(i, j) for i, j in self.gens)
-
-
-def _mono_str(i, j):
-    parts = []
-    if i:
-        parts.append("x" if i == 1 else "x^%d" % i)
-    if j:
-        parts.append("y" if j == 1 else "y^%d" % j)
-    return "*".join(parts) if parts else "1"
+        return ", ".join(_mono_str(i, j) or "1" for i, j in self.gens)
 
 
 def _lower_hull(points):

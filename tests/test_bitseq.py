@@ -5,6 +5,8 @@ import pytest
 
 from germdyn.bitseq import (
     BLOCKS,
+    ONES,
+    PERIODIC,
     BitSeq,
     first_difference,
     parse_bitseq,
@@ -56,6 +58,59 @@ def test_shift_by_matches_bit_access():
         for k in [0, 1, reach] + [rng.randint(0, reach + 10) for _ in range(6)]:
             u = s.shift_by(k)
             assert [u.bit(n) for n in range(20)] == [s.bit(k + n) for n in range(20)], (s, k)
+
+
+def expand(s, upto):
+    """The first ``upto`` bits of s, written out from its parts: the prefix,
+    then the tail (a blocks run i is L_i zeros and a one, the last run
+    repeated); an oracle that shares no code with BitSeq.bit."""
+    bits = list(s.prefix)
+    i = 0
+    while len(bits) < upto:
+        if s.tail == BLOCKS:
+            bits += [0] * s.param[min(i, len(s.param) - 1)] + [1]
+            i += 1
+        elif s.tail == PERIODIC:
+            bits += s.param
+        else:
+            bits.append(1 if s.tail == ONES else 0)
+    return bits[:upto]
+
+
+def test_blocks_bits_and_shifts_match_an_expansion_of_the_runs():
+    """bit and shift_by on blocks tails against the written-out runs, at every
+    offset, including zero-length runs, offsets on a run's one and the
+    repeating last run; a shift is also checked by expanding its parts."""
+    rng = random.Random(5113)
+    cases = [((0,), ()), ((0, 0, 3), (1,)), ((2, 0), ()), ((3, 0, 0, 1, 0), (0, 1)),
+             ((4,), (1, 1, 0))]
+    cases += [(tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(rng.randint(1, 6))),
+               tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3))))
+              for _ in range(60)]
+    for lengths, prefix in cases:
+        s = BitSeq.blocks(lengths, prefix)
+        reach = len(prefix) + sum(lengths) + len(lengths) + 3 * (lengths[-1] + 1)
+        want = expand(s, reach + 30)
+        assert [s.bit(n) for n in range(reach + 30)] == want, (lengths, prefix)
+        for k in range(reach):
+            u = s.shift_by(k)
+            assert u.tail == BLOCKS and expand(u, 30) == want[k:k + 30], (s, k)
+            assert [u.bit(n) for n in range(30)] == want[k:k + 30], (s, k)
+
+
+def test_blocks_bit_and_shift_by_at_huge_indices():
+    A, B, P = 10**30, 10**20, 3 * 10**40
+    s = BitSeq.blocks([A, 3, B, 2])
+    tail = A + 6 + B  # the repeating run 0 0 1 starts here
+    ones = {A, A + 4, A + 5 + B, tail + 2, tail + P + 2}
+    for k in (0, A - 1, A, A + 1, A + 3, A + 4, A + 5, A + 4 + B, A + 5 + B,
+              tail, tail + 2, tail + P, tail + P + 1, tail + P + 2, tail + P + 3):
+        assert s.bit(k) == (k in ones), k
+    for k, param in ((A, (0, 3, B, 2)), (A + 1, (3, B, 2)), (A + 2, (2, B, 2)),
+                     (A + 4, (0, B, 2)), (A + 5 + B, (0, 2)), (tail, (2,)),
+                     (tail + P, (2,)), (tail + P + 1, (1, 2)), (tail + P + 2, (0, 2))):
+        u = s.shift_by(k)
+        assert (u.prefix, u.param) == ((), param), k
 
 
 def test_shift_by_huge_jump():

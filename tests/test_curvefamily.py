@@ -10,6 +10,7 @@ from germdyn.bitseq import BitSeq, first_difference, parse_bitseq
 from germdyn.curvefamily import (
     CoeffTable,
     GrowthSpec,
+    UndeterminedDifference,
     build_theoremA_pair,
     certify_finite_contacts,
     curve,
@@ -27,7 +28,7 @@ from germdyn.curvefamily import (
 )
 from germdyn.dyadic import Dyadic
 from germdyn.series import AtLeast, USeries
-from test_bitseq import rand_seq
+from test_bitseq import expand, rand_seq
 from test_series import compose_monomial
 
 
@@ -101,13 +102,14 @@ def test_functoriality_small_and_negative_control():
     assert witness2[0] == 4 + 4 * 7
 
 
-def test_bound_and_negative_control():
+def test_bound_and_negative_control(monkeypatch):
     t = CoeffTable()
     s = parse_bitseq("0")
     ok, witness = verify_bound(s, 200, t)
     assert ok and witness is None
     # shrinking the growth radius to 1 must produce a concrete witness
-    ok2, witness2 = verify_bound(s, 200, t, R=1)
+    monkeypatch.setattr(curvefamily, "_BOUND_R", 1)
+    ok2, witness2 = verify_bound(s, 200, t)
     assert not ok2
     n, a, q = witness2
     assert not a.abs_leq(q)
@@ -139,6 +141,67 @@ def test_section3_recursion():
     assert section3_recursion_check(a, b, 64)
     a2, b2 = parse_bitseq("00"), parse_bitseq("001")
     assert section3_recursion_check(a2, b2, 64)
+
+
+def contact_oracle(m):
+    """(4^(m+1) + 2) / 3 by the section 3 recursion: 2 at m = 0, then 4v - 2."""
+    v = 2
+    for _ in range(m):
+        v = 4 * v - 2
+    return v
+
+
+# rand_seq pairs have preperiods below 40 and periods at most 5, so two of
+# them that agree on SCAN bits agree forever
+SCAN = 200
+
+
+def seeded_pairs(seed, count):
+    rng = random.Random(seed)
+    pairs = [(rand_seq(rng), rand_seq(rng)) for _ in range(count)]
+    # one sequence written twice, which no horizon separates: from the same
+    # parts, a cycle rotated into the prefix, a last run as a cycle
+    pairs += [(s, BitSeq(s.prefix, s.tail, s.param)) for s, _ in pairs[:count // 4]]
+    pairs += [(BitSeq.periodic(s.prefix, s.param),
+               BitSeq.periodic(s.prefix + s.param[:1], s.param[1:] + s.param[:1]))
+              for s, _ in pairs[:count // 2] if s.tail == "periodic"]
+    pairs += [(BitSeq.blocks((L,)), BitSeq.periodic((), (0,) * L + (1,))) for L in (0, 2)]
+    return rng, pairs
+
+
+def test_mu_theoremA_matches_a_bitwise_first_difference():
+    rng, pairs = seeded_pairs(3109, 200)
+    undetermined = 0
+    for s, t in pairs:
+        n = rng.randint(0, 12)
+        a, b = expand(s, SCAN), expand(t, SCAN + n)[n:]
+        m = next((m for m in range(SCAN) if a[m] != b[m]), None)
+        got = mu_theoremA(s, t, n)
+        if m is None:
+            undetermined += 1
+            assert got == AtLeast((4 ** (10**6 + 1) + 2) // 3), (s, t, n)
+        else:
+            assert got == contact_oracle(m), (s, t, n)
+    assert undetermined >= 20, undetermined
+    # a huge shift lands in the repeating run of t
+    t = BitSeq.blocks([10**30, 4])
+    assert mu_theoremA(BitSeq.zeros(), t, 10**30 + 1 + 5 * 10**40 + 2) == contact_oracle(2)
+
+
+def test_section3_recursion_check_matches_a_bitwise_first_difference():
+    rng, pairs = seeded_pairs(4421, 200)
+    raised = 0
+    for s, t in pairs:
+        horizon = rng.randint(1, 12)
+        a, b = expand(s, horizon), expand(t, horizon)
+        if a == b:
+            raised += 1
+            with pytest.raises(UndeterminedDifference,
+                               match="^no bit disagreement below horizon %d$" % horizon):
+                section3_recursion_check(s, t, horizon)
+        else:
+            assert section3_recursion_check(s, t, horizon) is True, (s, t, horizon)
+    assert 20 <= raised <= len(pairs) - 20, raised
 
 
 def test_growth_specs():
@@ -377,16 +440,15 @@ def test_functoriality_witness_matches_dyadic_oracle():
                 assert [str(v) for v in got[1]] == [str(v) for v in want[1]]
 
 
-def test_bound_witness_matches_fraction_oracle():
+def test_bound_witness_matches_fraction_oracle(monkeypatch):
     t = CoeffTable()
     for spec in ORACLE_SPECS:
         s = parse_bitseq(spec)
         for R in range(1, 11):
-            got = verify_bound(s, 120, t, R=R)
+            monkeypatch.setattr(curvefamily, "_BOUND_R", R)
+            got = verify_bound(s, 120, t)
             assert got == bound_oracle(s, 120, t, R), (spec, R)
             assert got[0] == (R == 10)
-    with pytest.raises(ValueError):
-        verify_bound(parse_bitseq("0"), 10, t, R=-1)
 
 
 def test_lemma_fixed_point_bound_and_exact_fallback(monkeypatch):
