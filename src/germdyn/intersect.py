@@ -103,13 +103,14 @@ def _cone_mult(p: BiPoly, q: BiPoly):
     section 3.3, property (5)).  A linear cone u x + v y is tested by one
     evaluation of the other cone, other cones by a gcd; two cones with more
     than one term past the term budget raise BudgetExceeded."""
-    m, n = p.order(), q.order()
-    cp = [(i, c) for (i, j), c in p.terms.items() if i + j == m]
-    cq = [(i, c) for (i, j), c in q.terms.items() if i + j == n]
-    # x divides a cone when every term has i >= 1, y when every term has j >= 1
-    if all(i for i, _ in cp) and all(i for i, _ in cq):
+    m, n = min(map(sum, p.terms)), min(map(sum, q.terms))
+    cp = sorted([(i, c) for (i, j), c in p.terms.items() if i + j == m])
+    cq = sorted([(i, c) for (i, j), c in q.terms.items() if i + j == n])
+    # by ascending i: x divides a cone when its first term has i >= 1, y when
+    # its last term has j >= 1
+    if cp[0][0] and cq[0][0]:
         return None
-    if all(i < m for i, _ in cp) and all(i < n for i, _ in cq):
+    if cp[-1][0] < m and cq[-1][0] < n:
         return None
     # a monomial cone's only lines are x and y, and neither divides both
     if len(cp) > 1 and len(cq) > 1:
@@ -121,7 +122,7 @@ def _cone_mult(p: BiPoly, q: BiPoly):
         if m == 1:
             # the line u x + v y (u v != 0) divides the cone iff it vanishes
             # at (v, -u)
-            (_, v), (_, u) = sorted(cp)
+            (_, v), (_, u) = cp
             if not sum(c * v**i * (-u)**(n - i) for i, c in cq):
                 return None
         else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 
 class NotNegativeDefinite(ValueError):
@@ -48,22 +48,10 @@ class ProximityChart:
         self.axis = axis
         self._lattice = None
 
-    def proximity_matrix(self) -> list[list[int]]:
-        P = [[0] * self.r for _ in range(self.r)]
-        for i in range(self.r):
-            P[i][i] = 1
-        for i, j in self.proximities:
-            P[i - 1][j - 1] = -1
-        return P
-
     def lattice(self) -> "ExceptionalLattice":
         if self._lattice is None:
             self._lattice = intersection_matrix(self)
         return self._lattice
-
-    def is_free(self, i: int) -> bool:
-        """Point i is free when proximate to at most one earlier point."""
-        return sum(1 for a, _ in self.proximities if a == i) <= 1
 
     @classmethod
     def from_json(cls, text: str) -> "ProximityChart":
@@ -112,21 +100,40 @@ def intersection_matrix(chart: ProximityChart) -> ExceptionalLattice:
     """Build the lattice: N = -P^T P, dual coefficients
     N^{-1} = -P^{-1} P^{-T} (P is unimodular, so N^{-1} is integral), generic
     multiplicities from the first column of P^{-1}, and coordinate orders
-    from the chain membership of the followed axis."""
+    from the chain membership of the followed axis.  Everything is read off
+    the lists of the points each point is proximate to (at most two, all
+    earlier): P = I - E with E the 0/1 proximity matrix, so
+    N = -I + E + E^T - E^T E, where (E^T E)_jk counts the points proximate
+    to both j and k, and P^{-1} = I + E P^{-1}, so row i of P^{-1} is e_i
+    plus the rows of the points that point i is proximate to.  That is
+    O(r^2) in all, the dual's products aside."""
     r = chart.r
-    P = chart.proximity_matrix()
-    cols = list(zip(*P))
-    N = [[-sum(map(mul, u, v)) for v in cols] for u in cols]
+    near = [[] for _ in range(r)]  # near[i]: the points point i + 1 is proximate to
+    for i, j in chart.proximities:
+        near[i - 1].append(j - 1)
+    N = [[0] * r for _ in range(r)]
+    for i, js in enumerate(near):
+        N[i][i] -= 1
+        for j in js:
+            N[i][j] += 1
+            N[j][i] += 1
+            for k in js:
+                N[j][k] -= 1
     _check_negative_definite(N)
-    Pinv = _invert_unit_lower(P)
+    Pinv = []
+    for i, js in enumerate(near):
+        row = [0] * r
+        for j in js:
+            row = list(map(add, row, Pinv[j]))
+        row[i] = 1
+        Pinv.append(row)
     dual = [[-sum(map(mul, u, v)) for v in Pinv] for u in Pinv]
-    b = [Pinv[i][0] for i in range(r)]
-    # the axis curve passes through the first point and every later free
-    # point of the chain; the other coordinate is in generic position
-    axis_mult = [1] + [1 if chart.is_free(i) else 0 for i in range(2, r + 1)]
-    v_axis = [
-        sum(Pinv[i][j] * axis_mult[j] for j in range(r)) for i in range(r)
-    ]
+    b = [row[0] for row in Pinv]
+    # a point is free when proximate to at most one earlier point; the axis
+    # curve passes through the first point and every later free point of
+    # the chain, and the other coordinate is in generic position
+    axis_mult = [1 if len(js) <= 1 else 0 for js in near]
+    v_axis = [sum(map(mul, row, axis_mult)) for row in Pinv]
     v_generic = b
     if chart.axis == "y":
         ord_x, ord_y = v_generic, v_axis
@@ -135,17 +142,6 @@ def intersection_matrix(chart: ProximityChart) -> ExceptionalLattice:
     if any(m < 1 for m in b):
         raise AssertionError("generic multiplicities must be positive")
     return ExceptionalLattice(N, dual, b, ord_x, ord_y)
-
-
-def _invert_unit_lower(P):
-    """Inverse of a unit lower-triangular integer matrix, exactly."""
-    r = len(P)
-    inv = [[0] * r for _ in range(r)]
-    for j in range(r):
-        inv[j][j] = 1
-        for i in range(j + 1, r):
-            inv[i][j] = -sum(P[i][k] * inv[k][j] for k in range(j, i))
-    return inv
 
 
 def _check_negative_definite(N):

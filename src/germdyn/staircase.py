@@ -2,9 +2,10 @@
 
 Multiplicities of ideals cutting out the origin are pure lattice geometry
 here: the Samuel multiplicity is twice the area between the staircase and
-the axes, colengths of powers come from a small dynamic program, and mixed
-multiplicities are defined by polarization.  Everything is an exact integer
-or rational computation.
+the axes, colengths of powers come from a small dynamic program that gets
+the staircase of I^(n+1) from that of I^n by one round over the generators,
+and mixed multiplicities are defined by polarization.  Everything is an
+exact integer or rational computation.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ class NonIntegralPolarization(ArithmeticError):
 
 
 class MonomialIdeal2:
-    """An ideal generated by monomials x^i y^j, kept as the minimal antichain."""
+    """An ideal generated by monomials x^i y^j, kept as the minimal antichain.
+    The generators fix every power, so an ideal keeps the staircase of the
+    highest power built so far and the colengths up to it (see
+    ``colength_power``)."""
 
-    __slots__ = ("gens",)
+    __slots__ = ("gens", "_stairs", "_colengths")
 
     def __init__(self, gens):
         pts = {(int(i), int(j)) for i, j in gens}
@@ -45,6 +49,8 @@ class MonomialIdeal2:
                 "need a pure power of each variable to cut out the origin"
             )
         self.gens = tuple(minimal)
+        self._stairs = []  # the staircase of I^0 = (1): y-height 0 everywhere
+        self._colengths = []  # _colengths[k - 1]: colength of I^k
 
     @property
     def x_power(self) -> int:
@@ -101,37 +107,29 @@ def samuel(I: MonomialIdeal2) -> int:
 def colength_power(I: MonomialIdeal2, n: int) -> int:
     """Number of monomials outside the n-th power of I.
 
-    Membership of (u, v) in I^n means (u, v) dominates a sum of n
-    generators; a DP over x-budgets finds the least such y-sum.
+    The staircase of I^k is the row S_k[u] = the least y-sum of k
+    generators with x-sum at most u, so that (u, v) lies in I^k iff
+    v >= S_k[u].  S_k[u] = 0 from u = k x_power on (x_power is the largest
+    x-exponent of a minimal generator), so the row stops there, and one
+    round over the generators gives the next power:
+    S_(k+1)[u] = min over generators (a, b) with a <= u of S_k[u - a] + b.
+    The colength of I^k is the sum of S_k.  The ideal keeps its last row
+    and the colengths so far, so each power costs one round, once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    U = n * I.x_power  # beyond this the pure-x generator power absorbs u
-    INF = n * I.y_power + 1  # above every y-sum of n generators
-    best = [0] + [INF] * U
-    for _ in range(n):
-        nxt = [INF] * (U + 1)
-        for u in range(U + 1):
-            if best[u] == INF:
-                continue
-            base = best[u]
-            for a, b in I.gens:
-                if u + a <= U:
-                    cand = base + b
-                    if cand < nxt[u + a]:
-                        nxt[u + a] = cand
-                else:
-                    break  # gens sorted by a ascending
-        best = nxt
-    # best[u] is the least y-sum over generator sums with x-sum exactly u;
-    # membership of (u, v) needs some x-sum <= u, so take prefix minima
-    total = 0
-    running = INF
-    for u in range(U):
-        if best[u] < running:
-            running = best[u]
-        total += running
-    return total
+    cols = I._colengths
+    if len(cols) < n:
+        (_, q), *rest = I.gens  # gens sorted by a ascending: (0, y_power) first
+        row = I._stairs
+        for _ in range(n - len(cols)):
+            ext = row + [0] * I.x_power
+            row = [v + q for v in ext]
+            for a, b in rest:
+                row[a:] = [c if c < v + b else v + b for c, v in zip(row[a:], ext)]
+            cols.append(sum(row))
+        I._stairs = row
+    return cols[n - 1]
 
 
 def hilbert_samuel_fit(I: MonomialIdeal2, n_lo: int, n_hi: int) -> int:

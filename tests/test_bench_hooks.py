@@ -19,7 +19,9 @@ SRC = os.path.dirname(os.path.dirname(germdyn.__file__))
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 # installs the tracer as a traced benchmark child does, then makes one
-# local_mult call, whose wrapper unpacks local_mult_detailed's pair
+# local_mult call, whose wrapper unpacks local_mult_detailed's pair, one
+# Hilbert-Samuel fit (eight colength_power calls, each one round of the DP
+# on the staircase the ideal keeps) and one lattice build
 PROBE = """\
 import json
 import germdyn, germdyn.cli
@@ -28,10 +30,14 @@ tracer = Tracer()
 install(tracer)
 from germdyn.intersect import PlaneCurve, local_mult
 from germdyn.polyparse import parse_poly
+from germdyn.proximity import ProximityChart, intersection_matrix
+from germdyn.staircase import MonomialIdeal2, hilbert_samuel_fit
 value = local_mult(PlaneCurve(parse_poly("y^2 - x^3")),
                    PlaneCurve(parse_poly("y^2 - x^3 + x^4")))
+fit = hilbert_samuel_fit(MonomialIdeal2([(3, 0), (1, 1), (0, 2)]), 1, 8)
+lattice = intersection_matrix(ProximityChart(3, [(2, 1), (3, 2), (3, 1)]))
 summary = tracer.summary()
-print(json.dumps([str(value), sorted(summary["layers"]), summary["counters"]]))
+print(json.dumps([str(value), fit, lattice.b, summary["layers"], summary["counters"]]))
 """
 
 
@@ -41,10 +47,15 @@ def test_benchmark_tracer_installs_on_the_current_names():
         env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, BENCH])}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    value, layers, counters = json.loads(proc.stdout)
-    assert value == "8"
+    value, fit, b, layers, counters = json.loads(proc.stdout)
+    assert (value, fit, b) == ("8", 5, [1, 1, 2])
     assert "intersect.local_mult" in layers
     assert sum(n for k, n in counters.items() if k.startswith("intersect.path.")) == 1
+    # the bench reads <layer>.calls and <layer>.s off [calls, inclusive_s, self_s]
+    assert layers["staircase.colength_power"][0] == 8
+    assert layers["proximity.intersection_matrix"][0] == 1
+    for name in ("staircase.colength_power", "proximity.intersection_matrix"):
+        assert layers[name][1] > 0, (name, layers[name])
 
 
 def bench_module(name):

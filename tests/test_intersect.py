@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -729,6 +730,113 @@ def test_linear_cones_match_the_gcd_reference():
     for P, Q in pairs + cone_pairs(random.Random(1729)):
         for a, b in ((P, Q), (Q, P)):
             assert _cone_mult(a, b) == cone_mult_by_gcd(a, b), (str(a), str(b))
+
+
+def cone_mult_two_pass(p: BiPoly, q: BiPoly):
+    """The cone step as it read each cone twice: the orders by
+    ``BiPoly.order``, x and y dividing both by a scan of every term, and the
+    linear cone sorted apart."""
+    m, n = p.order(), q.order()
+    cp = [(i, c) for (i, j), c in p.terms.items() if i + j == m]
+    cq = [(i, c) for (i, j), c in q.terms.items() if i + j == n]
+    if all(i for i, _ in cp) and all(i for i, _ in cq):
+        return None
+    if all(i < m for i, _ in cp) and all(i < n for i, _ in cq):
+        return None
+    if len(cp) > 1 and len(cq) > 1:
+        if max(m, n) > intersect.DEFAULT_TERM_BUDGET:
+            raise BudgetExceeded("cone past the term budget")
+        if n == 1:
+            cp, cq, m, n = cq, cp, n, m
+        if m == 1:
+            (_, v), (_, u) = sorted(cp)
+            if not sum(c * v**i * (-u)**(n - i) for i, c in cq):
+                return None
+        else:
+            a, b = [0] * (m + 1), [0] * (n + 1)
+            for row, cone in ((a, cp), (b, cq)):
+                for i, c in cone:
+                    row[i] = c
+            if len(_ugcd(a, b)) > 1:
+                return None
+    return m * n
+
+
+def cone_shape_pairs(rng):
+    """Seeded (shape, P, Q) for every branch of the cone step: monomial
+    cones, cones that x or y divides, a linear cone against a cone of degree
+    1 to 4, two cones of degree >= 2 (the gcd), Fraction coefficients, and
+    two-term cones past the term budget."""
+    def form(d):  # a form of degree d with at least one term
+        f = BiPoly({(i, d - i): rng.randint(-2, 2) * (rng.random() < 0.6)
+                    for i in range(d + 1)})
+        return f if not f.is_zero() else BiPoly.monomial(1, d, 0)
+
+    def tail(d):  # terms of degrees d + 1 and d + 2
+        return BiPoly({(i, e - i): rng.randint(-2, 2) * (rng.random() < 0.4)
+                       for e in (d + 1, d + 2) for i in range(e + 1)})
+
+    def curve(cone):
+        return cone + tail(cone.order())
+
+    def rational(P):
+        return BiPoly({ij: Fraction(c, rng.choice([1, 2, 3, 7]))
+                       for ij, c in P.terms.items()})
+
+    x, y = BiPoly.x(), BiPoly.y()
+    pairs = []
+    for _ in range(60):
+        d, e = rng.randint(1, 4), rng.randint(1, 4)
+        a = rng.randint(0, d)
+        pairs.append(("monomial", curve(BiPoly.monomial(rng.choice([-2, 1, 3]), a, d - a)),
+                      curve(form(e))))
+        pairs.append(("x divides", curve(x * form(d - 1)) if d > 1 else curve(x),
+                      curve(x * form(e))))
+        pairs.append(("y divides", curve(y * form(d)), curve(y * form(e - 1)) if e > 1
+                      else curve(y)))
+        line = BiPoly({(1, 0): rng.choice([-2, 1, 3]), (0, 1): rng.choice([-1, 1, 2])})
+        cone = line * form(e - 1) if rng.random() < 0.5 and e > 1 else form(e)
+        pairs.append(("linear", curve(line), curve(cone)))
+        d, e = rng.randint(2, 4), rng.randint(2, 4)
+        common = form(1) if rng.random() < 0.5 else BiPoly.const(1)
+        pairs.append(("gcd", curve(common * form(d - common.order())),
+                      curve(common * form(e - common.order()))))
+        pairs.append(("fraction", rational(curve(form(d))), rational(curve(form(e)))))
+    N = intersect.DEFAULT_TERM_BUDGET + rng.randint(1, 10)
+    for p_text, q_text in [("x + 2 y", "x^%d + y^%d" % (N, N)),
+                           ("x^2 - y^2", "x^%d + x y^%d" % (N, N - 1)),
+                           ("x^%d + y^%d" % (N, N), "x^%d - 3 y^%d" % (N, N))]:
+        pairs.append(("budget", parse_poly(p_text), parse_poly(q_text)))
+    return pairs
+
+
+def cone_outcome(step, p, q):
+    try:
+        return step(p, q)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+def test_one_pass_cone_step_matches_the_two_pass_reference():
+    """Reading each cone in one sorted pass changes no decision: on every
+    shape of cone_shape_pairs and on every pair of cone_pairs and
+    linear_cone_pairs, in both orders, _cone_mult gives the reference's
+    value or raises where it raises."""
+    decided = Counter()
+    shaped = cone_shape_pairs(random.Random(2205))
+    rest = cone_pairs(random.Random(1729)) + linear_cone_pairs(random.Random(2718))
+    for shape, P, Q in shaped + [("mixed", P, Q) for P, Q in rest]:
+        for a, b in ((P, Q), (Q, P)):
+            want = cone_outcome(cone_mult_two_pass, a, b)
+            assert cone_outcome(_cone_mult, a, b) == want, (shape, str(a), str(b))
+            decided[shape, "none" if want is None else "raise" if want is BudgetExceeded
+                    else "value"] += 1
+    # every shape both decides and declines some pairs, save the budget pairs
+    # (which always raise) and x or y dividing both (which always decline)
+    for shape in ("monomial", "linear", "gcd", "fraction", "mixed"):
+        assert decided[shape, "value"] >= 10 and decided[shape, "none"] >= 10, decided
+    assert decided["x divides", "none"] == decided["y divides", "none"] == 120
+    assert decided["budget", "raise"] == 6
 
 
 def test_cone_step_matches_fulton_and_the_shear_oracle():

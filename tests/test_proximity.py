@@ -29,6 +29,66 @@ def random_chart(rng, max_points: int = 6) -> ProximityChart:
     return ProximityChart(r, prox, axis)
 
 
+def proximity_matrix(chart: ProximityChart) -> list[list[int]]:
+    """The dense P: 1 on the diagonal, -1 at each proximity."""
+    P = [[int(i == j) for j in range(chart.r)] for i in range(chart.r)]
+    for i, j in chart.proximities:
+        P[i - 1][j - 1] = -1
+    return P
+
+
+def invert_unit_lower(P):
+    """Inverse of a unit lower-triangular integer matrix, exactly, column by
+    column."""
+    r = len(P)
+    inv = [[0] * r for _ in range(r)]
+    for j in range(r):
+        inv[j][j] = 1
+        for i in range(j + 1, r):
+            inv[i][j] = -sum(P[i][k] * inv[k][j] for k in range(j, i))
+    return inv
+
+
+def dense_lattice(chart: ProximityChart):
+    """(N, dual, b, ord_x, ord_y) from the dense matrices: N = -P^T P,
+    dual = -P^{-1} P^{-T}, b the first column of P^{-1}, and the axis orders
+    P^{-1} times the indicator of the free points."""
+    r = chart.r
+    P = proximity_matrix(chart)
+    Pinv = invert_unit_lower(P)
+    N = [[-sum(P[k][i] * P[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+    dual = [[-sum(Pinv[i][k] * Pinv[j][k] for k in range(r)) for j in range(r)]
+            for i in range(r)]
+    b = [Pinv[i][0] for i in range(r)]
+    free = [int(sum(1 for a, _ in chart.proximities if a == i) <= 1)
+            for i in range(1, r + 1)]
+    v_axis = [sum(Pinv[i][j] * free[j] for j in range(r)) for i in range(r)]
+    ord_x, ord_y = (b, v_axis) if chart.axis == "y" else (v_axis, b)
+    return N, dual, b, ord_x, ord_y
+
+
+def test_lattice_matches_the_dense_inverse():
+    """P^{-1} by forward substitution and N from the proximity lists agree
+    with the dense inverse and the dense Gram product on seeded charts of up
+    to 12 points on both axes, including satellite points proximate to any
+    earlier point."""
+    rng = random.Random(2204)
+    charts = [free_chain(1), free_chain(12, "x"), free_chain(12, "y")]
+    for _ in range(150):
+        chart = random_chart(rng, 12)
+        r = chart.r
+        prox = set(chart.proximities)
+        for i in range(3, r + 1):
+            if rng.random() < 0.3 and not any(a == i and b < i - 1 for a, b in prox):
+                prox.add((i, rng.randint(1, i - 2)))
+        for axis in ("x", "y"):
+            charts.append(ProximityChart(r, prox, axis))
+    assert sum(c.r >= 10 for c in charts) >= 40
+    for chart in charts:
+        lat = intersection_matrix(chart)
+        assert (lat.N, lat.dual, lat.b, lat.ord_x, lat.ord_y) == dense_lattice(chart), chart
+
+
 def test_chart_validation():
     with pytest.raises(ValueError):
         ProximityChart(3, [(3, 2)])  # point 2 not proximate to point 1

@@ -62,6 +62,66 @@ def brute_colength_power(I, n):
     return count
 
 
+def per_power_colength(I: MonomialIdeal2, n: int) -> int:
+    """The reference DP, restarted for each power: best[u] is the least
+    y-sum of n generators with x-sum exactly u <= n x_power, and a monomial
+    (u, v) lies in I^n when v is at least the prefix minimum of best up to
+    u."""
+    U = n * I.x_power
+    INF = n * I.y_power + 1
+    best = [0] + [INF] * U
+    for _ in range(n):
+        nxt = [INF] * (U + 1)
+        for u in range(U + 1):
+            if best[u] == INF:
+                continue
+            for a, b in I.gens:
+                if u + a > U:
+                    break
+                nxt[u + a] = min(nxt[u + a], best[u] + b)
+        best = nxt
+    total = 0
+    running = INF
+    for u in range(U):
+        running = min(running, best[u])
+        total += running
+    return total
+
+
+def test_colength_power_matches_the_per_power_dp_in_any_order():
+    """Each power is one more round on the staircase the ideal keeps, so a
+    power asked for below, at or above the highest one built so far must
+    still agree with the DP restarted from I^1."""
+    rng = random.Random(2203)
+    ideals = [M, I23, MonomialIdeal2([(3, 0), (1, 1), (0, 4)])]
+    ideals += [random_primary_ideal(rng, max_power=7, extra=4) for _ in range(40)]
+    for I in ideals:
+        want = {n: per_power_colength(I, n) for n in range(1, 13)}
+        fresh = MonomialIdeal2(I.gens)
+        assert [colength_power(fresh, n) for n in (8, 3, 11, 1, 12, 8)] == [
+            want[n] for n in (8, 3, 11, 1, 12, 8)]
+        order = list(range(1, 13))
+        rng.shuffle(order)
+        fresh = MonomialIdeal2(I.gens)
+        assert [colength_power(fresh, n) for n in order] == [want[n] for n in order]
+        # an equal ideal built apart shares no state with the one above
+        assert [colength_power(MonomialIdeal2(I.gens), n) for n in range(1, 13)] == [
+            want[n] for n in range(1, 13)]
+
+
+def test_powers_below_one_are_refused():
+    I = MonomialIdeal2(I23.gens)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            colength_power(I, n)
+    # the fit asks for every power from n_lo on, so n_lo = 0 is refused
+    # rather than read as a slice from the end of the colengths kept so far
+    colength_power(I, 8)
+    with pytest.raises(ValueError):
+        hilbert_samuel_fit(I, 0, 8)
+    assert hilbert_samuel_fit(I, 1, 8) == samuel(I)
+
+
 def test_minimal_antichain_and_validation():
     I = MonomialIdeal2([(2, 0), (0, 3), (2, 1), (4, 4)])
     assert I.gens == ((0, 3), (2, 0))
