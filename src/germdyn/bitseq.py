@@ -20,7 +20,12 @@ _SCAN_CAP = 10**6
 
 
 class BitSeq:
-    __slots__ = ("prefix", "tail", "param")
+    """A prefix of bits, then a tail.  A blocks tail keeps its run lengths
+    as one tuple that every shift of it shares, with the index of its
+    current run and the zeros left in that run, so a shift copies nothing;
+    ``param`` spells the remaining runs out."""
+
+    __slots__ = ("prefix", "tail", "_param", "_run", "_head")
 
     def __init__(self, prefix, tail: str, param=None):
         prefix = tuple(int(b) for b in prefix)
@@ -40,7 +45,21 @@ class BitSeq:
             raise ValueError("unknown tail kind %r" % tail)
         self.prefix = prefix
         self.tail = tail
-        self.param = param
+        self._param = param
+        self._run, self._head = (0, param[0]) if tail == BLOCKS else (None, None)
+
+    @property
+    def param(self):
+        """None for a constant tail, the cycle of a periodic one, and for a
+        blocks tail the run lengths from the current run on, the last one
+        repeating."""
+        if self.tail != BLOCKS:
+            return self._param
+        runs, i, head = self._param, self._run, self._head
+        last = len(runs) - 1
+        if i == last and head == runs[last]:
+            return (head,)
+        return (head,) + runs[min(i + 1, last):]
 
     # -- constructors -------------------------------------------------------
 
@@ -73,9 +92,8 @@ class BitSeq:
         if self.tail == ONES:
             return 1
         if self.tail == PERIODIC:
-            return self.param[k % len(self.param)]
-        i, r = _run_at(self.param, k)
-        return 1 if r == self.param[i] else 0
+            return self._param[k % len(self._param)]
+        return 0 if _run_at(self, k)[1] else 1
 
     # -- shift --------------------------------------------------------------
 
@@ -84,29 +102,24 @@ class BitSeq:
 
     def shift_by(self, n: int) -> "BitSeq":
         """sigma**n, with jumps over long zero runs instead of n single steps:
-        a blocks tail restarts inside the run that ``_run_at`` places n in."""
+        a blocks tail restarts inside the run that ``_run_at`` places n in,
+        on the same run lengths."""
         if n < 0:
             raise ValueError("negative shift")
         s = self
         if n and s.prefix:
             drop = min(n, len(s.prefix))
-            s = _bitseq(s.prefix[drop:], s.tail, s.param)
+            s = _bitseq(s.prefix[drop:], s.tail, s._param, s._run, s._head)
             n -= drop
         if n == 0:
             return s
         if s.tail in (ZEROS, ONES):
             return s
         if s.tail == PERIODIC:
-            c = s.param
+            c = s._param
             r = n % len(c)
             return _bitseq((), PERIODIC, c[r:] + c[:r])
-        lengths = s.param
-        i, r = _run_at(lengths, n)
-        L = lengths[i]
-        if i < len(lengths) - 1:
-            return _bitseq((), BLOCKS, (L - r,) + lengths[i + 1:])
-        # periodic regime of period L + 1
-        return _bitseq((), BLOCKS, (L - r, L) if r else (L,))
+        return _bitseq((), BLOCKS, s._param, *_run_at(s, n))
 
     # -- structure queries --------------------------------------------------
 
@@ -130,7 +143,7 @@ class BitSeq:
                 if b and base + i < horizon:
                     return base + i
             return AtLeast(horizon)
-        pos = base + self.param[0]
+        pos = base + self._head
         return pos if pos < horizon else AtLeast(horizon)
 
     def canonical_key(self):
@@ -174,23 +187,31 @@ class BitSeq:
         return "%s:blocks%r" % (p, list(self.param))
 
 
-def _bitseq(prefix: tuple, tail: str, param) -> BitSeq:
+def _bitseq(prefix: tuple, tail: str, param, run=None, head=None) -> BitSeq:
     """A BitSeq over parts that ``BitSeq.__init__`` has already checked."""
     s = BitSeq.__new__(BitSeq)
-    s.prefix, s.tail, s.param = prefix, tail, param
+    s.prefix, s.tail, s._param, s._run, s._head = prefix, tail, param, run, head
     return s
 
 
-def _run_at(lengths: tuple, k: int) -> tuple[int, int]:
-    """(i, r): bit k of the blocks tail ``lengths`` is at offset r of run i,
-    the L_i zeros and one 1 at offsets 0..L_i; the last run repeats, so
-    there r is taken mod L + 1."""
-    last = len(lengths) - 1
-    i = 0
-    while i < last and k > lengths[i]:
-        k -= lengths[i] + 1
-        i += 1
-    return i, k if i < last else k % (lengths[i] + 1)
+def _run_at(s: BitSeq, k: int) -> tuple[int, int]:
+    """(j, z): bit k of the blocks tail of s lies in run j of its lengths,
+    with z zeros of that run left from it on, so it is 1 iff z == 0.  The
+    tail is ``s._head`` zeros and a one, then runs L_j zeros and a one from
+    the next run on; the last run repeats, so there k is taken mod L + 1."""
+    i, head = s._run, s._head
+    if k <= head:
+        return i, head - k
+    k -= head + 1
+    runs = s._param
+    last = len(runs) - 1
+    j = min(i + 1, last)
+    while j < last and k > runs[j]:
+        k -= runs[j] + 1
+        j += 1
+    if j == last:
+        k %= runs[j] + 1
+    return j, runs[j] - k
 
 
 def _primitive_cycle(c):
@@ -201,18 +222,26 @@ def _primitive_cycle(c):
     return c
 
 
+def _all_zeros(s: BitSeq) -> bool:
+    """Whether s is 0 0 0 ..., read off its parts without a canonical key."""
+    if any(s.prefix):
+        return False
+    return s.tail == ZEROS or s.tail == PERIODIC and not any(s._param)
+
+
 def first_difference(s: BitSeq, t: BitSeq, horizon):
     """Least index m < horizon with s_m != t_m, else AtLeast(horizon)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    s_key, t_key = s.canonical_key(), t.canonical_key()
-    if s_key == t_key:
+    # a blocks tail holds ones, so its key is never a key of another kind
+    # and it is never all zeros: it needs no key unless both are blocks
+    if (s.tail == BLOCKS) == (t.tail == BLOCKS) and s.canonical_key() == t.canonical_key():
         return AtLeast(horizon)
     # an all-zeros side reduces to a structural first-one query, which
     # handles astronomically long zero runs
-    if s_key == ((), ZEROS, None):
+    if _all_zeros(s):
         return t.first_one(horizon)
-    if t_key == ((), ZEROS, None):
+    if _all_zeros(t):
         return s.first_one(horizon)
     cap = min(horizon, _SCAN_CAP)
     for m in range(cap):

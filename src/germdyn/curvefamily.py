@@ -18,7 +18,6 @@ from __future__ import annotations
 from operator import mul
 
 from .bitseq import BitSeq, first_difference
-from .dyadic import Dyadic
 from .bounds import AtLeast, BudgetExceeded
 
 
@@ -54,10 +53,14 @@ class CoeffTable:
         self.budget = budget
 
     def coeff(self, s: BitSeq, n: int) -> Dyadic:
+        from .dyadic import Dyadic  # only a job that prints coefficients needs it
+
         return Dyadic(self.irow(s, n + 1)[n], 2 * n)
 
     def row(self, s: BitSeq, upto: int) -> list[Dyadic]:
         """Coefficients a_0 .. a_(upto-1) for sequence s."""
+        from .dyadic import Dyadic  # only a job that prints coefficients needs it
+
         return [Dyadic(a, 2 * n) for n, a in enumerate(self.irow(s, upto))]
 
     def irow(self, s: BitSeq, upto: int) -> list[int]:
@@ -209,6 +212,8 @@ def verify_functoriality(s: BitSeq, N: int, table: CoeffTable | None = None):
         if t % 2 == 0:
             lhs += g[t // 2] ** 2
         if lhs != rhs[t]:
+            from .dyadic import Dyadic  # only a failure witness needs it
+
             return False, (4 + 4 * t, Dyadic(lhs, 2 * t), Dyadic(rhs[t], 2 * t))
     return True, None
 
@@ -229,7 +234,9 @@ def verify_bound(s: BitSeq, N: int, table: CoeffTable | None = None):
     for n in range(1, N):
         power *= base
         if 20 * n * n * abs(row[n]) > power:
-            from fractions import Fraction  # only a failure witness needs it
+            from fractions import Fraction  # only a failure witness needs them
+
+            from .dyadic import Dyadic
 
             return False, (n, Dyadic(row[n], 2 * n), Fraction(_BOUND_R**n, 20 * n * n))
     return True, None

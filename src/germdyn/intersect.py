@@ -96,16 +96,34 @@ class GenericSampler:
         return (1, b, a, a * b + 1)
 
 
+def _cone(terms: dict, u, v):
+    """(order, tangent cone) of a curve through the origin whose coefficients
+    of x and y are u and v, the cone as (i, c) pairs by ascending i: a curve
+    with a linear term has order 1, and its cone is its linear part."""
+    if u or v:
+        return 1, [(0, v), (1, u)] if u and v else [(1, u)] if u else [(0, v)]
+    m = min(map(sum, terms))
+    return m, sorted([(i, c) for (i, j), c in terms.items() if i + j == m])
+
+
 def _cone_mult(p: BiPoly, q: BiPoly):
-    """m(p) * m(q) when the tangent cones of p and q (their terms of lowest
-    total degree) share no line, else None: then i_0(p, q) = m(p) m(q), and
-    no component through the origin is shared (Fulton, *Algebraic Curves*,
-    section 3.3, property (5)).  A linear cone u x + v y is tested by one
-    evaluation of the other cone, other cones by a gcd; two cones with more
-    than one term past the term budget raise BudgetExceeded."""
-    m, n = min(map(sum, p.terms)), min(map(sum, q.terms))
-    cp = sorted([(i, c) for (i, j), c in p.terms.items() if i + j == m])
-    cq = sorted([(i, c) for (i, j), c in q.terms.items() if i + j == n])
+    """m(p) * m(q) when the tangent cones of p and q, curves through the
+    origin (their terms of lowest total degree), share no line, else None:
+    then i_0(p, q) = m(p) m(q), and no component through the origin is shared
+    (Fulton, *Algebraic Curves*, section 3.3, property (5)).  A smooth
+    curve's cone is read off its two linear coefficients, and two linear
+    cones are compared by one determinant; a linear cone u x + v y is tested
+    against a higher one by one evaluation of it, other cones by a gcd; two
+    cones with more than one term past the term budget raise
+    BudgetExceeded."""
+    pt, qt = p.terms, q.terms
+    u, v = pt.get((1, 0), 0), pt.get((0, 1), 0)
+    s, t = qt.get((1, 0), 0), qt.get((0, 1), 0)
+    if (u or v) and (s or t):
+        # the lines u x + v y and s x + t y differ iff u t - v s != 0
+        return 1 if u * t != v * s else None
+    m, cp = _cone(pt, u, v)
+    n, cq = _cone(qt, s, t)
     # by ascending i: x divides a cone when its first term has i >= 1, y when
     # its last term has j >= 1
     if cp[0][0] and cq[0][0]:
@@ -309,10 +327,12 @@ def local_mult(P: PlaneCurve, Q: PlaneCurve, sampler: GenericSampler | None = No
     of these steps that decides gives the value, each by a proof:
     1. tangent cones: when the cones (the terms of lowest degree) share no
        line, i_0 = m(P) m(Q), the product of the orders (W. Fulton,
-       *Algebraic Curves*, section 3.3, property (5)); a monomial cone
-       shares none unless x or y divides both, a linear cone u x + v y
-       shares one iff the other cone vanishes at (v, -u), and other cones
-       are tested by a gcd of the dehomogenized cones;
+       *Algebraic Curves*, section 3.3, property (5)); a smooth curve's
+       cone is read off its coefficients of x and y, and two linear cones
+       u x + v y and s x + t y share their line iff u t - v s = 0; else a
+       monomial cone shares none unless x or y divides both, a linear cone
+       u x + v y shares one iff the other cone vanishes at (v, -u), and
+       other cones are tested by a gcd of the dehomogenized cones;
     2. a smooth branch: when P or Q has order 1 at the origin, ord_t of the
        other curve along its integer branch (v^2 t, Y(t)), one coefficient
        at a time (Fulton, section 3.3: I(P, F n G) = ord_P^F(G) at a simple

@@ -18,8 +18,9 @@ import germdyn
 SRC = os.path.dirname(os.path.dirname(germdyn.__file__))
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
-# installs the tracer as a traced benchmark child does, then makes one
-# local_mult call, whose wrapper unpacks local_mult_detailed's pair, one
+# installs the tracer as a traced benchmark child does, then makes two
+# local_mult calls, whose wrapper unpacks local_mult_detailed's pair (a
+# singular pair and a smooth transversal one, decided by its cones), one
 # Hilbert-Samuel fit (eight colength_power calls, each one round of the DP
 # on the staircase the ideal keeps) and one lattice build
 PROBE = """\
@@ -34,10 +35,12 @@ from germdyn.proximity import ProximityChart, intersection_matrix
 from germdyn.staircase import MonomialIdeal2, hilbert_samuel_fit
 value = local_mult(PlaneCurve(parse_poly("y^2 - x^3")),
                    PlaneCurve(parse_poly("y^2 - x^3 + x^4")))
+smooth = local_mult(PlaneCurve(parse_poly("x + y^2")), PlaneCurve(parse_poly("y + x^2")))
 fit = hilbert_samuel_fit(MonomialIdeal2([(3, 0), (1, 1), (0, 2)]), 1, 8)
 lattice = intersection_matrix(ProximityChart(3, [(2, 1), (3, 2), (3, 1)]))
 summary = tracer.summary()
-print(json.dumps([str(value), fit, lattice.b, summary["layers"], summary["counters"]]))
+print(json.dumps([[str(value), str(smooth)], fit, lattice.b, summary["layers"],
+                  summary["counters"]]))
 """
 
 
@@ -47,10 +50,12 @@ def test_benchmark_tracer_installs_on_the_current_names():
         env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, BENCH])}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    value, fit, b, layers, counters = json.loads(proc.stdout)
-    assert (value, fit, b) == ("8", 5, [1, 1, 2])
-    assert "intersect.local_mult" in layers
-    assert sum(n for k, n in counters.items() if k.startswith("intersect.path.")) == 1
+    values, fit, b, layers, counters = json.loads(proc.stdout)
+    assert (values, fit, b) == (["8", "1"], 5, [1, 1, 2])
+    # no decision step, the cones' O(1) read of two smooth curves included,
+    # bypasses the traced entry point: each call is timed and gets one path
+    assert layers["intersect.local_mult"][0] == 2
+    assert sum(n for k, n in counters.items() if k.startswith("intersect.path.")) == 2
     # the bench reads <layer>.calls and <layer>.s off [calls, inclusive_s, self_s]
     assert layers["staircase.colength_power"][0] == 8
     assert layers["proximity.intersection_matrix"][0] == 1

@@ -122,6 +122,25 @@ def test_shift_by_huge_jump():
     assert [u.bit(n) for n in range(9)] == [0] * 7 + [1, 0]
 
 
+def test_walking_a_blocks_tail_copies_no_runs_and_builds_no_key(monkeypatch):
+    """Every shift of a blocks tail reads the one run-length tuple it was
+    built on, and a first difference against zeros takes no canonical key of
+    it, so walking K runs one step at a time is linear in K."""
+    lengths = tuple(range(3, 203))
+    t = BitSeq.blocks(lengths, (1, 0))
+    keys = []
+    real_key = BitSeq.canonical_key
+    monkeypatch.setattr(BitSeq, "canonical_key",
+                        lambda s: keys.append(s.tail) or real_key(s))
+    u, pos = t, 0
+    for step in (1, 1, 2, 3, 5, 1, 40, 1, 999, 1):
+        u, pos = u.shift_by(step), pos + step
+        assert u._param is t._param, step
+        want = next(k for k in range(10**4) if t.bit(pos + k))
+        assert first_difference(BitSeq.zeros(), u, math.inf) == want, pos
+    assert BLOCKS not in keys
+
+
 def test_canonical_key_identifies_equal_sequences():
     a = parse_bitseq(":(01)")
     b = parse_bitseq("0:(10)")

@@ -765,8 +765,11 @@ def cone_mult_two_pass(p: BiPoly, q: BiPoly):
 def cone_shape_pairs(rng):
     """Seeded (shape, P, Q) for every branch of the cone step: monomial
     cones, cones that x or y divides, a linear cone against a cone of degree
-    1 to 4, two cones of degree >= 2 (the gcd), Fraction coefficients, and
-    two-term cones past the term budget."""
+    1 to 4, two cones of degree >= 2 (the gcd), Fraction coefficients,
+    two-term cones past the term budget, and smooth curves (a linear part in
+    x only, in y only or in both) against a multiple of their linear part or
+    an independent one (the determinant), with Fraction coefficients, and
+    against curves of order 2 and 3."""
     def form(d):  # a form of degree d with at least one term
         f = BiPoly({(i, d - i): rng.randint(-2, 2) * (rng.random() < 0.6)
                     for i in range(d + 1)})
@@ -802,6 +805,17 @@ def cone_shape_pairs(rng):
         pairs.append(("gcd", curve(common * form(d - common.order())),
                       curve(common * form(e - common.order()))))
         pairs.append(("fraction", rational(curve(form(d))), rational(curve(form(e)))))
+        u, v = rng.choice([-2, 1, 3]), rng.choice([-1, 1, 2])
+        line = BiPoly({(1, 0): u, (0, 1): v} if rng.random() < 0.6 else
+                      rng.choice([{(1, 0): u}, {(0, 1): v}]))
+        lines = [line * BiPoly.const(rng.choice([-2, 1, 3])), form(1)]
+        other = lines[rng.random() < 0.5]
+        pairs.append(("smooth", curve(line), curve(other)))
+        pairs.append(("smooth fraction", rational(curve(line)),
+                      rational(curve(rng.choice(lines)))))
+        e = rng.randint(2, 3)
+        pairs.append(("smooth against order %d" % e, curve(line),
+                      curve(line * form(e - 1) if rng.random() < 0.5 else form(e))))
     N = intersect.DEFAULT_TERM_BUDGET + rng.randint(1, 10)
     for p_text, q_text in [("x + 2 y", "x^%d + y^%d" % (N, N)),
                            ("x^2 - y^2", "x^%d + x y^%d" % (N, N - 1)),
@@ -833,7 +847,8 @@ def test_one_pass_cone_step_matches_the_two_pass_reference():
                     else "value"] += 1
     # every shape both decides and declines some pairs, save the budget pairs
     # (which always raise) and x or y dividing both (which always decline)
-    for shape in ("monomial", "linear", "gcd", "fraction", "mixed"):
+    for shape in ("monomial", "linear", "gcd", "fraction", "mixed", "smooth",
+                  "smooth fraction", "smooth against order 2", "smooth against order 3"):
         assert decided[shape, "value"] >= 10 and decided[shape, "none"] >= 10, decided
     assert decided["x divides", "none"] == decided["y divides", "none"] == 120
     assert decided["budget", "raise"] == 6
