@@ -20,10 +20,11 @@ _SCAN_CAP = 10**6
 
 
 class BitSeq:
-    """A prefix of bits, then a tail.  A blocks tail keeps its run lengths
-    as one tuple that every shift of it shares, with the index of its
-    current run and the zeros left in that run, so a shift copies nothing;
-    ``param`` spells the remaining runs out."""
+    """A prefix of bits, then a tail.  A constant tail is kept as the cycle
+    (0,) or (1,), so zeros, ones and periodic tails share one code path.  A
+    blocks tail keeps its run lengths as one tuple that every shift of it
+    shares, with the index of its current run and the zeros left in that
+    run, so a shift copies nothing; ``param`` spells the remaining runs out."""
 
     __slots__ = ("prefix", "tail", "_param", "_run", "_head")
 
@@ -40,7 +41,7 @@ class BitSeq:
             if not param or any(x < 0 for x in param):
                 raise ValueError("block lengths must be nonnegative and nonempty")
         elif tail in (ZEROS, ONES):
-            param = None
+            param = (int(tail == ONES),)
         else:
             raise ValueError("unknown tail kind %r" % tail)
         self.prefix = prefix
@@ -54,7 +55,7 @@ class BitSeq:
         blocks tail the run lengths from the current run on, the last one
         repeating."""
         if self.tail != BLOCKS:
-            return self._param
+            return self._param if self.tail == PERIODIC else None
         runs, i, head = self._param, self._run, self._head
         last = len(runs) - 1
         if i == last and head == runs[last]:
@@ -87,13 +88,9 @@ class BitSeq:
         if n < len(self.prefix):
             return self.prefix[n]
         k = n - len(self.prefix)
-        if self.tail == ZEROS:
-            return 0
-        if self.tail == ONES:
-            return 1
-        if self.tail == PERIODIC:
-            return self._param[k % len(self._param)]
-        return 0 if _run_at(self, k)[1] else 1
+        if self.tail == BLOCKS:
+            return 0 if _run_at(self, k)[1] else 1
+        return self._param[k % len(self._param)]
 
     # -- shift --------------------------------------------------------------
 
@@ -102,8 +99,8 @@ class BitSeq:
 
     def shift_by(self, n: int) -> "BitSeq":
         """sigma**n, with jumps over long zero runs instead of n single steps:
-        a blocks tail restarts inside the run that ``_run_at`` places n in,
-        on the same run lengths."""
+        a cycle is rotated by n mod its length, and a blocks tail restarts
+        inside the run that ``_run_at`` places n in, on the same run lengths."""
         if n < 0:
             raise ValueError("negative shift")
         s = self
@@ -113,62 +110,52 @@ class BitSeq:
             n -= drop
         if n == 0:
             return s
-        if s.tail in (ZEROS, ONES):
-            return s
-        if s.tail == PERIODIC:
-            c = s._param
-            r = n % len(c)
-            return _bitseq((), PERIODIC, c[r:] + c[:r])
-        return _bitseq((), BLOCKS, s._param, *_run_at(s, n))
+        if s.tail == BLOCKS:
+            return _bitseq((), BLOCKS, s._param, *_run_at(s, n))
+        c = s._param
+        r = n % len(c)
+        return _bitseq((), s.tail, c[r:] + c[:r]) if r else s
 
     # -- structure queries --------------------------------------------------
 
     def first_one(self, horizon):
         """Index of the first 1 bit below ``horizon`` (may be a huge int), else
         AtLeast(horizon)."""
-        for i, b in enumerate(self.prefix):
-            if i >= horizon:
-                return AtLeast(horizon)
-            if b:
-                return i
-        base = len(self.prefix)
-        if base >= horizon:
+        p, c = self.prefix, self._param
+        if 1 in p:
+            pos = p.index(1)
+        elif self.tail == BLOCKS:
+            pos = len(p) + self._head
+        elif 1 in c:
+            pos = len(p) + c.index(1)
+        else:
             return AtLeast(horizon)
-        if self.tail == ZEROS:
-            return AtLeast(horizon)
-        if self.tail == ONES:
-            return base
-        if self.tail == PERIODIC:
-            for i, b in enumerate(self.param):
-                if b and base + i < horizon:
-                    return base + i
-            return AtLeast(horizon)
-        pos = base + self._head
         return pos if pos < horizon else AtLeast(horizon)
 
     def canonical_key(self):
-        """Hashable form identifying the sequence; shifts of periodic
-        sequences collapse onto finitely many keys."""
-        prefix = list(self.prefix)
-        tail, param = self.tail, self.param
-        if tail == PERIODIC:
-            param = _primitive_cycle(param)
-            if all(b == 0 for b in param):
-                tail, param = ZEROS, None
-            elif all(b == 1 for b in param):
-                tail, param = ONES, None
-        while prefix:
-            b = prefix[-1]
-            if tail == ZEROS and b == 0:
-                prefix.pop()
-            elif tail == ONES and b == 1:
-                prefix.pop()
-            elif tail == PERIODIC and b == param[-1]:
-                prefix.pop()
-                param = param[-1:] + param[:-1]
+        """Hashable form of the sequence's bits: two BitSeqs have one key iff
+        they agree at every index.  A tail that ends in one run of zeros and
+        a one, repeated (every blocks tail, and every cycle with a single 1),
+        is keyed by all its run lengths, the prefix's folded in front and
+        repeats of the last one dropped.  Any other tail is keyed by its
+        primitive cycle after the shortest prefix."""
+        if self.tail == BLOCKS:
+            runs = self.param
+        else:
+            c = _primitive_cycle(self._param)
+            if c.count(1) == 1:
+                runs = (c.index(1), len(c) - 1)
             else:
-                break
-        return (tuple(prefix), tail, param)
+                prefix = list(self.prefix)
+                while prefix and prefix[-1] == c[-1]:
+                    prefix.pop()
+                    c = c[-1:] + c[:-1]
+                return (tuple(prefix), PERIODIC, c)
+        zeros = [len(z) for z in bytes(self.prefix).split(b"\x01")]  # runs of the prefix
+        folded = zeros[:-1] + [zeros[-1] + runs[0], *runs[1:], runs[-1]]
+        while len(folded) > 1 and folded[-1] == folded[-2]:
+            folded.pop()
+        return ((), BLOCKS, tuple(folded))
 
     def same_sequence(self, other: "BitSeq") -> bool:
         return self.canonical_key() == other.canonical_key()
@@ -178,13 +165,12 @@ class BitSeq:
 
     def __str__(self):
         p = "".join(str(b) for b in self.prefix)
-        if self.tail == ZEROS:
-            return p + ":0..." if p else "0..."
-        if self.tail == ONES:
-            return p + ":1..." if p else "1..."
+        if self.tail == BLOCKS:
+            return "%s:blocks%r" % (p, list(self.param))
+        c = "".join(str(b) for b in self._param)
         if self.tail == PERIODIC:
-            return "%s:(%s)" % (p, "".join(str(b) for b in self.param))
-        return "%s:blocks%r" % (p, list(self.param))
+            return "%s:(%s)" % (p, c)
+        return "%s:%s..." % (p, c) if p else c + "..."
 
 
 def _bitseq(prefix: tuple, tail: str, param, run=None, head=None) -> BitSeq:
@@ -215,34 +201,28 @@ def _run_at(s: BitSeq, k: int) -> tuple[int, int]:
 
 
 def _primitive_cycle(c):
-    n = len(c)
-    for d in range(1, n + 1):
-        if n % d == 0 and c == c[:d] * (n // d):
-            return c[:d]
-    return c
+    return next(c[:d] for d in range(1, len(c) + 1) if c[:d] * (len(c) // d) == c)
 
 
 def _all_zeros(s: BitSeq) -> bool:
     """Whether s is 0 0 0 ..., read off its parts without a canonical key."""
-    if any(s.prefix):
-        return False
-    return s.tail == ZEROS or s.tail == PERIODIC and not any(s._param)
+    return not any(s.prefix) and s.tail != BLOCKS and not any(s._param)
 
 
 def first_difference(s: BitSeq, t: BitSeq, horizon):
-    """Least index m < horizon with s_m != t_m, else AtLeast(horizon)."""
+    """Least index m < horizon with s_m != t_m, else AtLeast(horizon).
+
+    An all-zeros side reduces to a structural first-one query, which handles
+    astronomically long zero runs and builds no key.  Otherwise equal keys
+    mean equal sequences, and a bit scan up to ``_SCAN_CAP`` finds the rest."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    # a blocks tail holds ones, so its key is never a key of another kind
-    # and it is never all zeros: it needs no key unless both are blocks
-    if (s.tail == BLOCKS) == (t.tail == BLOCKS) and s.canonical_key() == t.canonical_key():
-        return AtLeast(horizon)
-    # an all-zeros side reduces to a structural first-one query, which
-    # handles astronomically long zero runs
     if _all_zeros(s):
         return t.first_one(horizon)
     if _all_zeros(t):
         return s.first_one(horizon)
+    if s.canonical_key() == t.canonical_key():
+        return AtLeast(horizon)
     cap = min(horizon, _SCAN_CAP)
     for m in range(cap):
         if s.bit(m) != t.bit(m):

@@ -7,6 +7,7 @@ from germdyn.bitseq import (
     BLOCKS,
     ONES,
     PERIODIC,
+    ZEROS,
     BitSeq,
     first_difference,
     parse_bitseq,
@@ -152,12 +153,82 @@ def test_canonical_key_identifies_equal_sequences():
     assert parse_bitseq(":(0)").same_sequence(parse_bitseq("0"))
 
 
+def test_spellings_of_one_sequence_share_a_key():
+    groups = [
+        [BitSeq.blocks((2,)), BitSeq.periodic((), (0, 0, 1))],
+        [BitSeq.blocks((2, 2)), BitSeq.blocks((2,))],
+        [BitSeq.ones(), BitSeq.blocks((0,)), BitSeq.periodic((), (1,))],
+        [BitSeq.blocks((3, 2), (1, 0)), BitSeq.periodic((1, 0, 0, 0, 0, 1), (0, 0, 1))],
+    ]
+    for group in groups:
+        for s in group[1:]:
+            assert s.same_sequence(group[0]), (s, group[0])
+            assert s.canonical_key() == group[0].canonical_key()
+
+
+def respell(s, rng):
+    """Another spelling of s, built from ``expand``: bits moved from the tail
+    into the prefix, a blocks prefix folded into its runs, a blocks tail as
+    its cycle, a cycle with one 1 as blocks, or a cycle rotated and doubled."""
+    how = rng.randrange(3)
+    if how and s.tail == BLOCKS:
+        # the explicit runs end at this index; the last run repeats after it
+        reach = len(s.prefix) + sum(s.param) + len(s.param)
+        bits, last = expand(s, reach), s.param[-1]
+        if how == 1:
+            runs = [len(z) for z in "".join(map(str, bits)).split("1")[:-1]]
+            return BitSeq.blocks(runs + [last])
+        return BitSeq.periodic(bits, (0,) * last + (1,))
+    if how:
+        cycle = s.param or ((1,) if s.tail == ONES else (0,))  # None for a constant
+        if how == 1 and cycle.count(1) == 1:
+            n = len(s.prefix) + cycle.index(1) + 1
+            return BitSeq.blocks((len(cycle) - 1,), expand(s, n))
+        c = cycle[1:] + cycle[:1]
+        return BitSeq.periodic(s.prefix + cycle[:1], c + c)
+    n = len(s.prefix) + rng.randint(0, 6)
+    u = s.shift_by(n)
+    return BitSeq(expand(s, n), u.tail, u.param)
+
+
+def test_canonical_key_is_a_function_of_the_bits():
+    """Two spellings of one sequence share a key, and sequences whose first
+    300 bits differ (enough for these small parts) have distinct keys."""
+    rng = random.Random(7707)
+    seqs = [rand_seq(rng) for _ in range(400)]
+    for s in seqs:
+        t = respell(s, rng)
+        assert expand(t, 300) == expand(s, 300), (s, t)
+        assert t.canonical_key() == s.canonical_key(), (s, t)
+    seqs += [s.shift_by(rng.randint(0, 9)) for s in seqs]
+    for _ in range(3000):
+        a, b = rng.choice(seqs), rng.choice(seqs)
+        assert (a.canonical_key() == b.canonical_key()) == (expand(a, 300) == expand(b, 300))
+
+
+def test_constructor_rejects_bad_parts():
+    for args, message in ((((0, 2), ZEROS), "bits must be 0 or 1"),
+                          (((), PERIODIC, ()), "empty cycle"),
+                          (((), BLOCKS, (1, -1)), "block lengths must be nonnegative"),
+                          (((), BLOCKS, ()), "block lengths must be nonnegative"),
+                          (((), "spiral"), "unknown tail kind 'spiral'")):
+        with pytest.raises(ValueError, match=message):
+            BitSeq(*args)
+
+
 def test_first_one():
     assert BitSeq.zeros([0, 0, 1]).first_one(10) == 2
     assert BitSeq.zeros().first_one(10**9) == AtLeast(10**9)
     assert BitSeq.blocks([10**40]).first_one(10**41) == 10**40
     assert BitSeq.blocks([10**40]).first_one(100) == AtLeast(100)
     assert BitSeq.ones().first_one(5) == 0
+    # the horizon ends inside the prefix, before its first 1
+    assert BitSeq.ones([0, 0, 0, 1]).first_one(2) == AtLeast(2)
+    assert BitSeq.zeros([0, 1]).first_one(1) == AtLeast(1)
+    # a cycle whose first 1 lies at or past the horizon, or that has none
+    assert BitSeq.periodic([0], [0, 0, 1]).first_one(3) == AtLeast(3)
+    assert BitSeq.periodic([0], [0, 0, 1]).first_one(4) == 3
+    assert BitSeq.periodic([0, 0], [0, 0]).first_one(10**30) == AtLeast(10**30)
 
 
 def test_first_difference():

@@ -251,6 +251,34 @@ def test_c_seq_and_c_inf(capsys):
     assert data2["certificate"]["char_poly"] == ["1", "-1", "-1"]
 
 
+def test_c_inf_without_a_recursion_is_a_json_failure(capsys):
+    code, data = run_json(capsys, "c-inf", "--map", "(y, x y)", "--nmax", "3")
+    assert code == 1
+    assert data == {"map": "(y, x y)", "error": "no integral recursion of order <= 1 fits"}
+
+
+def test_pipeline_stage_failures_and_skips(capsys):
+    """Each way the recursion, rate and envelope stages of pipeline end."""
+    argv = ("pipeline", "--map", "(y + x^2, x y)", "--ideal", "x, y", "--nmax")
+    fib = ["1", "1", "2", "3", "5", "8"]
+    code, data = run_json(capsys, *argv, "5", "--max-order", "1")
+    assert code == 1 and data["result"] == "FAIL" and data["mu"] == fib
+    assert data["recursion"] == {"error": "no integral recursion of order <= 1 fits"}
+    assert "asymptotic_rate" not in data and "envelope" not in data
+    # at nmax 4 the rate stage has one term fewer than mu, so no order-2 fit
+    code, data = run_json(capsys, *argv, "4")
+    assert code == 0 and data["result"] == "PASS" and data["mu"] == fib[:5]
+    assert data["recursion"]["coeffs"] == ["1", "1"]
+    assert data["asymptotic_rate"] == {"error": "no integral recursion of order <= 1 fits"}
+    assert data["envelope"] == {"skipped": "rate not exact or not > 1"}
+    code, data = run_json(capsys, *argv, "5")
+    assert code == 0 and data["result"] == "PASS" and data["mu"] == fib
+    certificate = data["asymptotic_rate"]["certificate"]
+    assert certificate["char_poly"] == ["1", "-1", "-1"]
+    assert certificate["dominant_root_bracket"] == ["1", "2"]
+    assert data["envelope"] == {"skipped": "rate not exact or not > 1"}
+
+
 def test_skewness(capsys, tmp_path):
     chart = tmp_path / "chart.json"
     chart.write_text(json.dumps(

@@ -188,6 +188,26 @@ def test_mu_theoremA_matches_a_bitwise_first_difference():
     assert mu_theoremA(BitSeq.zeros(), t, 10**30 + 1 + 5 * 10**40 + 2) == contact_oracle(2)
 
 
+def test_mu_theoremA_on_two_spellings_of_one_sequence_reads_no_bit(monkeypatch):
+    """blocks((2,)) and the cycle (001) are one sequence: equal keys answer
+    AtLeast before any bit is read, where a scan would read 10^6 of each."""
+    reads = []
+    real_bit = BitSeq.bit
+    monkeypatch.setattr(BitSeq, "bit", lambda s, n: reads.append(n) or real_bit(s, n))
+    got = mu_theoremA(BitSeq.blocks((2,)), BitSeq.periodic((), (0, 0, 1)), 0)
+    assert got == AtLeast((4 ** (10**6 + 1) + 2) // 3)
+    assert reads == []
+
+
+def test_coeff_table_keeps_one_row_per_sequence():
+    """Both spellings of blocks((2,)) and (001) fill the three rows of its
+    three shifts, and read the same coefficients."""
+    table = CoeffTable()
+    a = table.irow(BitSeq.blocks((2,)), 40)
+    b = table.irow(BitSeq.periodic((), (0, 0, 1)), 40)
+    assert a == b and len(table._irows) == 3
+
+
 def test_section3_recursion_check_matches_a_bitwise_first_difference():
     rng, pairs = seeded_pairs(4421, 200)
     raised = 0
