@@ -24,7 +24,7 @@ from functools import reduce
 from math import gcd as _igcd
 from math import lcm as _ilcm
 
-from .bounds import BudgetExceeded
+from .bounds import DEFAULT_BUDGET, BudgetExceeded
 
 
 class ZeroPolynomial(ValueError):
@@ -171,11 +171,11 @@ class BiPoly:
 
     # -- composition --------------------------------------------------------
 
-    def compose(self, fx: "BiPoly", fy: "BiPoly", budget: int | None = None) -> "BiPoly":
-        """Substitute x -> fx, y -> fy.  Exact; optional term budget, which
+    def compose(self, fx: "BiPoly", fy: "BiPoly", budget: int = DEFAULT_BUDGET) -> "BiPoly":
+        """Substitute x -> fx, y -> fy.  Exact, under a term budget that
         also caps the entries of each power table."""
         top = max((max(ij) for ij in self.terms), default=0)
-        if budget is not None and top > budget:
+        if top > budget:
             raise BudgetExceeded("a power table of %d entries exceeds the budget of %d"
                                  % (top, budget))
         # Horner in x over coefficient polys in y keeps the power table small
@@ -278,12 +278,9 @@ class MapGerm:
             return False
         return local_mult(PlaneCurve(self.fx), PlaneCurve(self.fy)) is not INFINITE
 
-    def compose(self, other: "MapGerm", budget: int | None = None) -> "MapGerm":
+    def compose(self, other: "MapGerm", budget: int = DEFAULT_BUDGET) -> "MapGerm":
         """self after other: (self . other)(p) = self(other(p))."""
-        return MapGerm(
-            self.fx.compose(other.fx, other.fy, budget),
-            self.fy.compose(other.fx, other.fy, budget),
-        )
+        return MapGerm(*(f.compose(other.fx, other.fy, budget) for f in (self.fx, self.fy)))
 
     def __repr__(self):
         return "MapGerm(%s, %s)" % (self.fx, self.fy)
@@ -306,7 +303,7 @@ def _as_bipoly(x):
 
 
 def _check_budget(p: BiPoly, budget):
-    if budget is not None and p.term_count() > budget:
+    if p.term_count() > budget:
         raise BudgetExceeded(
             "term count %d exceeds budget %d" % (p.term_count(), budget)
         )

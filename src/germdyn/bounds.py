@@ -1,10 +1,12 @@
-"""The two types every layer shares: a certified lower bound and the error of
-an exceeded budget.  They live apart from ``series`` so that code which only
-raises or returns them (``bipoly``, ``bitseq``, the CLI) does not load the
-series arithmetic; ``series`` re-exports both.
+"""What every layer shares: a certified lower bound, the error of an
+exceeded budget and the default budget.  They live apart from ``series`` so
+that code which only raises or returns them (``bipoly``, ``bitseq``, the
+CLI) does not load the series arithmetic; ``series`` re-exports the types.
 """
 
 from __future__ import annotations
+
+DEFAULT_BUDGET = 10**6  # of every ``budget`` parameter; the CLI's --budget default
 
 
 class BudgetExceeded(RuntimeError):

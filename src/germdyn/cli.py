@@ -67,7 +67,8 @@ GLOBALS = (
     ("--budget", {"type": int, "help": "term-count and power-table budget for compositions, "
                   "coefficient budget for the jets of mu-seq and pipeline and "
                   "for the coefficient rows of curve and verify, range budget "
-                  "for verify lemma, and, for arnold, bit-size budget for "
+                  "for verify lemma, entry budget for the r x r matrices of "
+                  "skewness, and, for arnold, bit-size budget for "
                   "growth values and shift budget for the finite-contact "
                   "certificate"}, 10**6),
 )

@@ -40,10 +40,14 @@ def cmd_mixed(args):
 
 
 def cmd_skewness(args):
+    from .bounds import BudgetExceeded
     from .proximity import ProximityChart, skewness
 
     with open(args.chart) as fh:
         chart = ProximityChart.from_json(fh.read())
+    if chart.r * chart.r > args.budget:  # the entries of each r x r matrix
+        raise BudgetExceeded("%d x %d matrices exceed the budget of %d entries"
+                             % (chart.r, chart.r, args.budget))
     value = skewness(chart, args.i, args.j)
     payload = {"chart": chart.to_json(), "i": args.i, "j": args.j,
                "skewness": str(value)}

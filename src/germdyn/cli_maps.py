@@ -81,9 +81,8 @@ def cmd_recursion(args):
     from .recurrence import NoRecurrenceFound, detect_recursion
 
     seq = [int(v) for v in args.terms.split(",")]
-    max_order = max(1, min(args.max_order, (len(seq) - args.holdout) // 2))
     try:
-        model = detect_recursion(seq, max_order, args.holdout)
+        model = detect_recursion(seq, args.max_order, args.holdout)
     except NoRecurrenceFound as exc:
         return {"terms": seq, "error": str(exc)}, False, None
     return {"terms": [str(v) for v in seq], **model.to_json()}, True, None
@@ -102,9 +101,8 @@ def cmd_pipeline(args):
         return mu
     payload = {"map": args.map, "ideal": args.ideal, "seed": args.seed,
                "mu": [str(v) for v in mu]}
-    max_order = max(1, min(args.max_order, (len(mu) - 1) // 2))
     try:
-        model = detect_recursion(mu, max_order, 1)
+        model = detect_recursion(mu, args.max_order, 1)
     except NoRecurrenceFound as exc:
         payload["recursion"] = {"error": str(exc)}
         payload["result"] = "FAIL"

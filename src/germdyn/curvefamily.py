@@ -18,7 +18,7 @@ from __future__ import annotations
 from operator import mul
 
 from .bitseq import BitSeq, first_difference
-from .bounds import AtLeast, BudgetExceeded
+from .bounds import DEFAULT_BUDGET, AtLeast, BudgetExceeded
 
 
 class UndeterminedDifference(ValueError):
@@ -41,14 +41,13 @@ class CoeffTable:
 
     over 0 <= k <= (n-1)/4: A_n costs about n/4 products whose small factor
     is a shift coefficient.  The A_n are integers, so every division is
-    exact, and that is asserted.  Rows are extended bottom-up along the
-    shift chain (no call recursion), so requesting coefficients at index
-    ~10^4 never risks stack depth.  With a ``budget``, a request for a row
-    of more than ``budget`` coefficients raises BudgetExceeded before any
-    work.
+    exact, and that is asserted.  ``irow`` calls itself for the n/4 shift
+    coefficients a row of n reads, so a row of 10^6 recurses 11 levels
+    deep.  A row of more than ``budget`` coefficients raises BudgetExceeded
+    before any work.
     """
 
-    def __init__(self, budget: int | None = None):
+    def __init__(self, budget: int = DEFAULT_BUDGET):
         self._irows: dict[tuple, list[int]] = {}
         self.budget = budget
 
@@ -67,39 +66,21 @@ class CoeffTable:
         """Scaled coefficients A_n = a_n * 4**n for 0 <= n < upto."""
         if upto <= 0:
             return []
-        if self.budget is not None and upto > self.budget:
+        if upto > self.budget:
             raise BudgetExceeded("a row of %d coefficients exceeds the budget of %d"
                                  % (upto, self.budget))
-        # plan the shift chain iteratively: row for s needs the row of the
-        # shifted sequence only up to ~upto/4
-        chain = []
-        seq, need = s, upto
-        while True:
-            chain.append((seq, need))
-            if need <= 1:
-                break
-            # A_n with n < upto reads B_k for k <= (n-1)/4
-            need = (need - 2) // 4 + 1
-            seq = seq.shift()
-        for seq, need in reversed(chain):
-            self._extend(seq, need)
-        return self._irows[s.canonical_key()][:upto]
-
-    def _extend(self, s: BitSeq, upto: int):
         key = s.canonical_key()
         row = self._irows.get(key)
         if row is None:
-            row = [-1 if s.bit(0) else 1]
-            self._irows[key] = row
+            row = self._irows[key] = [-1 if s.bit(0) else 1]
         if len(row) >= upto:
-            return
-        # a sequence that is its own shift reads its own (shorter) prefix
-        shift_row = self._irows.get(s.shift().canonical_key(), [])
+            return row[:upto]
+        # A_n with n < upto reads B_k for k <= (n-1)/4; a sequence that is
+        # its own shift reads its own shorter prefix
+        shift_row = self.irow(s.shift(), (upto - 2) // 4 + 1)
         while len(row) < upto:
             n = len(row)
             top = (n - 1) // 4
-            if top >= len(shift_row):
-                raise AssertionError("shift row too short; planner bug")
             # Horner's rule over the factor 2^6 between consecutive k,
             # from k = top down to 0
             acc = 0
@@ -111,6 +92,7 @@ class CoeffTable:
             if rest:
                 raise AssertionError("recurrence left a remainder at n = %d" % n)
             row.append(value)
+        return row[:upto]
 
 
 _DEFAULT_TABLE = CoeffTable()
@@ -322,11 +304,10 @@ class GrowthSpec:
         else:
             raise ValueError("unknown growth kind %r" % kind)
 
-    def __call__(self, n: int, budget: int | None = None) -> int:
-        """nu(n).  With a budget, raises BudgetExceeded instead of returning
-        a value of more than ``budget`` bits.  A lower bound on the size is
-        checked before any power or factorial is built, so nothing of more
-        than about twice the budget is ever computed."""
+    def __call__(self, n: int, budget: int = DEFAULT_BUDGET) -> int:
+        """nu(n), or BudgetExceeded past ``budget`` bits.  A lower bound on
+        the size is checked before any power or factorial is built, so
+        nothing of more than about twice the budget is ever computed."""
         if n < 0:
             raise ValueError("negative argument")
         if self.kind == "pow":
@@ -354,7 +335,7 @@ class GrowthSpec:
         return self.arg**e
 
     def _check_bits(self, bits: int, budget):
-        if budget is not None and bits > budget:
+        if bits > budget:
             raise BudgetExceeded("%s value exceeds %d bits" % (self, budget))
 
     @classmethod
@@ -379,7 +360,7 @@ class GrowthSpec:
         return self.kind
 
 
-def build_theoremA_pair(nu: GrowthSpec, K: int, budget: int | None = None):
+def build_theoremA_pair(nu: GrowthSpec, K: int, budget: int = DEFAULT_BUDGET):
     """Construct (s, t, witnesses): s all zeros, t runs of zeros separated by
     single ones, run lengths chosen minimally so each witness shift beats nu.
     ``budget`` bounds the bit size of each nu value (see GrowthSpec).

@@ -24,7 +24,8 @@ from math import gcd
 # MapGerm is re-exported: callers import it from here too
 from .bipoly import (BiPoly, MapGerm, _int_coeff_rows, _resultant_rows, _ugcd,
                      _uprimitive, _xprem)
-from .series import AtLeast, BudgetExceeded, USeries, truncated_product
+from .bounds import DEFAULT_BUDGET, BudgetExceeded
+from .series import truncated_product
 
 
 class DegenerateInput(ValueError):
@@ -132,9 +133,9 @@ def _cone_mult(p: BiPoly, q: BiPoly):
         return None
     # a monomial cone's only lines are x and y, and neither divides both
     if len(cp) > 1 and len(cq) > 1:
-        if max(m, n) > DEFAULT_TERM_BUDGET:
+        if max(m, n) > DEFAULT_BUDGET:
             raise BudgetExceeded("a tangent cone of degree %d exceeds the term budget of %d"
-                                 % (max(m, n), DEFAULT_TERM_BUDGET))
+                                 % (max(m, n), DEFAULT_BUDGET))
         if n == 1:
             cp, cq, m, n = cq, cp, n, m
         if m == 1:
@@ -177,7 +178,7 @@ def _branch_mult(p: BiPoly, q: BiPoly):
         if (1, 0) not in p.terms and (0, 1) not in p.terms:
             return None
     cap = p.degree() * q.degree()
-    if cap > DEFAULT_TERM_BUDGET:
+    if cap > DEFAULT_BUDGET:
         return None
     # g(gamma) is exact over Q, so only f needs integer coefficients
     f, g = _primitive(p.terms), q.terms
@@ -221,7 +222,7 @@ def _branch_mult(p: BiPoly, q: BiPoly):
                 raise AssertionError("Y^%d left a remainder at t^%d" % (j, k))
         # past the term budget in products, the later steps decide
         work += hn + gn + len(joined) * len(nz)
-        if work > DEFAULT_TERM_BUDGET:
+        if work > DEFAULT_BUDGET:
             return None
         acc = 0
         for j, i, c in h[:hn]:
@@ -259,7 +260,7 @@ def _certified_pair(p: BiPoly, q: BiPoly):
     Fulton decides past the term budget (no dense rows, whose lengths are
     the x- and y-degrees) unless a is x-free."""
     dp, dq = p.degree_x(), q.degree_x()
-    if min(dp, dq) and max(p.degree(), q.degree()) > DEFAULT_TERM_BUDGET:
+    if min(dp, dq) and max(p.degree(), q.degree()) > DEFAULT_BUDGET:
         return None
     for a, b in ((p, q), (q, p)) if dq <= dp else ((q, p), (p, q)):
         # lc_x(b) is a unit at y = 0 iff it has a y^0 term (of x-degree >= 1)
@@ -292,9 +293,9 @@ def _fulton(p: BiPoly, q: BiPoly):
     # a curve that misses the origin meets nothing there
     while (0, 0) not in f and (0, 0) not in g:
         passes += 1
-        if passes > DEFAULT_TERM_BUDGET:
+        if passes > DEFAULT_BUDGET:
             raise BudgetExceeded("Fulton's reduction takes more passes than the term "
-                                 "budget of %d" % DEFAULT_TERM_BUDGET)
+                                 "budget of %d" % DEFAULT_BUDGET)
         # degrees of the restrictions to y = 0; -1 when one vanishes
         r, s = (max((i for i, j in t if not j), default=-1) for t in (f, g))
         if r > s:
@@ -383,11 +384,8 @@ def local_mult_detailed(P: PlaneCurve, Q: PlaneCurve,
     return value, False
 
 
-def pullback(F: MapGerm, C: PlaneCurve, budget: int | None = None) -> PlaneCurve:
+def pullback(F: MapGerm, C: PlaneCurve, budget: int = DEFAULT_BUDGET) -> PlaneCurve:
     return PlaneCurve(C.poly.compose(F.fx, F.fy, budget))
-
-
-DEFAULT_TERM_BUDGET = 10**6
 
 
 def generic_member(generators: list[BiPoly], coeffs: list[int]) -> PlaneCurve:
@@ -399,21 +397,22 @@ def generic_member(generators: list[BiPoly], coeffs: list[int]) -> PlaneCurve:
     return PlaneCurve(BiPoly(acc))
 
 
-def _parametrization(D: BiPoly):
-    """An integer primitive parametrization (x(t), y(t)) of the germ D = 0,
-    as two coefficient lists in t, when D is a graph c x - h(y) or
-    c y - h(x) (c constant) or a coprime binomial c x^p + e y^q; else None.
-    The shape is read after clearing denominators.  Either way
-    max(deg_t x, deg_t y) = deg D."""
+def _parametrization(D: BiPoly, T: int):
+    """An integer primitive parametrization (x(t), y(t)) of the germ D = 0
+    when D is a graph c x - h(y) or c y - h(x) (c constant) or a coprime
+    binomial c x^p + e y^q, read after clearing denominators; else None.
+    Uncut, max(deg_t x, deg_t y) = deg D; the two coefficient lists are cut
+    below t^T, and no coefficient past them is computed."""
     d = _primitive(D.terms)
     for k, lin in ((0, (1, 0)), (1, (0, 1))):
         if lin in d and all(ij[k] == 0 or ij == lin for ij in d):
             # c u = h(v): v = c t and u = h(c t) / c, integral since h(0) = 0
             c = d.pop(lin)
-            u = [0] * (max(map(sum, d), default=1) + 1)
+            u = [0] * min(max(map(sum, d), default=1) + 1, T)
             for ij, e in d.items():
-                u[sum(ij)] = -e * c ** (sum(ij) - 1)
-            return (u, [0, c]) if k == 0 else ([0, c], u)
+                if sum(ij) < T:
+                    u[sum(ij)] = -e * c ** (sum(ij) - 1)
+            return (u, [0, c][:T]) if k == 0 else ([0, c][:T], u)
     if len(d) != 2:
         return None
     ((p, py), c), ((qx, q), e) = sorted(d.items(), reverse=True)
@@ -425,14 +424,15 @@ def _parametrization(D: BiPoly):
     g, j = pow(q, -1, p), pow(p, -1, q)
     i, f = (g * q - 1) // p, (j * p - 1) // q
     s, r = (1, -1) if q % 2 else (-1, 1)
-    return [0] * q + [s * c**i * e**j], [0] * p + [r * c**g * e**f]
+    return ([0] * q + [s * c**i * e**j] if q < T else [],
+            [0] * p + [r * c**g * e**f] if p < T else [])
 
 
-def _at_jets(P: BiPoly, X: USeries, Y: USeries) -> USeries:
-    """P(X, Y) for a P with no constant term and jets X, Y exact below t^T
-    (their truncation): a ring operation mod t^T, so exact below t^T as
-    well.  Products are series.truncated_product to T terms."""
-    T = X.trunc
+def _at_jets(polys, X: list, Y: list, T: int) -> list[list]:
+    """[P(X, Y) for P in polys], each P with no constant term and the jets
+    X, Y exact below t^T: ring operations mod t^T, so exact below t^T as
+    well.  The powers of X and Y, by repeated squaring, are built once for
+    all of ``polys``; products are series.truncated_product to T terms."""
 
     def power(squares, e):  # by repeated squaring: exponents run to thousands
         acc = None
@@ -443,30 +443,34 @@ def _at_jets(P: BiPoly, X: USeries, Y: USeries) -> USeries:
                 acc = squares[b] if acc is None else truncated_product(acc, squares[b], T)
         return acc
 
-    xs, ys = [X.coeffs], [Y.coeffs]
-    out = [0] * T
-    for (i, j), c in P.terms.items():
-        m = (truncated_product(power(xs, i), power(ys, j), T) if i and j
-             else power(xs, i) if i else power(ys, j))
-        for k, v in enumerate(m):
-            if v:
-                out[k] += c * v
-    return USeries(out, T)
+    xs, ys, outs = [X], [Y], []
+    for P in polys:
+        out = [0] * T
+        for (i, j), c in P.terms.items():
+            m = (truncated_product(power(xs, i), power(ys, j), T) if i and j
+                 else power(xs, i) if i else power(ys, j))
+            for k, v in enumerate(m):
+                if v:
+                    out[k] += c * v
+        outs.append(out)
+    return outs
 
 
 def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
                 w: list[int], n_max: int, sampler: GenericSampler,
-                budget: int = DEFAULT_TERM_BUDGET) -> list[int]:
+                budget: int = DEFAULT_BUDGET) -> list[int]:
     """mu(n) = i_0(pullback of the z-member by F^n, w-member), n = 0..n_max.
 
     When the w-member D_w has an integer primitive parametrization gamma (a
     graph c x - h(y) or c y - h(x), or a coprime binomial c x^p + d y^q),
-    mu(n) = ord_t D_z(F^n(gamma(t))), read off the arc iterated as jets
-    below t^T; no F^n, pullback or resultant is built.  A nonzero jet gives
-    mu(n); a zero jet doubles T, up to ``budget``.  Past Bezout's bound
-    deg(D_z) deg(F)^n deg(D_w) a zero jet proves D_z(F^n(gamma)) = 0.
-    Any other D_w goes through the exact pullback and ``local_mult``, under
-    the same term ``budget`` as compositions.
+    mu(n) = ord_t D_z(F^n(gamma(t))), read off the arc iterated as integer
+    jets below t^T (gamma below t^budget); no F^n, pullback or resultant is
+    built.  Each arc step evaluates both components of F on one table of
+    powers.  A nonzero jet gives mu(n); a zero jet doubles T, up to
+    ``budget``.  Past Bezout's bound deg(D_z) deg(F)^n deg(D_w) a zero jet
+    proves D_z(F^n(gamma)) = 0.  Any other D_w goes through the exact
+    pullback and ``local_mult``, under the same term ``budget`` as
+    compositions.
 
     Raises InfiniteMultiplicity (with the failing index in the message) when
     the two curves share a component through the origin, and BudgetExceeded
@@ -485,7 +489,7 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
         return InfiniteMultiplicity(
             "shared component at iterate %d; sequence %r so far" % (n, out))
 
-    gamma = _parametrization(Dw.poly)
+    gamma = _parametrization(Dw.poly, budget)
     if gamma is None:
         Fn = MapGerm.identity()
         for n in range(n_max + 1):
@@ -501,14 +505,15 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
     while len(out) <= n_max:
         n = len(out)
         if arc is None:  # F^n(gamma) below t^T, from gamma
-            arc = [USeries(u, T) for u in gamma]
+            arc = [u[:T] for u in gamma]
             for _ in range(n):
-                arc = [_at_jets(f, *arc) for f in (F.fx, F.fy)]
-        val = _at_jets(Dz.poly, *arc).ord()
-        if not isinstance(val, AtLeast):
+                arc = _at_jets((F.fx, F.fy), *arc, T)
+        (jet,) = _at_jets((Dz.poly,), *arc, T)
+        val = _ord_y(jet)  # INFINITE when the jet is zero below t^T
+        if val is not INFINITE:
             out.append(val)
             if n < n_max:
-                arc = [_at_jets(f, *arc) for f in (F.fx, F.fy)]
+                arc = _at_jets((F.fx, F.fy), *arc, T)
         elif T > Dz.poly.degree() * deg_f ** n * Dw.poly.degree():
             raise shared(n)
         elif T >= budget:

@@ -12,6 +12,7 @@ output, are negative intersection numbers of the normalized dual divisors.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from operator import add, mul
 
@@ -37,11 +38,11 @@ class ProximityChart:
         for i, j in prox:
             if not (1 <= j < i <= r):
                 raise ValueError("proximity (%d, %d) out of range" % (i, j))
+        counts = Counter(i for i, _ in prox)
         for i in range(2, r + 1):
             if (i, i - 1) not in prox:
                 raise ValueError("point %d must be proximate to point %d" % (i, i - 1))
-            count = sum(1 for a, b in prox if a == i)
-            if count > 2:
+            if counts[i] > 2:
                 raise ValueError("point %d proximate to more than two points" % i)
         self.r = r
         self.proximities = frozenset(prox)

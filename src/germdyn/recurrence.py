@@ -75,6 +75,8 @@ def _solve_exact(rows: list[list[int]], rhs: list[int]):
 def detect_recursion(seq: list[int], max_order: int, holdout: int) -> RecurrenceModel:
     """Minimal-order integral recursion validated on the final holdout terms.
 
+    Order k fits on 2k terms before the holdout block, so ``max_order`` is
+    capped at half of them (at least 1; too few terms raise ValueError).
     Orders are tried in increasing order; for each, the coefficients come
     from an exact solve on the last equations before the holdout block, the
     onset is the least index after which the relation is exact, and the
@@ -83,6 +85,7 @@ def detect_recursion(seq: list[int], max_order: int, holdout: int) -> Recurrence
     if holdout < 0:
         raise ValueError("holdout must be >= 0")
     seq = list(seq)
+    max_order = min(max_order, max(1, (len(seq) - holdout) // 2))
     if len(seq) < 2 * max_order + holdout:
         raise ValueError("sequence too short for requested order and holdout")
     if all(v == 0 for v in seq):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .bipoly import BiPoly, MapGerm, ZeroPolynomial, _uexact_div, _ugcd, _uprem
+from .bounds import DEFAULT_BUDGET
 
 
 class MonomialValuation:
@@ -57,7 +58,7 @@ def attraction_rate(F: MapGerm, nu: MonomialValuation) -> Fraction:
 
 
 def c_sequence(F: MapGerm, nu: MonomialValuation, n_max: int,
-               budget: int | None = 10**6) -> list[Fraction]:
+               budget: int = DEFAULT_BUDGET) -> list[Fraction]:
     """Attraction rates along iterates F, F^2, ..., F^n_max, exact."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -119,8 +120,7 @@ _RATE_MAX_ORDER = 3  # highest recursion order c_infinity fits
 _RATE_HOLDOUT = 1  # terms c_infinity holds out to test the fit
 
 
-def c_infinity(F: MapGerm, n_max: int,
-               budget: int | None = 10**6) -> AsymptoticRate:
+def c_infinity(F: MapGerm, n_max: int, budget: int = DEFAULT_BUDGET) -> AsymptoticRate:
     """Asymptotic attraction rate from the rate sequence of the iterates.
 
     Detects an eventual integral recursion in c(F^n, ord), of order at most
@@ -134,14 +134,13 @@ def c_infinity(F: MapGerm, n_max: int,
 
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    max_order = min(_RATE_MAX_ORDER, (n_max - _RATE_HOLDOUT) // 2)
     rates = c_sequence(F, MonomialValuation.order(), n_max, budget)
     ints = []
     for r in rates:
         if r.denominator != 1:
             raise AssertionError("order valuation rates must be integers")
         ints.append(int(r))
-    model = detect_recursion(ints, max_order, _RATE_HOLDOUT)  # may raise
+    model = detect_recursion(ints, _RATE_MAX_ORDER, _RATE_HOLDOUT)  # may raise
     cp = model.char_poly()
     lo, hi = _dominant_root_bracket(cp)
     if lo == hi:

@@ -7,6 +7,7 @@ import pytest
 from germdyn.bipoly import (
     BiPoly,
     BudgetExceeded,
+    MapGerm,
     ZeroPolynomial,
     _int_coeff_rows,
     _uprimitive,
@@ -57,6 +58,15 @@ def test_compose_budget():
     p = parse_poly("(x + y)^8")
     with pytest.raises(BudgetExceeded):
         p.compose(parse_poly("x + y^2"), parse_poly("y + x^2"), budget=3)
+
+
+def test_compose_without_a_budget_runs_under_the_default_one():
+    # a power table of 10^6 + 1 entries is one past DEFAULT_BUDGET
+    x, y = BiPoly.x(), BiPoly.y()
+    with pytest.raises(BudgetExceeded, match="power table of 1000001 entries"):
+        parse_poly("x^1000001").compose(x, y)
+    with pytest.raises(BudgetExceeded):
+        MapGerm(parse_poly("x^1000001"), y).compose(MapGerm.identity())
 
 
 @pytest.mark.parametrize("text", ["x^7", "x y^7", "y^7 + x"])

@@ -153,6 +153,26 @@ def test_astronomical_map_degree_ends_within_seconds(argv, code):
     assert time.monotonic() - start < 10
 
 
+@pytest.mark.parametrize("ideal, code, mu", [("x + y^99999999999, y", 0, ["1", "2", "4"]),
+                                            ("x^99999999999, y", 3, None)])
+def test_astronomical_ideal_degree_computes_no_coefficient_past_the_jets(ideal, code, mu):
+    # gamma is held below t^budget: its t^(10^11) entry, and the power
+    # c^(10^11 - 1) it holds for the second ideal, are never built
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", "mu-seq", "--budget", "1000", "--map",
+         "(x^2 - y^4, y^4)", "--ideal", ideal, "--nmax", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if mu is None:
+        assert proc.stderr == "budget exceeded: mu(0) is at least 1000, the jet budget\n"
+    else:
+        assert json.loads(proc.stdout)["mu"] == mu
+
+
 @pytest.mark.parametrize("command, map_text, code, mu", [
     ("mu-seq", "(x^99999999999 + y^2, y)", 0, [1, 1, 1, 1]),
     ("pipeline", "(x^99999999999 + y^2, y)", 3, None),
@@ -287,6 +307,20 @@ def test_skewness(capsys, tmp_path):
     code, data = run_json(capsys, "skewness", "--chart", str(chart),
                           "--i", "2", "--j", "2")
     assert code == 0 and data["skewness"] == "2"
+
+
+def test_skewness_refuses_a_chart_past_the_budget(capsys, tmp_path):
+    # the lattice builds r x r matrices: 121 entries pass a budget of 100
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps({"points": 11, "proximate": [[i, i - 1] for i in range(2, 12)]}))
+    assert main(["skewness", "--budget", "100", "--chart", str(chart),
+                 "--i", "1", "--j", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: 11 x 11 matrices exceed the budget of 100 entries\n")
+    chart.write_text(json.dumps({"points": 3, "proximate": [[2, 1], [3, 2], [3, 1]]}))
+    code, _ = run_json(capsys, "skewness", "--budget", "100", "--chart", str(chart),
+                       "--i", "1", "--j", "2")
+    assert code == 0
 
 
 def test_recursion_command(capsys):

@@ -7,6 +7,7 @@ import pytest
 from germdyn import curvefamily
 from germdyn.bipoly import BudgetExceeded
 from germdyn.bitseq import BitSeq, first_difference, parse_bitseq
+from germdyn.bounds import DEFAULT_BUDGET
 from germdyn.curvefamily import (
     CoeffTable,
     GrowthSpec,
@@ -243,6 +244,13 @@ def test_growth_spec_bit_budget():
                             ("factorial", 10**100, 10**6)):
         with pytest.raises(BudgetExceeded):
             GrowthSpec.parse(text)(n, budget)
+
+
+def test_budgets_default_to_the_one_bound():
+    # a growth value of 10^6 + 1 bits is one past DEFAULT_BUDGET
+    with pytest.raises(BudgetExceeded):
+        GrowthSpec.parse("pow:2")(10**6 + 1)
+    assert CoeffTable().budget == DEFAULT_BUDGET
 
 
 def test_theoremA_pair_structure():

@@ -28,6 +28,7 @@ from germdyn.intersect import (
     samuel_via_generic,
 )
 from germdyn.polyparse import parse_map, parse_poly, parse_poly_list
+from germdyn.bounds import DEFAULT_BUDGET
 from germdyn.series import BudgetExceeded
 
 
@@ -528,11 +529,11 @@ def test_fulton_raises_on_a_pass_past_the_term_budget(monkeypatch):
     i_0 = i_0(x^2 + y^3, x) + i_0(x^2 + y^3, x^(N-1) + y^(N-1)) = 3 + 2 (N - 1)."""
     p, q = parse_poly("x^2 + y^3"), parse_poly("x^201 + x y^200")
     assert intersect._fulton(p, q) == local_mult(PlaneCurve(p), PlaneCurve(q)) == 403
-    monkeypatch.setattr(intersect, "DEFAULT_TERM_BUDGET", 139)
+    monkeypatch.setattr(intersect, "DEFAULT_BUDGET", 139)
     for a, b in ((p, q), (q, p)):
         with pytest.raises(BudgetExceeded):
             intersect._fulton(a, b)
-    monkeypatch.setattr(intersect, "DEFAULT_TERM_BUDGET", 140)
+    monkeypatch.setattr(intersect, "DEFAULT_BUDGET", 140)
     assert intersect._fulton(p, q) == intersect._fulton(q, p) == 403
 
 
@@ -671,7 +672,7 @@ def test_huge_cones_with_two_terms_each_exceed_the_budget():
             with pytest.raises(BudgetExceeded):
                 _cone_mult(a, b)
     # at the budget the linear cone is still decided by its evaluation
-    M = intersect.DEFAULT_TERM_BUDGET
+    M = intersect.DEFAULT_BUDGET
     assert _cone_mult(parse_poly("x + 2 y"), parse_poly("x^%d + y^%d" % (M, M))) == M
 
 
@@ -744,7 +745,7 @@ def cone_mult_two_pass(p: BiPoly, q: BiPoly):
     if all(i < m for i, _ in cp) and all(i < n for i, _ in cq):
         return None
     if len(cp) > 1 and len(cq) > 1:
-        if max(m, n) > intersect.DEFAULT_TERM_BUDGET:
+        if max(m, n) > intersect.DEFAULT_BUDGET:
             raise BudgetExceeded("cone past the term budget")
         if n == 1:
             cp, cq, m, n = cq, cp, n, m
@@ -816,7 +817,7 @@ def cone_shape_pairs(rng):
         e = rng.randint(2, 3)
         pairs.append(("smooth against order %d" % e, curve(line),
                       curve(line * form(e - 1) if rng.random() < 0.5 else form(e))))
-    N = intersect.DEFAULT_TERM_BUDGET + rng.randint(1, 10)
+    N = intersect.DEFAULT_BUDGET + rng.randint(1, 10)
     for p_text, q_text in [("x + 2 y", "x^%d + y^%d" % (N, N)),
                            ("x^2 - y^2", "x^%d + x y^%d" % (N, N - 1)),
                            ("x^%d + y^%d" % (N, N), "x^%d - 3 y^%d" % (N, N))]:
@@ -1041,7 +1042,7 @@ def test_branch_step_leaves_a_pair_past_the_term_budget_in_products(monkeypatch)
     once they pass the term budget; the value does not change."""
     p, q = parse_poly("y - x + x^2"), parse_poly("(y - x)^30 + x^61")  # 2 * 30
     assert intersect._branch_mult(p, q) == intersect._branch_mult(q, p) == 60
-    monkeypatch.setattr(intersect, "DEFAULT_TERM_BUDGET", 1000)
+    monkeypatch.setattr(intersect, "DEFAULT_BUDGET", 1000)
     assert intersect._branch_mult(p, q) is None and intersect._branch_mult(q, p) is None
     for a, b in ((p, q), (q, p)):
         assert local_mult(PlaneCurve(a), PlaneCurve(b)) == 60
@@ -1211,11 +1212,12 @@ def mu_or_message(F, gens, z, w, n_max):
 
 def test_parametrization_shapes():
     # c x^2 + d y^3 at (c d^2 t^3, -c d t^2), on its primitive multiple
-    assert _parametrization(parse_poly("10 x^2 + 14 y^3")) == ([0, 0, 0, 245], [0, 0, -35])
+    assert (_parametrization(parse_poly("10 x^2 + 14 y^3"), DEFAULT_BUDGET)
+            == ([0, 0, 0, 245], [0, 0, -35]))
     for text in ["x", "y", "3 x - y^2 + 2 y^5", "1/2 x - 2/3 y", "2 y + x^3",
                  "5 x^2 + 7 y^3", "2 x^3 - 3 y^2", "x^5 - 4 y^3", "x^7 + y^2"]:
         D = parse_poly(text)
-        gx, gy = _parametrization(D)
+        gx, gy = _parametrization(D, DEFAULT_BUDGET)
         assert all(type(c) is int for c in gx + gy), text
         X, Y = (BiPoly({(0, k): c for k, c in enumerate(g)}) for g in (gx, gy))
         assert D.compose(X, Y).is_zero(), text
@@ -1223,7 +1225,7 @@ def test_parametrization_shapes():
         assert gcd(*(k for g in (gx, gy) for k, c in enumerate(g) if c)) == 1, text
     for text in ["x^2 + x y + y^2", "x^2 + y^4", "x^2 - y^2", "x y", "x^2 + x y^3",
                  "x^3 + y^3"]:
-        assert _parametrization(parse_poly(text)) is None, text
+        assert _parametrization(parse_poly(text), DEFAULT_BUDGET) is None, text
 
 
 def test_arc_path_matches_the_exact_loop():
@@ -1239,7 +1241,8 @@ def test_arc_path_matches_the_exact_loop():
                 z = list(w) if k == 0 else [rng.randint(-9, 9) for _ in gens]
                 if not any(z):
                     continue
-                assert _parametrization(generic_member(gens, w).poly) is not None
+                D = generic_member(gens, w).poly
+                assert _parametrization(D, DEFAULT_BUDGET) is not None
                 want = exact_mu(F, gens, z, w, n_max)
                 assert mu_or_message(F, gens, z, w, n_max) == want, (map_text, ideal, z, w)
                 compared += 1
@@ -1269,8 +1272,22 @@ def test_non_arc_ideal_takes_the_exact_loop():
     for ideal, z, w in [("x^2, x y, y^2", [3, -1, 2], [1, 4, -2]),
                         ("x^2, y^4", [2, -3], [5, 1])]:
         gens = parse_poly_list(ideal)
-        assert _parametrization(generic_member(gens, w).poly) is None
+        assert _parametrization(generic_member(gens, w).poly, DEFAULT_BUDGET) is None
         assert mu_sequence(F, gens, z, w, 3, None) == exact_mu(F, gens, z, w, 3)
+
+
+def test_the_arc_holds_gamma_below_the_jet_budget_only():
+    # mu(0) = 41 is read off gamma's t^40 entry; under budget=50 the
+    # parametrization of the second ideal's member is cut below deg D_w
+    F = MapGerm(*parse_map("(x^2 - y^4, y^4)"))
+    for ideal, budget, want in (("x + y^40, y^41", DEFAULT_BUDGET, [41, 4, 8]),
+                                ("x + y^100, y^2", 50, [2, 4, 8])):
+        gens = parse_poly_list(ideal)
+        z, w = [3, 5], [2, -7]
+        gamma = _parametrization(generic_member(gens, w).poly, budget)
+        assert max(map(len, gamma)) <= budget
+        got = mu_sequence(F, gens, z, w, 2, None, budget=budget)
+        assert got == exact_mu(F, gens, z, w, 2) == want
 
 
 def test_jets_stay_within_the_budget():

@@ -109,6 +109,14 @@ def test_too_short_sequence():
         detect_recursion([1, 2, 3], 3, 2)
 
 
+def test_the_order_is_capped_at_half_the_fitted_terms():
+    # 7 terms before the holdout fit orders up to 3, so 5 is capped to 3
+    m = detect_recursion(list(range(1, 9)), 5, 1)
+    assert m.order == 2 and m.coeffs == [2, -1] and m.onset == 0
+    with pytest.raises(NoRecurrenceFound, match="order <= 3"):
+        detect_recursion([2**n for n in range(7)] + [0], 5, 1)
+
+
 def test_extend_and_predicts():
     m = RecurrenceModel(2, [1, 1], 0)
     assert extend(m, [1, 1], 4) == [1, 1, 2, 3, 5, 8]
