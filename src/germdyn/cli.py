@@ -64,8 +64,11 @@ GLOBALS = (
     ("--seed", {"type": int, "help": "sampler seed"}, 0),
     ("--format", {"choices": ["json", "csv", "text"]}, "json"),
     ("--out", {"help": "output path (default stdout)"}, None),
-    ("--budget", {"type": int, "help": "term-count and power-table budget for compositions, "
-                  "coefficient budget for the jets of mu-seq and pipeline and "
+    ("--budget", {"type": int, "help": "term-count budget for the products and powers of "
+                  "the polynomial parser, term-count and power-table budget for "
+                  "compositions and for the weight windows of c-seq, c-inf and "
+                  "pipeline, width budget for those windows, coefficient "
+                  "budget for the jets of mu-seq and pipeline and "
                   "for the coefficient rows of curve and verify, range budget "
                   "for verify lemma, entry budget for the r x r matrices of "
                   "skewness, and, for arnold, bit-size budget for "

@@ -6,12 +6,12 @@
 from __future__ import annotations
 
 
-def _parse_ideal(text: str):
+def _parse_ideal(text: str, budget: int):
     from .polyparse import ParseError, parse_poly_list
     from .staircase import MonomialIdeal2
 
     gens = []
-    for poly in parse_poly_list(text):
+    for poly in parse_poly_list(text, budget):
         if poly.term_count() != 1:
             raise ParseError("ideal generators must be monomials", 0)
         ((i, j),) = poly.terms.keys()
@@ -22,15 +22,15 @@ def _parse_ideal(text: str):
 def cmd_samuel(args):
     from .staircase import samuel
 
-    ideal = _parse_ideal(args.ideal)
+    ideal = _parse_ideal(args.ideal, args.budget)
     return {"ideal": str(ideal), "samuel": str(samuel(ideal))}, True, None
 
 
 def cmd_mixed(args):
     from .staircase import minkowski_check, mixed, samuel
 
-    A = _parse_ideal(args.ideal_a)
-    B = _parse_ideal(args.ideal_b)
+    A = _parse_ideal(args.ideal_a, args.budget)
+    B = _parse_ideal(args.ideal_b, args.budget)
     e_a, e_b = samuel(A), samuel(B)
     e_mixed = mixed(A, B)
     ok = minkowski_check(A, B)

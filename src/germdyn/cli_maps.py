@@ -20,11 +20,11 @@ def _mu_stage(args):
     from .intersect import GenericSampler, InfiniteMultiplicity, mu_sequence
     from .polyparse import parse_map, parse_poly_list
 
-    F = MapGerm(*parse_map(args.map))
+    F = MapGerm(*parse_map(args.map, args.budget))
     if not F.finiteness_certificate():
         return None, _stage_failure("map validation",
                                     "components share a factor or degenerate")
-    gens = parse_poly_list(args.ideal)
+    gens = parse_poly_list(args.ideal, args.budget)
     sampler = GenericSampler(args.seed)
     z = sampler.draw_vector(len(gens))
     w = sampler.draw_vector(len(gens))
@@ -50,7 +50,7 @@ def cmd_c_seq(args):
     from .polyparse import parse_map
     from .valuation import MonomialValuation, c_sequence
 
-    F = MapGerm(*parse_map(args.map))
+    F = MapGerm(*parse_map(args.map, args.budget))
     try:
         nu = MonomialValuation(Fraction(args.wx), Fraction(args.wy))
     except ZeroDivisionError:  # "1/0" parses as a Fraction with denominator 0
@@ -67,7 +67,7 @@ def cmd_c_inf(args):
     from .recurrence import NoRecurrenceFound
     from .valuation import c_infinity
 
-    F = MapGerm(*parse_map(args.map))
+    F = MapGerm(*parse_map(args.map, args.budget))
     try:
         rate = c_infinity(F, args.nmax, args.budget)
     except NoRecurrenceFound as exc:

@@ -22,9 +22,9 @@ from bisect import bisect_left
 from math import gcd
 
 # MapGerm is re-exported: callers import it from here too
-from .bipoly import (BiPoly, MapGerm, _int_coeff_rows, _resultant_rows, _ugcd,
-                     _uprimitive, _xprem)
+from .bipoly import BiPoly, MapGerm
 from .bounds import DEFAULT_BUDGET, BudgetExceeded
+from .intpoly import _int_coeff_rows, _resultant_rows, _ugcd, _uprimitive, _xprem
 from .series import truncated_product
 
 
@@ -432,7 +432,9 @@ def _at_jets(polys, X: list, Y: list, T: int) -> list[list]:
     """[P(X, Y) for P in polys], each P with no constant term and the jets
     X, Y exact below t^T: ring operations mod t^T, so exact below t^T as
     well.  The powers of X and Y, by repeated squaring, are built once for
-    all of ``polys``; products are series.truncated_product to T terms."""
+    all of ``polys``; products are series.truncated_product to T terms.  A
+    term x^i y^j with i ord X + j ord Y >= T vanishes below t^T, and none
+    of its powers is built."""
 
     def power(squares, e):  # by repeated squaring: exponents run to thousands
         acc = None
@@ -444,9 +446,12 @@ def _at_jets(polys, X: list, Y: list, T: int) -> list[list]:
         return acc
 
     xs, ys, outs = [X], [Y], []
+    ox, oy = (next((k for k, c in enumerate(v) if c), T) for v in (X, Y))
     for P in polys:
         out = [0] * T
         for (i, j), c in P.terms.items():
+            if i * ox + j * oy >= T:
+                continue
             m = (truncated_product(power(xs, i), power(ys, j), T) if i and j
                  else power(xs, i) if i else power(ys, j))
             for k, v in enumerate(m):

@@ -3,13 +3,17 @@
 Accepts integer or rational coefficients, variables x and y, operators
 + - * ^, parentheses, and implicit multiplication ("2x y^3" or "2*x*y^3").
 Map germs are written as a parenthesized pair "(x^2 - y^4, y^4)".
+Every product and power the parser expands is held to a term budget, as
+``BiPoly.compose`` holds its own, so that no input expands unbounded before
+a computation's budget is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _check_budget
+from .bounds import DEFAULT_BUDGET
 
 
 class ParseError(ValueError):
@@ -19,9 +23,10 @@ class ParseError(ValueError):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, budget: int):
         self.text = text
         self.pos = 0
+        self.budget = budget
 
     def error(self, msg):
         raise ParseError(msg, self.pos)
@@ -59,11 +64,11 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                acc = acc * self.parse_factor()
-            elif ch and (ch in "xy(" or ch.isdigit()):
-                acc = acc * self.parse_factor()  # implicit multiplication
-            else:
+            elif not (ch and (ch in "xy(" or ch.isdigit())):
                 return acc
+            # an explicit or an implicit multiplication
+            acc = acc * self.parse_factor()
+            _check_budget(acc, self.budget)
 
     def parse_factor(self) -> BiPoly:
         base = self.parse_base()
@@ -72,7 +77,7 @@ class _Parser:
             n = self.parse_int()
             if n < 0:
                 self.error("negative exponent")
-            return base**n
+            return base.power(n, self.budget)
         return base
 
     def parse_base(self) -> BiPoly:
@@ -115,8 +120,10 @@ class _Parser:
         return self.pos >= len(self.text)
 
 
-def parse_poly(text: str) -> BiPoly:
-    p = _Parser(text)
+def parse_poly(text: str, budget: int = DEFAULT_BUDGET) -> BiPoly:
+    """One polynomial; BudgetExceeded when a product or power it expands
+    has more than ``budget`` terms."""
+    p = _Parser(text, budget)
     try:
         result = p.parse_expr()
     except RecursionError:
@@ -126,13 +133,13 @@ def parse_poly(text: str) -> BiPoly:
     return result
 
 
-def parse_poly_list(text: str) -> list[BiPoly]:
+def parse_poly_list(text: str, budget: int = DEFAULT_BUDGET) -> list[BiPoly]:
     """Comma-separated polynomials, respecting parenthesis nesting."""
     parts = split_top_level(text)
-    return [parse_poly(part) for part in parts]
+    return [parse_poly(part, budget) for part in parts]
 
 
-def parse_map(text: str) -> tuple[BiPoly, BiPoly]:
+def parse_map(text: str, budget: int = DEFAULT_BUDGET) -> tuple[BiPoly, BiPoly]:
     """A pair "(P, Q)" or "P, Q"."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
@@ -142,7 +149,7 @@ def parse_map(text: str) -> tuple[BiPoly, BiPoly]:
     parts = split_top_level(text)
     if len(parts) != 2:
         raise ParseError("expected exactly two components", 0)
-    return parse_poly(parts[0]), parse_poly(parts[1])
+    return parse_poly(parts[0], budget), parse_poly(parts[1], budget)
 
 
 def split_top_level(text: str) -> list[str]:

@@ -9,12 +9,10 @@ from germdyn.bipoly import (
     BudgetExceeded,
     MapGerm,
     ZeroPolynomial,
-    _int_coeff_rows,
-    _uprimitive,
-    _xprem,
     bipoly_gcd,
     resultant_x,
 )
+from germdyn.intpoly import _int_coeff_rows, _uprimitive, _xprem
 from germdyn.polyparse import parse_poly
 from test_intersect import bipoly_exact_div, sylvester_resultant
 

@@ -173,6 +173,37 @@ def test_astronomical_ideal_degree_computes_no_coefficient_past_the_jets(ideal, 
         assert json.loads(proc.stdout)["mu"] == mu
 
 
+BUDGET_STOPS = [
+    # the jets of x^99999999999 vanish below t^T for every T up to the
+    # budget: that term is skipped before any of its powers is built
+    (["mu-seq", "--map", "(x^2 - y^4, y^4)", "--ideal", "x^99999999999, y", "--nmax", "2"],
+     "budget exceeded: mu(0) is at least 1000000, the jet budget\n"),
+    # the parser stops at the first square past the budget, not at the 8000th power
+    (["c-seq", "--budget", "100", "--map", "((x+y)^8000, y)", "--nmax", "1"],
+     "budget exceeded: term count 129 exceeds budget 100\n"),
+    (["pipeline", "--budget", "100", "--map", "(x^2 - y^4, y^4)", "--ideal", "(x+y)^8000, y",
+      "--nmax", "2"], "budget exceeded: term count 129 exceeds budget 100\n"),
+    # the lowest form of F^8_x at weights (2, 1) has 129 terms
+    (["c-seq", "--budget", "100", "--map", "(x^2 - y^4, y^4)", "--wx", "2", "--nmax", "8"],
+     "budget exceeded: term count 129 exceeds budget 100\n"),
+    (["c-seq", "--budget", "10", "--map", "(x - y, x - y + x^2)", "--nmax", "8"],
+     "budget exceeded: a weight window of 16 exceeds the budget of 10\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BUDGET_STOPS, ids=[" ".join(a) for a, _ in BUDGET_STOPS])
+def test_budget_stops_a_job_before_its_work(argv, message):
+    src = os.path.dirname(os.path.dirname(germdyn.__file__))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "germdyn.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+    assert time.monotonic() - start < 5
+
+
 @pytest.mark.parametrize("command, map_text, code, mu", [
     ("mu-seq", "(x^99999999999 + y^2, y)", 0, [1, 1, 1, 1]),
     ("pipeline", "(x^99999999999 + y^2, y)", 3, None),

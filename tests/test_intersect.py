@@ -7,8 +7,9 @@ from math import gcd
 import pytest
 
 from germdyn import intersect
-from germdyn.bipoly import (BiPoly, _int_coeff_rows, _trim_z, _uexact_div, _ugcd, _umul,
-                            _usub, _xprem, bipoly_gcd, resultant_x)
+from germdyn.bipoly import BiPoly, bipoly_gcd, resultant_x
+from germdyn.intpoly import (_int_coeff_rows, _trim_z, _uexact_div, _ugcd, _umul, _usub,
+                             _xprem)
 from germdyn.intersect import (
     INFINITE,
     DegenerateInput,

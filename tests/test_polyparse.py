@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from germdyn.bipoly import BiPoly
+from germdyn.bounds import BudgetExceeded
 from germdyn.polyparse import ParseError, parse_map, parse_poly, parse_poly_list
 
 
@@ -38,3 +39,20 @@ def test_errors():
         parse_map("x")
     with pytest.raises(ParseError):
         parse_map("x, y, x")
+
+
+def test_products_and_powers_are_held_to_the_budget():
+    # each product and square the parser expands is checked, so a power far
+    # past the budget stops at its first square over it, not at its end
+    with pytest.raises(BudgetExceeded, match="term count 129 exceeds budget 100"):
+        parse_poly("(x + y)^8000", budget=100)
+    with pytest.raises(BudgetExceeded):
+        parse_poly("(1 + x)(1 + y)(1 + x^2 y^2)", budget=7)
+    assert parse_poly("(1 + x)(1 + y)(1 + x^2 y^2)", budget=8).term_count() == 8
+    with pytest.raises(BudgetExceeded):
+        parse_map("(x, (x + y)^3)", budget=3)
+    with pytest.raises(BudgetExceeded):
+        parse_poly_list("x, y^2, (x + y)^2", budget=2)
+    # a monomial stays one term at any power
+    assert parse_poly("x^99999999999 y", budget=1) == BiPoly({(99999999999, 1): 1})
+    assert parse_poly("(x + y)^16") == parse_poly("(x + y)^8 (x + y)^8")

@@ -35,9 +35,11 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ger
 # every job loads bounds, for BudgetExceeded, and the module of its handler;
 # of the curve-family jobs only curve coeffs, which prints a row, builds a Dyadic
 FAMILY = {"bounds", "cli_family", "bitseq", "curvefamily"}
+# c-seq reads rates off weight windows and compiles none of the elimination
+# kernels of intpoly; c-inf loads them for its Sturm chain
 RATES = {"bounds", "cli_maps", "bipoly", "polyparse", "valuation"}
-ITERATE = RATES | {"intersect", "recurrence", "series"}
-MU = {"bounds", "cli_maps", "bipoly", "intersect", "polyparse", "series"}
+ITERATE = RATES | {"intersect", "intpoly", "recurrence", "series"}
+MU = {"bounds", "cli_maps", "bipoly", "intersect", "intpoly", "polyparse", "series"}
 IDEALS = {"bounds", "cli_ideals", "bipoly", "polyparse", "staircase"}
 MAP = "(x^2 - y^4, y^4)"
 
@@ -55,7 +57,7 @@ JOBS = {
     ("samuel",): (["--ideal", "x^2, y^3"], IDEALS),
     ("mixed",): (["--ideal-a", "x^2, y^3", "--ideal-b", "x, y"], IDEALS),
     ("c-seq",): (["--map", MAP, "--nmax", "3"], RATES),
-    ("c-inf",): (["--map", MAP, "--nmax", "3"], RATES | {"recurrence"}),
+    ("c-inf",): (["--map", MAP, "--nmax", "3"], RATES | {"intpoly", "recurrence"}),
     ("skewness",): (["--chart", "CHART", "--i", "1", "--j", "2"],
                     {"bounds", "cli_ideals", "proximity"}),
     ("recursion",): (["--terms", "1,2,4,8,16,32"], {"bounds", "cli_maps", "recurrence"}),
@@ -136,6 +138,11 @@ def test_a_job_loads_only_what_its_command_runs(path, tmp_path):
     # curve-family jobs build no Fraction, so they import neither module
     if allowed >= FAMILY:
         assert rationals == []
+
+
+def test_c_seq_compiles_no_elimination_kernel():
+    _, modules, _, _, _ = probe("c-seq", "--map", MAP, "--wx", "3/2", "--nmax", "4")
+    assert "germdyn.intpoly" not in modules and "germdyn.valuation" in modules
 
 
 def test_the_package_imports_only_itself_and_the_stdlib():
