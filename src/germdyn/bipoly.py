@@ -8,7 +8,9 @@ throughout, and rational inputs run through the same code by way of the
 int/Fraction numeric tower.  This is the workhorse behind curve defining
 equations, map germs and their iterates, resultants, and gcds.  ``MapGerm``,
 a polynomial self-map of the plane fixing the origin, lives here beside
-``BiPoly.compose``, so that iterating a map loads no intersection code.
+``BiPoly.compose``, and so does ``window_eval``, the window rule on which
+c(F^n) and the arc of mu(n) iterate, so that iterating loads no
+intersection code.
 
 Eliminations run over Z on the integer-cleared x-coefficient rows, dense
 polynomials in y, on one exact pseudo-remainder: the resultant by the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bounds import DEFAULT_BUDGET, BudgetExceeded
+from .bounds import DEFAULT_BUDGET, AtLeast, BudgetExceeded
 
 
 class ZeroPolynomial(ValueError):
@@ -179,36 +181,20 @@ class BiPoly:
     # -- composition --------------------------------------------------------
 
     def compose(self, fx: "BiPoly", fy: "BiPoly", budget: int = DEFAULT_BUDGET) -> "BiPoly":
-        """Substitute x -> fx, y -> fy.  Exact, under a term budget that
-        also caps the entries of each power table."""
-        top = max((max(ij) for ij in self.terms), default=0)
-        if top > budget:
-            raise BudgetExceeded("a power table of %d entries exceeds the budget of %d"
-                                 % (top, budget))
-        # Horner in x over coefficient polys in y keeps the power table small
+        """Substitute x -> fx, y -> fy.  Exact, under a term budget on every
+        product and on self's largest exponent, the most entries a power
+        table could need.  Only the powers that self's terms read are built."""
+        _guard_table(self.terms, budget)
         by_i: dict[int, dict] = {}
         for (i, j), c in self.terms.items():
             by_i.setdefault(i, {})[j] = c
+        xpow = _powers(fx, sorted(by_i), budget)
+        ypow = _powers(fy, sorted({j for _, j in self.terms}), budget)
         result = BiPoly.zero()
-        ypows = [BiPoly.const(1)]
-
-        def ypow(j):
-            while len(ypows) <= j:  # a loop: y-degrees can be in the thousands
-                ypows.append(ypows[-1] * fy)
-                _check_budget(ypows[-1], budget)
-            return ypows[j]
-
-        xpow = BiPoly.const(1)
-        for i in range(0, (max(by_i) if by_i else 0) + 1):
-            if i > 0:
-                xpow = xpow * fx
-                _check_budget(xpow, budget)
-            if i in by_i:
-                row = BiPoly.zero()
-                for j, c in by_i[i].items():
-                    row = row + BiPoly.const(c) * ypow(j)
-                result = result + row * xpow
-                _check_budget(result, budget)
+        for i, js in sorted(by_i.items()):
+            row = sum((BiPoly.const(c) * ypow[j] for j, c in js.items()), BiPoly())
+            result = result + row * xpow[i]
+            _check_budget(result, budget)
         return result
 
     def eval_y0_in_x(self) -> list:
@@ -311,11 +297,105 @@ def _as_bipoly(x):
     raise TypeError("cannot coerce %r to BiPoly" % (x,))
 
 
+def _guard_table(monomials, budget):
+    """Refuses a power table up to the largest exponent past the budget."""
+    top = max((max(ij) for ij in monomials), default=0)
+    if top > budget:
+        raise BudgetExceeded("a power table of %d entries exceeds the budget of %d"
+                             % (top, budget))
+
+
+def _powers(f: BiPoly, exponents, budget) -> dict:
+    """{e: f^e} over the ascending ``exponents``: f^(e-1) f when f^(e-1) is
+    there, so a dense run costs one product per power, else by squaring."""
+    pows = {0: BiPoly.const(1)}
+    for e in exponents:
+        pows[e] = pows[e - 1] * f if e - 1 in pows else f.power(e, budget)
+        _check_budget(pows[e], budget)
+    return pows
+
+
 def _check_budget(p: BiPoly, budget):
     if p.term_count() > budget:
         raise BudgetExceeded(
             "term count %d exceeds budget %d" % (p.term_count(), budget)
         )
+
+
+def window_eval(f: dict, jets, a: int, b: int, powers: dict, cut: bool,
+                budget: int, ceiling=None):
+    """f(H_x, H_y) below its exact limit, read off jets of H: (value, cut).
+
+    f has no constant term, and x^i y^j weighs a i + b j, a, b >= 0.  The
+    jet of H_k is (terms, v, width): v = nu(H_k) and every term of H_k of
+    weight below v + width and the ``ceiling``; None when H_k = 0; or
+    AtLeast(v) when no term of H_k weighs below v.  ``cut`` says whether a
+    term was dropped on the way to the jets, and comes back with this
+    evaluation's drops; ``powers`` ({} for new jets) keeps the jets' powers
+    for the next f.
+
+    *Exactness.*  Let u = p v_x + q v_y for a term x^p y^q of f not on a
+    zero jet (those vanish), and w the least width of the jets with terms.
+    As lowest forms multiply to a nonzero form, H_x^p H_y^q and the product
+    of the jets' powers differ by terms of weight at least u + w, or u on
+    an AtLeast jet.  With E the least of these bounds and L = min(E,
+    ceiling), f on the jets, dropping every product of weight L or more (a
+    term with u >= L builds no power), equals f(H) below L.  So the lowest
+    surviving term gives the value (terms, v, E - v), v = nu(f(H)), whose
+    width the ceiling does not cut.  With no term left, the value is None
+    when every term vanishes or nothing was cut (then f(H) = 0), else
+    AtLeast(L).  No product keeps more than ``budget`` terms.
+    """
+    X, Y = jets
+    v = [J[1] if type(J) is tuple else J.bound if J else 0 for J in jets]
+    w = min((J[2] for J in jets if type(J) is tuple), default=0)
+    one = {(0, 0): 1}
+
+    def below(limit):
+        return limit if ceiling is None else min(limit, ceiling)
+
+    def mul(P, Q, limit):
+        """The terms of P Q of weight below ``limit``."""
+        nonlocal cut
+        out = {}
+        for (i, j), c in P.items():
+            for (k, l), d in Q.items():
+                if a * (i + k) + b * (j + l) < limit:
+                    out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
+                else:
+                    cut = True
+        out = {ij: c for ij, c in out.items() if c}
+        _check_budget(_wrap(out), budget)
+        return out
+
+    def power(k, e):
+        """H_k^e below e v_k + w, squaring up d = e >> s: no recursive cycle."""
+        for s in range(e.bit_length() - 2, -1, -1):
+            d = e >> s
+            if (k, d) not in powers:
+                half = powers[k, d // 2] if d > 3 else jets[k][0]
+                sq = mul(half, half, below((d - d % 2) * v[k] + w))
+                powers[k, d] = mul(sq, jets[k][0], below(d * v[k] + w)) if d % 2 else sq
+        return powers[k, e] if e > 1 else jets[k][0] if e else one
+
+    terms = [(p * v[0] + q * v[1], p, q, c) for (p, q), c in f.items()
+             if not (p and X is None or q and Y is None)]
+    if not terms:  # every term vanishes
+        return None, cut
+    exact = min(u if p and type(X) is AtLeast or q and type(Y) is AtLeast else u + w
+                for u, p, q, _ in terms)
+    limit, acc = below(exact), {}
+    for u, p, q, c in terms:
+        if u >= limit:  # a dead term, as every term on an AtLeast jet is
+            cut = True
+            continue
+        for ij, d in mul(power(0, p), power(1, q), limit).items():
+            acc[ij] = acc.get(ij, 0) + c * d
+    acc = mul(acc, one, limit)  # drops the cancelled terms
+    if not acc:
+        return (AtLeast(limit) if cut else None), cut
+    low = min(a * i + b * j for i, j in acc)
+    return (acc, low, exact - low), cut
 
 
 # ---------------------------------------------------------------------------

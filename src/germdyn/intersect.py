@@ -9,10 +9,8 @@ is a proof, and none draws a random number or runs a gcd of curves.
 ``mu_sequence`` reads mu(n) = i_0((F^n)^* D_z, D_w) off the arc formula
 i_0(P, C) = ord_t P(gamma(t)), for a primitive parametrization gamma of an
 irreducible germ C (E. Casas-Alvero, *Singularities of Plane Curves*, LMS
-LN 276, ch. 2), whenever the w-member has an integer one: a graph over
-either axis, or a coprime binomial c x^p + d y^q.  It iterates the arc
-F^n(gamma) as jets truncated below t^T and never builds F^n.  Every other
-w-member goes through the exact pullback and ``local_mult``.
+LN 276, ch. 2), on ``c_sequence``'s window rule, whenever the w-member has
+an integer one; every other w-member goes through ``local_mult``.
 """
 
 from __future__ import annotations
@@ -22,10 +20,9 @@ from bisect import bisect_left
 from math import gcd
 
 # MapGerm is re-exported: callers import it from here too
-from .bipoly import BiPoly, MapGerm
-from .bounds import DEFAULT_BUDGET, BudgetExceeded
+from .bipoly import BiPoly, MapGerm, _guard_table, window_eval
+from .bounds import DEFAULT_BUDGET, AtLeast, BudgetExceeded
 from .intpoly import _int_coeff_rows, _resultant_rows, _ugcd, _uprimitive, _xprem
-from .series import truncated_product
 
 
 class DegenerateInput(ValueError):
@@ -428,37 +425,18 @@ def _parametrization(D: BiPoly, T: int):
             [0] * p + [r * c**g * e**f] if p < T else [])
 
 
-def _at_jets(polys, X: list, Y: list, T: int) -> list[list]:
-    """[P(X, Y) for P in polys], each P with no constant term and the jets
-    X, Y exact below t^T: ring operations mod t^T, so exact below t^T as
-    well.  The powers of X and Y, by repeated squaring, are built once for
-    all of ``polys``; products are series.truncated_product to T terms.  A
-    term x^i y^j with i ord X + j ord Y >= T vanishes below t^T, and none
-    of its powers is built."""
-
-    def power(squares, e):  # by repeated squaring: exponents run to thousands
-        acc = None
-        for b in range(e.bit_length()):
-            if b == len(squares):
-                squares.append(truncated_product(squares[-1], squares[-1], T))
-            if e >> b & 1:
-                acc = squares[b] if acc is None else truncated_product(acc, squares[b], T)
-        return acc
-
-    xs, ys, outs = [X], [Y], []
-    ox, oy = (next((k for k, c in enumerate(v) if c), T) for v in (X, Y))
-    for P in polys:
-        out = [0] * T
-        for (i, j), c in P.terms.items():
-            if i * ox + j * oy >= T:
-                continue
-            m = (truncated_product(power(xs, i), power(ys, j), T) if i and j
-                 else power(xs, i) if i else power(ys, j))
-            for k, v in enumerate(m):
-                if v:
-                    out[k] += c * v
-        outs.append(out)
-    return outs
+def _arc_jets(gamma, D: BiPoly, window: int, budget: int):
+    """(jets, cut): gamma = _parametrization(D, budget) as t-jets (t^k kept
+    as x^k, under the weights (1, 0)) of width ``window`` below the ceiling
+    ``budget``, and whether the ceiling cut gamma.  A list the cut left
+    all-zero is AtLeast(budget), unless its uncut value is 0: the x-list
+    when D = c x, the y-list when D = c y."""
+    jets = []
+    for lin, u in zip(((1, 0), (0, 1)), gamma):
+        terms = {(k, 0): c for k, c in enumerate(u) if c}
+        zero = None if D.terms.keys() == {lin} else AtLeast(budget)
+        jets.append((terms, min(terms)[0], window) if terms else zero)
+    return jets, D.degree() >= budget  # gamma's t-degree is deg D
 
 
 def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
@@ -468,19 +446,19 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
 
     When the w-member D_w has an integer primitive parametrization gamma (a
     graph c x - h(y) or c y - h(x), or a coprime binomial c x^p + d y^q),
-    mu(n) = ord_t D_z(F^n(gamma(t))), read off the arc iterated as integer
-    jets below t^T (gamma below t^budget); no F^n, pullback or resultant is
-    built.  Each arc step evaluates both components of F on one table of
-    powers.  A nonzero jet gives mu(n); a zero jet doubles T, up to
-    ``budget``.  Past Bezout's bound deg(D_z) deg(F)^n deg(D_w) a zero jet
-    proves D_z(F^n(gamma)) = 0.  Any other D_w goes through the exact
-    pullback and ``local_mult``, under the same term ``budget`` as
-    compositions.
+    mu(n) = ord_t D_z(F^n(gamma(t))), read off F^n(gamma) as t-jets of width
+    W below the ceiling t^budget by ``bipoly.window_eval``.  W starts at 1
+    and doubles, from gamma, when the lowest terms of D_z cancel past it;
+    as a step lowers an exact limit by less than the ceiling, it ends below
+    2 (n_max + 2) budget.  With no term left, D_z(F^n(gamma)) = 0 when
+    nothing was cut or the limit is past Bezout's bound deg(D_z) deg(F)^n
+    deg(D_w); a limit at ``budget`` is a budget failure.  Any other D_w goes
+    through the pullbacks P_(n+1) = P_n(F), P_0 = D_z, and ``local_mult``.
 
     Raises InfiniteMultiplicity (with the failing index in the message) when
     the two curves share a component through the origin, and BudgetExceeded
-    when a jet would need more than ``budget`` coefficients.  ``sampler`` is
-    unused, since local_mult draws nothing.
+    when mu(n) is not decided below t^budget.  ``sampler`` is unused, since
+    local_mult draws nothing.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -496,36 +474,41 @@ def mu_sequence(F: MapGerm, generators: list[BiPoly], z: list[int],
 
     gamma = _parametrization(Dw.poly, budget)
     if gamma is None:
-        Fn = MapGerm.identity()
+        P = Dz.poly
         for n in range(n_max + 1):
-            val = local_mult(pullback(Fn, Dz, budget), Dw)
+            if n:  # F's exponents meet the budget before any power of F is built
+                for f in (F.fx, F.fy):
+                    _guard_table(f.terms, budget)
+                P = P.compose(F.fx, F.fy, budget)
+            val = local_mult(PlaneCurve(P), Dw)
             if val is INFINITE:
                 raise shared(n)
             out.append(val)
-            if n < n_max:
-                Fn = F.compose(Fn, budget)
         return out
     deg_f = max(F.fx.degree(), F.fy.degree())
-    T, arc = min(8, budget), None
+    window = 1
     while len(out) <= n_max:
-        n = len(out)
-        if arc is None:  # F^n(gamma) below t^T, from gamma
-            arc = [u[:T] for u in gamma]
-            for _ in range(n):
-                arc = _at_jets((F.fx, F.fy), *arc, T)
-        (jet,) = _at_jets((Dz.poly,), *arc, T)
-        val = _ord_y(jet)  # INFINITE when the jet is zero below t^T
-        if val is not INFINITE:
-            out.append(val)
-            if n < n_max:
-                arc = _at_jets((F.fx, F.fy), *arc, T)
-        elif T > Dz.poly.degree() * deg_f ** n * Dw.poly.degree():
-            raise shared(n)
-        elif T >= budget:
-            raise BudgetExceeded(
-                "mu(%d) is at least %d, the jet budget" % (n, budget))
-        else:
-            T, arc = min(2 * T, budget), None
+        arc, cut = _arc_jets(gamma, Dw.poly, window, budget)
+        for n in range(n_max + 1):
+            powers = {}  # the powers of F^n(gamma) serve D_z and F
+            if n == len(out):
+                jet, cut = window_eval(Dz.poly.terms, arc, 1, 0, powers, cut,
+                                       budget, budget)
+                if type(jet) is tuple:
+                    out.append(jet[1])
+                elif jet is None or jet.bound > (Dz.poly.degree() * deg_f ** n
+                                                 * Dw.poly.degree()):
+                    raise shared(n)
+                elif jet.bound >= budget:
+                    raise BudgetExceeded(
+                        "mu(%d) is at least %d, the jet budget" % (n, budget))
+                else:  # recompute the arc from gamma in a wider window
+                    window *= 2
+                    break
+            if n < n_max:  # F on the arc, the cut threaded through
+                fx, cut = window_eval(F.fx.terms, arc, 1, 0, powers, cut, budget, budget)
+                fy, cut = window_eval(F.fy.terms, arc, 1, 0, powers, cut, budget, budget)
+                arc = [fx, fy]
     return out
 
 

@@ -5,8 +5,7 @@ truncation bookkeeping follows the rule that multiplying series with
 truncations N1, N2 and orders o1, o2 yields truncation min(N1 + o2, N2 + o1):
 every emitted coefficient is provably correct, nothing more is claimed.
 Coefficients may be Dyadic, Fraction, or int; they only need ring operators.
-``truncated_product`` is the one dense product, shared by USeries and the
-jets of intersect.
+``truncated_product`` is the dense product of USeries.
 """
 
 from __future__ import annotations

@@ -8,37 +8,14 @@ recursion has a rational dominant root) or by an algebraic certificate.
 Only ``c_infinity`` detects a recursion, and it imports ``recurrence`` and
 the Sturm chain's kernels itself, so ``c_sequence`` alone loads neither;
 ``growth_envelope_check`` reads a recursion its caller has already detected.
-
-``c_sequence`` reads c(F^n) off weight windows and never builds F^n.  With
-the weights held as integers (a, b) over L, x^i y^j weighs a i + b j.  Each
-component H_k of H = F^(n-1) is kept as a jet: its terms of weight below
-v_k + w_k, where v_k = nu(H_k) is exact and the width w_k is at most the
-window W.  Let w = min(w_x, w_y) and, for a component f of F, let m be the
-least p v_x + q v_y over the terms x^p y^q of f.
-
-*Exactness.*  H_k and its jet differ by terms of weight at least v_k + w,
-and the lowest forms of nonzero polynomials multiply to a nonzero form, so
-H_x^p H_y^q and the product of the jets' powers differ by terms of weight
-at least p v_x + q v_y + w >= m + w.  Hence f evaluated on the jets, with
-every product of weight m + w or more dropped (a term of f with
-p v_x + q v_y >= m + w builds no power at all), equals f(H) below m + w.
-If a term survives below m + w, the lowest one gives nu(F^n_k) = v
-exactly, and the jet of F^n_k is exact with width m + w - v.
-
-*Widening.*  When the lowest weights cancel so far that no term survives
-below m + w, the whole sequence is recomputed with W doubled.  The first
-window is W = 1, which keeps only the lowest forms; a window that started
-wide would carry terms no rate reads.  When nothing was dropped anywhere
-and nothing survives, F^n_k = 0 (ZeroPolynomial).  ``budget`` bounds W and
-the terms of every jet.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
 
-from .bipoly import BiPoly, MapGerm, ZeroPolynomial
-from .bounds import DEFAULT_BUDGET, BudgetExceeded
+from .bipoly import BiPoly, MapGerm, ZeroPolynomial, _guard_table, window_eval
+from .bounds import DEFAULT_BUDGET, AtLeast, BudgetExceeded
 
 
 class MonomialValuation:
@@ -82,13 +59,16 @@ def attraction_rate(F: MapGerm, nu: MonomialValuation) -> Fraction:
 def c_sequence(F: MapGerm, nu: MonomialValuation, n_max: int,
                budget: int = DEFAULT_BUDGET) -> list[Fraction]:
     """Attraction rates c(F^n) = min(nu(F^n_x), nu(F^n_y)), n = 1..n_max,
-    exact, read off weight windows of the iterates (see the module
-    docstring); F^n itself is never built.
+    exact, read off weight windows; F^n itself is never built.  Under the
+    integer weights (a, b) / L, each component of F is evaluated on jets of
+    H = F^(n-1) by ``bipoly.window_eval``, the window rule.  The window W
+    starts at 1, which keeps only the lowest forms, and the sequence is
+    recomputed with W doubled when the lowest weights cancel past it.
 
-    Raises ZeroPolynomial when a component of some F^n is zero, and
-    BudgetExceeded when a power of F's coordinates passes ``budget``, when
-    the window would be wider than ``budget`` weight units, or when a jet
-    would keep more than ``budget`` terms."""
+    Raises ZeroPolynomial when a component of some F^n is zero (nothing
+    dropped, nothing left), and BudgetExceeded when a power of F's
+    coordinates, the window's width in weight units or a jet's term count
+    would pass ``budget``."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max == 1:  # F itself: nothing is iterated, so nothing is bounded
@@ -96,10 +76,7 @@ def c_sequence(F: MapGerm, nu: MonomialValuation, n_max: int,
     polys = (F.fx.terms, F.fy.terms)
     if not all(polys):
         raise ZeroPolynomial("valuation of the zero polynomial")
-    top = max(max(ij) for f in polys for ij in f)
-    if top > budget:
-        raise BudgetExceeded("a power table of %d entries exceeds the budget of %d"
-                             % (top, budget))
+    _guard_table(polys[0].keys() | polys[1].keys(), budget)
     window = 1
     while True:
         rates = _window_rates(polys, nu._a, nu._b, n_max, window, budget)
@@ -117,57 +94,17 @@ def _window_rates(polys, a: int, b: int, n_max: int, window: int, budget: int):
     (a, b) / L; None when the lowest weights of some step cancel past the
     window.  Each component of H = F^(n-1) is a jet (terms, v, width), and
     H starts as the identity."""
-    cut = False  # whether any term was dropped: if none was, a zero is exact
-
-    def mul(P, Q, limit):
-        """The terms of P Q of weight below ``limit``."""
-        nonlocal cut
-        out = {}
-        for (i, j), c in P.items():
-            for (k, l), d in Q.items():
-                if a * (i + k) + b * (j + l) < limit:
-                    out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
-                else:
-                    cut = True
-        out = {ij: c for ij, c in out.items() if c}
-        if len(out) > budget:
-            raise BudgetExceeded("term count %d exceeds budget %d" % (len(out), budget))
-        return out
-
-    one = {(0, 0): 1}
     jets = ({(1, 0): 1}, a, window), ({(0, 1): 1}, b, window)
-    rates = []
+    cut, rates = False, []  # cut: whether any term was dropped
     for _ in range(n_max):
-        (X, vx, wx), (Y, vy, wy) = jets
-        w = min(wx, wy)
-        powers = ({0: one, 1: X}, {0: one, 1: Y})
-
-        def power(k, e):
-            """H_k^e below e v_k + w, by squaring."""
-            if e not in powers[k]:
-                v = jets[k][1]
-                square = mul(power(k, e // 2), power(k, e // 2), (e - e % 2) * v + w)
-                powers[k][e] = mul(square, powers[k][1], e * v + w) if e % 2 else square
-            return powers[k][e]
-
-        new = []
+        powers, new = {}, []  # the powers of H serve both components
         for f in polys:
-            # f(H) is exact below m + w: every term dropped weighs at least that
-            limit = min(p * vx + q * vy for p, q in f) + w
-            acc = {}
-            for (p, q), c in f.items():
-                if p * vx + q * vy >= limit:  # a dead term: no power of it is built
-                    cut = True
-                    continue
-                for ij, d in mul(power(0, p), power(1, q), limit).items():
-                    acc[ij] = acc.get(ij, 0) + c * d
-            acc = mul(acc, one, limit)  # drops the cancelled terms
-            if not acc:
-                if not cut:
-                    raise ZeroPolynomial("valuation of the zero polynomial")
+            jet, cut = window_eval(f, jets, a, b, powers, cut, budget)
+            if jet is None:
+                raise ZeroPolynomial("valuation of the zero polynomial")
+            if type(jet) is AtLeast:
                 return None  # the lowest weights cancelled past the window
-            v = min(a * i + b * j for i, j in acc)
-            new.append((acc, v, limit - v))
+            new.append(jet)
         jets = new
         rates.append(min(jets[0][1], jets[1][1]))
     return rates

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -31,6 +32,7 @@ from germdyn.intersect import (
 from germdyn.polyparse import parse_map, parse_poly, parse_poly_list
 from germdyn.bounds import DEFAULT_BUDGET
 from germdyn.series import BudgetExceeded
+from test_valuation import shared_linear_map
 
 
 def C(text):
@@ -1289,6 +1291,12 @@ def test_the_arc_holds_gamma_below_the_jet_budget_only():
         assert max(map(len, gamma)) <= budget
         got = mu_sequence(F, gens, z, w, 2, None, budget=budget)
         assert got == exact_mu(F, gens, z, w, 2) == want
+    # D_z = x - y^2 meets D_w = x - y^2 - y^40 to order 40: the gamma cut at
+    # t^30 makes D_z vanish on the arc, and only that cut says it is not 0
+    gens = parse_poly_list("x - y^2 - y^40, x - y^2")
+    with pytest.raises(BudgetExceeded, match=re.escape("mu(0) is at least 30,")):
+        mu_sequence(F, gens, [0, 1], [1, 0], 1, None, budget=30)
+    assert mu_sequence(F, gens, [0, 1], [1, 0], 1, None, budget=50) == [40, 8]
 
 
 def test_jets_stay_within_the_budget():
@@ -1300,3 +1308,101 @@ def test_jets_stay_within_the_budget():
         mu_sequence(F, gens, [3, 5], [2, -7], 3, None, budget=8)
     with pytest.raises(BudgetExceeded):
         mu_sequence(F, gens, [3, 5], [2, -7], 3, None, budget=0)
+    # F^2(gamma)_x = -gamma_x^2 vanishes to order 80, past the ceiling 64:
+    # the arc keeps it as AtLeast(64), and mu(2) = 81 is a budget failure
+    F = MapGerm(*parse_map("(x - y, x - y + x^2)"))
+    gens = parse_poly_list("x + y^40, y^41")
+    with pytest.raises(BudgetExceeded, match=re.escape("mu(2) is at least 64,")):
+        mu_sequence(F, gens, [5, 3], [1, 1], 2, None, budget=64)
+    assert (mu_sequence(F, gens, [5, 3], [1, 1], 2, None, budget=200)
+            == exact_mu(F, gens, [5, 3], [1, 1], 2) == [41, 1, 81])
+    # gamma's x-list starts at t^2 and its y-list at t; with widths cut at
+    # the ceiling, the limits would stall below mu(4) = 9 at every window
+    F = MapGerm(*parse_map("(4 x - 4 y - x y^2, 4 x - 4 y)"))
+    gens = parse_poly_list("x + y^2, y^5")
+    with pytest.raises(BudgetExceeded, match=re.escape("mu(4) is at least 9,")):
+        mu_sequence(F, gens, [-6, 7], [-5, -7], 4, None, budget=9)
+    assert (mu_sequence(F, gens, [-6, 7], [-5, -7], 4, None, budget=10)
+            == exact_mu(F, gens, [-6, 7], [-5, -7], 4) == [5, 1, 3, 3, 9])
+
+
+@pytest.mark.parametrize("map_text", ARC_MAPS[:2])
+def test_twelve_iterates_on_the_arc(map_text):
+    # jets below t^(2 mu(n)) took minutes from n = 10 on, on the paper and
+    # cusp maps; windows of the lowest terms take well under a second
+    F = MapGerm(*parse_map(map_text))
+    sam = GenericSampler(0)
+    z, w = sam.draw_vector(2), sam.draw_vector(2)
+    start = time.monotonic()
+    mu = mu_sequence(F, parse_poly_list("x, y"), z, w, 12, sam)
+    assert mu == [2**n for n in range(13)]
+    assert time.monotonic() - start < 10
+
+
+def test_arc_components_that_are_exactly_zero():
+    # D_w = x gives gamma = (0, t): its x-list is 0 uncut, not AtLeast(budget),
+    # so F^n(gamma) keeps a zero component and D_z = x vanishes on it
+    F = MapGerm(*parse_map("(x^2, y^2)"))
+    gens = parse_poly_list("x, y")
+    assert _parametrization(parse_poly("x"), DEFAULT_BUDGET) == ([0, 0], [0, 1])
+    for z, want in (([1, 1], [2**n for n in range(6)]),
+                    ([1, 0], "shared component at iterate 0; sequence [] so far")):
+        assert mu_or_message(F, gens, z, [1, 0], 5) == exact_mu(F, gens, z, [1, 0], 5) == want
+    # an exact zero needs no jet: budget=1 cuts the y-list to [0] and no more
+    with pytest.raises(InfiniteMultiplicity, match="at iterate 0;"):
+        mu_sequence(F, gens, [1, 0], [1, 0], 5, None, budget=1)
+
+
+def test_cancelled_lowest_terms_widen_the_arc_window(monkeypatch):
+    windows = []
+    arc_jets = intersect._arc_jets
+
+    def recording(gamma, D, window, budget):
+        windows.append(window)
+        return arc_jets(gamma, D, window, budget)
+
+    monkeypatch.setattr(intersect, "_arc_jets", recording)
+    F = MapGerm(*parse_map("(x^2 - y^4, y^4)"))
+    assert mu_sequence(F, parse_poly_list("x, y"), [3, 5], [2, -7], 8, None) == [
+        2**n for n in range(9)]
+    assert windows == [1]  # no cancellation: the narrowest window suffices
+    # x - y vanishes to order 3 along the w-member's branch, so the lowest
+    # terms of D_z(gamma) cancel below t^3, and the window widens twice
+    windows.clear()
+    gens = parse_poly_list("x - y, y^3")
+    want = exact_mu(F, gens, [3, 5], [2, -7], 4)
+    assert mu_sequence(F, gens, [3, 5], [2, -7], 4, None) == want
+    assert windows == [1, 2, 4]
+    # F's step drops x^2 from x + x^2 at W = 1, and 2 x - y then cancels on
+    # the arc: only that cut keeps the cancellation from reading as a zero
+    windows.clear()
+    F, gens = MapGerm(*parse_map("(x + x^2, 2 y)")), parse_poly_list("x - y, 2 x - y")
+    want = exact_mu(F, gens, [0, 1], [1, 0], 3)
+    assert mu_sequence(F, gens, [0, 1], [1, 0], 3, None) == want
+    assert windows == [1, 2]
+    # reading D_z = x^2 + y^3 builds x^2 with a cut; F's x^2 - y^2 reuses it
+    # and cancels, and only that cut keeps F(gamma)_x from reading as 0
+    F = MapGerm(*parse_map("(x^2 - y^2, y^4)"))
+    gens = parse_poly_list("x - y - y^2, x^2 + y^3")
+    want = exact_mu(F, gens, [0, 1], [1, 0], 3)
+    assert mu_sequence(F, gens, [0, 1], [1, 0], 3, None) == want == [2, 6, 12, 24]
+
+
+def test_arc_path_on_random_maps_with_shared_linear_parts():
+    # proportional linear parts make the lowest terms of F(gamma) cancel, so
+    # the window widens on most of these; n <= 2 keeps the exact loop quick
+    rng = random.Random(2919)
+    compared = 0
+    for _ in range(100):
+        F = shared_linear_map(rng)
+        ideal = rng.choice(["x, y", "x - y, y^3", "x - 2 y, y^2", "x^2, y^3"])
+        gens = parse_poly_list(ideal)
+        w = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in gens]
+        z = [rng.randint(-9, 9) for _ in gens]
+        try:
+            want = exact_mu(F, gens, z, w, 2)
+        except DegenerateInput:  # a pullback is zero: a component of F^n is
+            continue
+        assert mu_or_message(F, gens, z, w, 2) == want, (F, ideal, z, w)
+        compared += 1
+    assert compared >= 80

@@ -38,8 +38,10 @@ FAMILY = {"bounds", "cli_family", "bitseq", "curvefamily"}
 # c-seq reads rates off weight windows and compiles none of the elimination
 # kernels of intpoly; c-inf loads them for its Sturm chain
 RATES = {"bounds", "cli_maps", "bipoly", "polyparse", "valuation"}
-ITERATE = RATES | {"intersect", "intpoly", "recurrence", "series"}
-MU = {"bounds", "cli_maps", "bipoly", "intersect", "intpoly", "polyparse", "series"}
+# mu-seq and pipeline iterate the arc on the window rule of bipoly, and load
+# no series
+ITERATE = RATES | {"intersect", "intpoly", "recurrence"}
+MU = {"bounds", "cli_maps", "bipoly", "intersect", "intpoly", "polyparse"}
 IDEALS = {"bounds", "cli_ideals", "bipoly", "polyparse", "staircase"}
 MAP = "(x^2 - y^4, y^4)"
 

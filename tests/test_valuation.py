@@ -80,20 +80,26 @@ def test_windowed_rates_equal_the_exact_iterates(text):
             1, Fraction(7, 2), Fraction(11, 2)]
 
 
+def shared_linear_map(rng):
+    """A random map with exponents <= 2 whose components have proportional
+    linear parts, so that the lowest weights of its iterates often cancel."""
+    line = {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(-2, 2)}
+    comps = []
+    for _ in range(2):
+        k = rng.choice([0, 1, -1, 2])
+        terms = {ij: k * c for ij, c in line.items()}
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randint(0, 2), rng.randint(0, 2)
+            if i + j:
+                terms[i, j] = terms.get((i, j), 0) + rng.randint(-2, 2)
+        comps.append(BiPoly(terms))
+    return MapGerm(*comps)
+
+
 def test_windowed_rates_on_random_maps_with_shared_linear_parts():
     rng = random.Random(2607)
     for _ in range(40):
-        line = {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(-2, 2)}
-        comps = []
-        for _ in range(2):
-            k = rng.choice([0, 1, -1, 2])
-            terms = {ij: k * c for ij, c in line.items()}
-            for _ in range(rng.randint(1, 3)):
-                i, j = rng.randint(0, 2), rng.randint(0, 2)
-                if i + j:
-                    terms[i, j] = terms.get((i, j), 0) + rng.randint(-2, 2)
-            comps.append(BiPoly(terms))
-        F = MapGerm(*comps)
+        F = shared_linear_map(rng)
         nu = MonomialValuation(*rng.choice(WEIGHTS))
         n = rng.randint(2, 4)
         try:
